@@ -1,14 +1,20 @@
-"""FFT-based causal convolutions for sector-resolved qubit moments.
+"""Tuple bookkeeping shared by the sector propagator and the closed forms.
 
 Emitted photons are never revisited, so the qubit 2-vector attached to a
-photon tuple depends only on the lag since its last emission.  Summing
-|amplitude|^2 over all tuples with the same last emission step collapses each
-sector into one 2x2 moment matrix per step, and propagating those moments is
-a causal convolution against the lag family of no-emission propagators.  This
-gives reduced-qubit trajectories in O(m_max * N log N) instead of O(N^(m+1)).
+photon tuple depends only on the lag since its last emission: every tuple
+amplitude is a chain of no-emission propagators joined by emission blocks.
+Both tiers supply their own propagators and differ only in the lag offset
+(see ``moment_chain``).  ``materialize_tuples`` evaluates that chain for every
+tuple.  Summing |amplitude|^2 over all tuples with the same last emission step
+instead collapses each sector into one 2x2 moment matrix per step, and
+propagating those moments is a causal convolution against the lag family of
+no-emission propagators.  This gives reduced-qubit trajectories in
+O(m_max * N log N) instead of O(N^(m+1)).
 """
 
 from __future__ import annotations
+
+import itertools
 
 import numpy as np
 
@@ -105,3 +111,35 @@ def reduced_qubit_trajectory(q: np.ndarray, sector_moments) -> np.ndarray:
     for S in sector_moments:
         rho = rho + S
     return rho
+
+
+def materialize_tuples(props: np.ndarray, emit: np.ndarray, phases: np.ndarray,
+                       phi0: np.ndarray, step: int, m_max: int, offset: int):
+    """Every tuple amplitude with up to m_max photons after `step` collisions.
+
+    props, emit and offset follow ``moment_chain``; phases[n] is the phase
+    attached to an emission into bin n.  Returns (tuples, values) in the
+    ``SectorState`` layout: tuples[m] lists the lexicographically ordered
+    m-photon mode tuples, values[m] their (2, K_m) qubit amplitudes.
+    """
+    tuples: list[np.ndarray] = [np.zeros((1, 0), dtype=int)]
+    values: list[np.ndarray] = [(props[step] @ phi0).reshape(2, 1)]
+    # birth vectors of the previous sector, indexed like tuples[m-1]
+    births = phi0.reshape(2, 1)
+    # the vacuum counts as emitted at step -offset, so its first lag is the emission step
+    prev_last = np.full(1, -offset)
+    for m in range(1, m_max + 1):
+        combos = np.array(list(itertools.combinations(range(step), m)),
+                          dtype=int).reshape(-1, m)
+        # locate each combo's parent (its prefix) in the previous sector
+        order = {tuple(t): i for i, t in enumerate(tuples[-1].tolist())}
+        parent_idx = np.fromiter((order[tuple(c[:-1])] for c in combos.tolist()),
+                                 dtype=int, count=len(combos))
+        last = combos[:, -1]
+        lag = last - prev_last[parent_idx] - offset
+        parent_now = np.einsum("kab,bk->ak", props[lag], births[:, parent_idx])
+        births = phases[last] * (emit @ parent_now)
+        values.append(np.einsum("kab,bk->ak", props[step - offset - last], births))
+        tuples.append(combos)
+        prev_last = last
+    return tuples, values

@@ -42,15 +42,10 @@ def _timed(fn):
 def criterion_1() -> CriterionResult:
     """Spontaneous emission: dense-oracle error vs e^{-gamma t} is O(dt)."""
     def body():
-        gamma, t_final = 1.0, 0.2
+        # gamma*dt = 0.04, 0.02, 0.01 at fixed final time t = 0.2/gamma
+        config = cli.ScenarioConfig("convergence", gamma=1.0, dt=0.04, n_steps=5)
         dts = [0.04, 0.02, 0.01]
-        errors = []
-        for dt in dts:
-            params = SimulationParams(gamma=gamma, dt=dt, n_steps=round(t_final / dt))
-            initial = DenseJointState.product_state("e", params.n_steps, 2)
-            traj = run_dense(params, initial, frame=LAB)
-            errors.append(float(np.abs(traj.p_excited()
-                                       - np.exp(-gamma * params.grid.times())).max()))
+        errors = [cli.convergence_error(config, scale)[0] for scale in (1, 2, 4)]
         exponent = observables.power_law_exponent(dts, errors)
         ok = abs(exponent - 1.0) <= 0.15 and errors[-1] <= 0.02 and errors[-1] > 0
         return ok, (f"fit exponent {exponent:.3f} (want 1.0 +- 0.15), "
@@ -194,15 +189,10 @@ def criterion_6() -> CriterionResult:
             traj = run_dense(lab, DenseJointState.product_state(phi0, 8, 2),
                              frame=LAB, snapshot_steps="all")
             quiet = max(quiet, float(observables.io_residual(traj).max()))
+        config = cli.ScenarioConfig("io-check", gamma=1.0, dt=1e-2, n_steps=8,
+                                    omega_rabi=2.0, omega_q=1.0, fock_dim=3)
         dts = [1e-2, 5e-3, 2.5e-3]
-        residuals = []
-        for dt in dts:
-            drv = SimulationParams(gamma=1.0, dt=dt, n_steps=8, omega_rabi=2.0,
-                                   omega_q=1.0, fock_dim=3)
-            traj = run_dense(drv, DenseJointState.product_state("g", 8, 3,
-                                                                frame=DISPLACED),
-                             frame=DISPLACED, snapshot_steps="all")
-            residuals.append(float(observables.io_residual(traj).max()))
+        residuals = [cli.io_residual_max(config, scale)[0] for scale in (1, 2, 4)]
         exponent = observables.power_law_exponent(dts, residuals)
         bound_ok = all(r <= 5 * dt for r, dt in zip(residuals, dts))
         ok = quiet <= 1e-12 and bound_ok and abs(exponent - 1.0) <= 0.2
@@ -222,16 +212,12 @@ def criterion_7() -> CriterionResult:
         worst = 0.0
         for phi0 in ("g", "e"):
             initial = DenseJointState.product_state(phi0, 8, 2, frame=DISPLACED)
-            psi = run_dense(params, initial, frame=DISPLACED).snapshot(8).tensor()
+            dense = run_dense(params, initial, frame=DISPLACED).snapshot(8)
+            psi = dense.amplitudes.reshape(2, -1)
             state = run_displaced_sectors(params, 8, phi0).state_at(8)
             for m in range(9):
-                for row, modes in enumerate(state.tuples[m]):
-                    occ = [0] * 8
-                    for mode in modes:
-                        occ[mode] = 1
-                    for qi in (0, 1):
-                        worst = max(worst, abs(psi[(qi,) + tuple(occ)]
-                                               - state.values[m][qi, row]))
+                diff = psi[:, state.dense_index(m)] - state.values[m]
+                worst = max(worst, float(np.abs(diff).max()))
         return worst <= 1e-10, f"max amplitude difference {worst:.2e} <= 1e-10"
     passed, detail, rt = _timed(body)
     return CriterionResult("criterion-7 representation-equivalence",

@@ -14,7 +14,6 @@ collision engine so all tiers can be compared amplitude by amplitude.
 
 from __future__ import annotations
 
-import itertools
 import math
 import warnings
 from dataclasses import dataclass
@@ -117,40 +116,12 @@ def assemble_coherent(params: SimulationParams, t: float, m_max: int, phi0="g",
     if total > max_amplitudes:
         raise MemoryGuardError(
             f"assembling {total} tuple amplitudes exceeds the guard ({max_amplitudes})")
-    phi_vec = qubit_vector(phi0)
     mats = f0_matrix(np.arange(step + 1) * params.dt, params)  # M(t_j) for lags j
     emit = -math.sqrt(params.gamma * params.dt) * SIGMA_MINUS
-    phases = np.exp(-1j * params.omega_p * params.dt * np.arange(max(step, 1)))
-    tuples: list[np.ndarray] = [np.zeros((1, 0), dtype=int)]
-    values: list[np.ndarray] = [(mats[step] @ phi_vec).reshape(2, 1)]
-    births = phi_vec.reshape(2, 1)
-    prev_last = np.zeros(1, dtype=int)  # continuum lags measure from the emission time
-    prev_tuples = tuples[0]
-    for m in range(1, m_max + 1):
-        combos = np.array(list(itertools.combinations(range(step), m)), dtype=int)
-        if combos.size == 0:
-            tuples.append(combos.reshape(0, m))
-            values.append(np.zeros((2, 0), dtype=complex))
-            births = np.zeros((2, 0), dtype=complex)
-            prev_last = np.zeros(0, dtype=int)
-            prev_tuples = tuples[-1]
-            continue
-        if m == 1:
-            parent_idx = np.zeros(len(combos), dtype=int)
-        else:
-            order = {tuple(tt): i for i, tt in enumerate(prev_tuples.tolist())}
-            parent_idx = np.fromiter((order[tuple(c[:-1])] for c in combos.tolist()),
-                                     dtype=int, count=len(combos))
-        last = combos[:, -1]
-        lag = last - prev_last[parent_idx]
-        parent_now = np.einsum("kab,bk->ak", mats[lag], births[:, parent_idx])
-        new_births = phases[last] * (emit @ parent_now)
-        vals = np.einsum("kab,bk->ak", mats[step - last], new_births)
-        tuples.append(combos)
-        values.append(vals)
-        births = new_births
-        prev_last = last
-        prev_tuples = combos
+    phases = np.exp(-1j * params.omega_p * params.dt * np.arange(step))
+    # continuum lags measure from the emission time itself: offset 0
+    tuples, values = _conv.materialize_tuples(mats, emit, phases, qubit_vector(phi0), step,
+                                              m_max, offset=0)
     return CoefficientSet(step=step, m_max=m_max, grid=grid, frame=DISPLACED,
                           tuples=tuples, values=values)
 

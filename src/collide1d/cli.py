@@ -10,10 +10,12 @@ identical configs produce byte-identical output.
 from __future__ import annotations
 
 import argparse
+import contextlib
+import math
 import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
@@ -129,6 +131,9 @@ def parse_config(text: str) -> ScenarioConfig:
                 values[key] = float(val)
             except ValueError:
                 problems.append(f"line {lineno}: {key} expects a number, got {val!r}")
+                continue
+            if not math.isfinite(values[key]):
+                problems.append(f"line {lineno}: {key} must be finite, got {val!r}")
         elif key in _INT_KEYS:
             try:
                 values[key] = int(val)
@@ -249,22 +254,6 @@ def write_manifest(path: str, config: ScenarioConfig, metrics: dict):
             fh.write(f"{key} = {value}\n")
 
 
-def _entropy_column(rho_traj: np.ndarray) -> np.ndarray:
-    out = np.empty(rho_traj.shape[0])
-    for i, rho in enumerate(rho_traj):
-        out[i] = observables.entanglement_entropy(rho)
-    return out
-
-
-def _flux_column(flux_bins: np.ndarray, steps: np.ndarray, n_steps: int) -> list:
-    """Final-state flux density of the bin starting at each sampled step."""
-    return [float(flux_bins[s]) if s < n_steps else None for s in steps]
-
-
-# ---------------------------------------------------------------------------
-# scenario runners
-# ---------------------------------------------------------------------------
-
 def _sample_steps(n_steps: int, stride: int) -> np.ndarray:
     steps = np.arange(0, n_steps + 1, stride)
     if steps[-1] != n_steps:
@@ -272,282 +261,221 @@ def _sample_steps(n_steps: int, stride: int) -> np.ndarray:
     return steps
 
 
-def _qubit_rows(rho_traj: np.ndarray, steps: np.ndarray):
-    rho = rho_traj[steps]
-    p_e = rho[:, 1, 1].real
+def _table(params: SimulationParams, steps: np.ndarray, rho: np.ndarray, norm=None,
+           flux=None, io_residual=None) -> ResultTable:
+    """The CSV rows of every solver, from reduced qubit matrices sampled at `steps`.
+
+    norm defaults to the trace of rho; solvers that keep a norm ledger of their
+    own pass it instead.  flux[n] is the final-state flux density of bin n and
+    io_residual[n] the input-output residual after collision n; both columns
+    stay empty where a row has no such bin.
+    """
+    n = params.n_steps
     coh = rho[:, 0, 1]
-    norm = np.einsum("naa->n", rho).real
-    return p_e, coh.real, coh.imag, _entropy_column(rho), norm
+    return ResultTable(
+        t=steps * params.dt, p_e=rho[:, 1, 1].real, re_coh=coh.real, im_coh=coh.imag,
+        entropy_bits=np.array([observables.entanglement_entropy(r) for r in rho]),
+        norm=np.einsum("naa->n", rho).real if norm is None else norm,
+        photon_flux=(None if flux is None
+                     else [float(flux[s]) if s < n else None for s in steps]),
+        io_residual=(None if io_residual is None
+                     else [float(io_residual[s - 1]) if s >= 1 else None for s in steps]))
 
 
-def _run_spont(config: ScenarioConfig, params: SimulationParams):
-    grid = params.grid
+def _populations(p_e: np.ndarray, norm: np.ndarray) -> np.ndarray:
+    """Qubit matrices without coherence: P_e in e, the rest of the norm in g."""
+    rho = np.zeros((len(p_e), 2, 2), complex)
+    rho[:, 1, 1] = p_e
+    rho[:, 0, 0] = norm - p_e
+    return rho
+
+
+def _dense_table(traj, stride: int, **columns) -> ResultTable:
+    """Table of a dense trajectory, whose norm is that of the state vector."""
+    steps = _sample_steps(traj.params.n_steps, stride)
+    return _table(traj.params, steps, traj.qubit_matrices[steps],
+                  norm=traj.norms[steps] ** 2, **columns)
+
+
+def _dense_flux(traj) -> np.ndarray:
+    n = traj.params.n_steps
+    return observables.photon_density(traj.snapshot(n), dt=traj.params.dt)
+
+
+# ---------------------------------------------------------------------------
+# scenario runners
+# ---------------------------------------------------------------------------
+
+def _solve(config: ScenarioConfig, params: SimulationParams) -> ResultTable:
+    """Run a spont, coherent or single-photon config with its solver."""
     steps = _sample_steps(params.n_steps, config.snapshot_stride)
-    times = steps * params.dt
-    if config.solver == "analytic":
+    phi0 = config.resolved_phi0()
+    if config.solver == "dense":
+        # the undriven qubit runs in the lab frame, the driven one displaced
+        frame = LAB if config.scenario == "spont" else DISPLACED
+        initial = DenseJointState.product_state(phi0, params.n_steps, params.fock_dim,
+                                                frame=frame)
+        traj = run_dense(params, initial, frame=frame)
+        return _dense_table(traj, config.snapshot_stride, flux=_dense_flux(traj))
+    if config.solver == "sectors":
+        # spont is the undriven displaced run from |e>
+        run = run_displaced_sectors(params, config.m_max, phi0)
+        return _table(params, steps, run.qubit_trajectory()[steps],
+                      flux=run.emission_weights() / params.dt)
+    if config.scenario == "coherent":
+        rho, _ = analytic.coherent_qubit_trajectory(params, config.m_max, phi0)
+        return _table(params, steps, rho[steps])
+    if config.scenario == "spont":
         gamma = params.gamma
-        p_e = np.exp(-gamma * times)
+        p_e = np.exp(-gamma * (steps * params.dt))
         # discrete norm: survival + left-Riemann photon weight over past bins
         past = np.concatenate(([0.0], np.cumsum(
             params.dt * gamma * np.exp(-gamma * np.arange(params.n_steps) * params.dt))))
         norm = p_e + past[steps]
-        rho = np.zeros((len(steps), 2, 2), complex)
-        rho[:, 1, 1] = p_e
-        rho[:, 0, 0] = norm - p_e
-        flux = observables.photon_density(
-            analytic.spontaneous_emission_state(grid.total_time, params))
-        return ResultTable(t=times, p_e=p_e, re_coh=np.zeros(len(steps)),
-                           im_coh=np.zeros(len(steps)),
-                           entropy_bits=_entropy_column(rho), norm=norm,
-                           photon_flux=_flux_column(flux, steps, params.n_steps)), {}
-    if config.solver == "dense":
-        initial = DenseJointState.product_state(config.resolved_phi0(), params.n_steps,
-                                                params.fock_dim)
-        traj = run_dense(params, initial, frame=LAB)
-        p_e, re_c, im_c, ent, norm = _qubit_rows(traj.qubit_matrices, steps)
-        norm = traj.norms[steps] ** 2
-        flux = observables.photon_density(traj.snapshot(params.n_steps), dt=params.dt)
-        return ResultTable(t=times, p_e=p_e, re_coh=re_c, im_coh=im_c,
-                           entropy_bits=ent, norm=norm,
-                           photon_flux=_flux_column(flux, steps, params.n_steps)), {}
-    # sectors: spontaneous emission is the undriven displaced run from |e>
-    run = run_displaced_sectors(params, config.m_max, config.resolved_phi0())
-    p_e, re_c, im_c, ent, norm = _qubit_rows(run.qubit_trajectory(), steps)
-    flux = run.emission_weights() / params.dt
-    return ResultTable(t=times, p_e=p_e, re_coh=re_c, im_coh=im_c, entropy_bits=ent,
-                       norm=norm, photon_flux=_flux_column(flux, steps, params.n_steps)), {
-        "norm_deficit": run.truncation_deficit()}
-
-
-def _run_coherent(config: ScenarioConfig, params: SimulationParams):
-    steps = _sample_steps(params.n_steps, config.snapshot_stride)
-    times = steps * params.dt
-    phi0 = config.resolved_phi0()
-    if config.solver == "analytic":
-        rho_traj, _ = analytic.coherent_qubit_trajectory(params, config.m_max, phi0)
-        p_e, re_c, im_c, ent, norm = _qubit_rows(rho_traj, steps)
-        return ResultTable(t=times, p_e=p_e, re_coh=re_c, im_coh=im_c,
-                           entropy_bits=ent, norm=norm), {
-            "norm_deficit": float(1 - norm[-1])}
-    if config.solver == "sectors":
-        run = run_displaced_sectors(params, config.m_max, phi0)
-        p_e, re_c, im_c, ent, norm = _qubit_rows(run.qubit_trajectory(), steps)
-        flux = run.emission_weights() / params.dt
-        return ResultTable(t=times, p_e=p_e, re_coh=re_c, im_coh=im_c,
-                           entropy_bits=ent, norm=norm,
-                           photon_flux=_flux_column(flux, steps, params.n_steps)), {
-            "norm_deficit": run.truncation_deficit()}
-    initial = DenseJointState.product_state(phi0, params.n_steps, params.fock_dim,
-                                            frame=DISPLACED)
-    traj = run_dense(params, initial, frame=DISPLACED)
-    p_e, re_c, im_c, ent, _ = _qubit_rows(traj.qubit_matrices, steps)
-    flux = observables.photon_density(traj.snapshot(params.n_steps), dt=params.dt)
-    return ResultTable(t=times, p_e=p_e, re_coh=re_c, im_coh=im_c, entropy_bits=ent,
-                       norm=traj.norms[steps] ** 2,
-                       photon_flux=_flux_column(flux, steps, params.n_steps)), {}
-
-
-def _run_single_photon(config: ScenarioConfig, params: SimulationParams):
-    steps = _sample_steps(params.n_steps, config.snapshot_stride)
-    times = steps * params.dt
+        final = analytic.spontaneous_emission_state(params.grid.total_time, params)
+        return _table(params, steps, _populations(p_e, norm), norm=norm,
+                      flux=observables.photon_density(final))
     packet = config.build_wavepacket(params)
-    if config.solver == "analytic":
-        pe_all = analytic.single_photon_p_excited(packet, params)
+    if config.solver == "recursion":
+        run = run_single_excitation(params, packet)
+        p_e, norm = run.p_excited()[steps], run.norm_trajectory[steps]
+        final = run.final_state()
+    else:
         # photon weight: past bins carry the scattered density, future the input
         xt = analytic.xi_tilde_trajectory(packet, params)
         tp = np.arange(params.n_steps) * params.dt
         scattered = np.abs(packet.samples - params.gamma * xt[:params.n_steps]
                            * np.exp(-1j * params.omega_q * tp)) ** 2 * params.dt
         incoming = np.abs(packet.samples) ** 2 * params.dt
+        pe_all = analytic.single_photon_p_excited(packet, params)
         norm_all = (pe_all
                     + np.concatenate(([0.0], np.cumsum(scattered)))
                     + (np.sum(incoming) - np.concatenate(([0.0], np.cumsum(incoming)))))
-        p_e = pe_all[steps]
-        norm = norm_all[steps]
-        rho = np.zeros((len(steps), 2, 2), complex)
-        rho[:, 1, 1] = p_e
-        rho[:, 0, 0] = norm - p_e
-        flux = observables.photon_density(
-            analytic.single_photon_state(packet, params.grid.total_time, params))
-        return ResultTable(t=times, p_e=p_e, re_coh=np.zeros(len(steps)),
-                           im_coh=np.zeros(len(steps)),
-                           entropy_bits=_entropy_column(rho), norm=norm,
-                           photon_flux=_flux_column(flux, steps, params.n_steps)), {}
-    run = run_single_excitation(params, packet)
-    p_e = run.p_excited()[steps]
-    norm = run.norm_trajectory[steps]
-    rho = np.zeros((len(steps), 2, 2), complex)
-    rho[:, 1, 1] = p_e
-    rho[:, 0, 0] = norm - p_e
-    flux = observables.photon_density(run.final_state())
-    return ResultTable(t=times, p_e=p_e, re_coh=np.zeros(len(steps)),
-                       im_coh=np.zeros(len(steps)),
-                       entropy_bits=_entropy_column(rho), norm=norm,
-                       photon_flux=_flux_column(flux, steps, params.n_steps)), {}
+        p_e, norm = pe_all[steps], norm_all[steps]
+        final = analytic.single_photon_state(packet, params.grid.total_time, params)
+    return _table(params, steps, _populations(p_e, norm), norm=norm,
+                  flux=observables.photon_density(final))
 
 
-def _oracle_compare_single(args) -> float:
-    """Max |dense - analytic| amplitude difference for one step size."""
-    config_dict, scale = args
-    config = ScenarioConfig(**config_dict)
-    params = SimulationParams(gamma=config.gamma, dt=config.dt * scale,
-                              n_steps=config.n_steps // scale, omega_q=config.omega_q,
-                              delta=config.delta, omega_rabi=config.omega_rabi,
-                              fock_dim=config.fock_dim)
-    phi0 = config.resolved_phi0()
+# -- sweeps: one error per step size, fitted to a power law in dt -------------
+
+def _displaced_dense_run(params: SimulationParams, phi0, **kwargs):
     initial = DenseJointState.product_state(phi0, params.n_steps, params.fock_dim,
                                             frame=DISPLACED)
-    traj = run_dense(params, initial, frame=DISPLACED)
-    psi = traj.snapshot(params.n_steps).tensor()
+    return run_dense(params, initial, frame=DISPLACED, **kwargs)
+
+
+def oracle_amplitude_error(config: ScenarioConfig, scale: int):
+    """Largest |dense - closed form| tuple amplitude density at step dt*scale.
+
+    The final time stays fixed.  Returns (error, dense trajectory).
+    """
+    params = replace(config, dt=config.dt * scale, n_steps=config.n_steps // scale).params()
+    phi0 = config.resolved_phi0()
+    traj = _displaced_dense_run(params, phi0)
+    psi = traj.snapshot(params.n_steps).amplitudes.reshape(2, -1)
     m_max = min(3, config.m_max, params.n_steps)
     coeffs = analytic.assemble_coherent(params, params.grid.total_time, m_max, phi0)
     worst = 0.0
     for m in range(m_max + 1):
-        scale = params.dt ** (m / 2)  # compare densities so every sector is O(1)
-        for row, modes in enumerate(coeffs.tuples[m]):
-            occ = [0] * params.n_steps
-            for mode in modes:
-                occ[mode] = 1
-            for qi in (0, 1):
-                dense_amp = psi[(qi,) + tuple(occ)]
-                worst = max(worst, abs(dense_amp - coeffs.values[m][qi, row]) / scale)
-    return worst
+        diff = psi[:, coeffs.dense_index(m, params.fock_dim)] - coeffs.values[m]
+        # hypot rounds like abs() of one complex number; np.abs of a complex
+        # array may not, and the error is written to the manifest
+        err = float(np.hypot(diff.real, diff.imag).max())
+        worst = max(worst, err / params.dt ** (m / 2))  # densities: every sector O(1)
+    return worst, traj
 
 
-def _run_oracle_compare(config: ScenarioConfig, params: SimulationParams, jobs: int):
-    scales = [4, 2, 1]
-    if config.n_steps % 4 != 0:
-        raise ConfigError(["config: oracle-compare needs n_steps divisible by 4 "
-                           "(it compares dt, 2*dt and 4*dt at fixed final time)"])
-    config_dict = {f.name: getattr(config, f.name) for f in fields(ScenarioConfig)}
-    work = [(config_dict, s) for s in scales]
-    if jobs > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            errors = list(pool.map(_oracle_compare_single, work))
-    else:
-        errors = [_oracle_compare_single(w) for w in work]
-    dts = [config.dt * s for s in scales]
-    exponent = observables.power_law_exponent(dts, errors)
-    passed = 0.7 <= exponent <= 1.3
-    metrics = {"fit_exponent": exponent, "threshold_ok": passed}
-    for dt_v, err in zip(dts, errors):
-        metrics[f"max_amp_error_dt_{_fmt(dt_v)}"] = err
-    phi0 = config.resolved_phi0()
-    initial = DenseJointState.product_state(phi0, params.n_steps, params.fock_dim,
-                                            frame=DISPLACED)
-    traj = run_dense(params, initial, frame=DISPLACED)
-    steps = _sample_steps(params.n_steps, config.snapshot_stride)
-    p_e, re_c, im_c, ent, _ = _qubit_rows(traj.qubit_matrices, steps)
-    table = ResultTable(t=steps * params.dt, p_e=p_e, re_coh=re_c, im_coh=im_c,
-                        entropy_bits=ent, norm=traj.norms[steps] ** 2)
-    return table, metrics
+def io_residual_max(config: ScenarioConfig, scale: int):
+    """Largest input-output residual of the displaced dense run at step dt/scale.
+
+    The number of collisions stays fixed.  Returns (residual, dense trajectory).
+    """
+    params = replace(config, dt=config.dt / scale).params()
+    traj = _displaced_dense_run(params, config.resolved_phi0(), snapshot_steps="all")
+    return float(observables.io_residual(traj).max()), traj
 
 
-def _io_check_single(args) -> float:
-    config_dict, scale = args
-    config = ScenarioConfig(**config_dict)
-    params = SimulationParams(gamma=config.gamma, dt=config.dt / scale,
-                              n_steps=config.n_steps, omega_q=config.omega_q,
-                              delta=config.delta, omega_rabi=config.omega_rabi,
-                              fock_dim=config.fock_dim)
-    initial = DenseJointState.product_state(config.resolved_phi0(), params.n_steps,
-                                            params.fock_dim, frame=DISPLACED)
-    traj = run_dense(params, initial, frame=DISPLACED, snapshot_steps="all")
-    return float(observables.io_residual(traj).max())
+def convergence_error(config: ScenarioConfig, scale: int):
+    """Largest |P_e - e^{-gamma t}| of the lab-frame dense run from |e> at step dt/scale.
 
-
-def _run_io_check(config: ScenarioConfig, params: SimulationParams, jobs: int):
-    scales = [1, 2, 4]
-    config_dict = {f.name: getattr(config, f.name) for f in fields(ScenarioConfig)}
-    work = [(config_dict, s) for s in scales]
-    if jobs > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            residuals = list(pool.map(_io_check_single, work))
-    else:
-        residuals = [_io_check_single(w) for w in work]
-    dts = [config.dt / s for s in scales]
-    exponent = observables.power_law_exponent(dts, residuals)
-    bound_ok = all(r <= 5 * dt_v for r, dt_v in zip(residuals, dts))
-    passed = bound_ok and 0.8 <= exponent <= 1.2
-    metrics = {"fit_exponent": exponent, "threshold_ok": passed}
-    for dt_v, r in zip(dts, residuals):
-        metrics[f"max_io_residual_dt_{_fmt(dt_v)}"] = r
-    initial = DenseJointState.product_state(config.resolved_phi0(), params.n_steps,
-                                            params.fock_dim, frame=DISPLACED)
-    traj = run_dense(params, initial, frame=DISPLACED, snapshot_steps="all")
-    resid = observables.io_residual(traj)
-    steps = _sample_steps(params.n_steps, config.snapshot_stride)
-    p_e, re_c, im_c, ent, _ = _qubit_rows(traj.qubit_matrices, steps)
-    table = ResultTable(t=steps * params.dt, p_e=p_e, re_coh=re_c, im_coh=im_c,
-                        entropy_bits=ent, norm=traj.norms[steps] ** 2,
-                        io_residual=[float(resid[s - 1]) if s >= 1 else None
-                                     for s in steps])
-    return table, metrics
-
-
-def _convergence_single(args) -> float:
-    config_dict, scale = args
-    config = ScenarioConfig(**config_dict)
-    params = SimulationParams(gamma=config.gamma, dt=config.dt / scale,
-                              n_steps=config.n_steps * scale, omega_q=config.omega_q,
-                              delta=config.delta, fock_dim=config.fock_dim)
+    The final time stays fixed.  Returns (error, dense trajectory).
+    """
+    params = replace(config, dt=config.dt / scale, n_steps=config.n_steps * scale).params()
     initial = DenseJointState.product_state("e", params.n_steps, params.fock_dim)
     traj = run_dense(params, initial, frame=LAB)
     expected = np.exp(-params.gamma * params.grid.times())
-    return float(np.abs(traj.p_excited() - expected).max())
+    return float(np.abs(traj.p_excited() - expected).max()), traj
 
 
-def _run_convergence(config: ScenarioConfig, params: SimulationParams, jobs: int):
+def _sweep(config: ScenarioConfig, jobs: int, measure, scales, keep: int, dts, name: str):
+    """Run measure(config, scale) at every scale, in order, on `jobs` workers.
+
+    Returns the trajectory measured at scale `keep` (the one the CSV shows),
+    the errors, and the metrics: the fitted power of dt and one
+    `<name>_dt_<dt>` entry per scale.
+    """
+    with ProcessPoolExecutor(jobs) if jobs > 1 else contextlib.nullcontext() as pool:
+        results = (pool.map if pool else map)(measure, [config] * len(scales), scales)
+        errors = []
+        for scale in scales:
+            error, traj = next(results)
+            errors.append(error)
+            if scale == keep:
+                kept = traj
+            del traj  # free each other trajectory before the next scale runs
+    metrics = {"fit_exponent": observables.power_law_exponent(dts, errors)}
+    metrics.update((f"{name}_dt_{_fmt(dt)}", err) for dt, err in zip(dts, errors))
+    return kept, errors, metrics
+
+
+def _run_oracle_compare(config: ScenarioConfig, jobs: int):
+    if config.n_steps % 4 != 0:
+        raise ConfigError(["config: oracle-compare needs n_steps divisible by 4 "
+                           "(it compares dt, 2*dt and 4*dt at fixed final time)"])
+    scales = [4, 2, 1]
+    traj, _, metrics = _sweep(config, jobs, oracle_amplitude_error, scales, 1,
+                              [config.dt * s for s in scales], "max_amp_error")
+    metrics["threshold_ok"] = 0.7 <= metrics["fit_exponent"] <= 1.3
+    return _dense_table(traj, config.snapshot_stride), metrics
+
+
+def _run_io_check(config: ScenarioConfig, jobs: int):
     scales = [1, 2, 4]
-    config_dict = {f.name: getattr(config, f.name) for f in fields(ScenarioConfig)}
-    work = [(config_dict, s) for s in scales]
-    if jobs > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            errors = list(pool.map(_convergence_single, work))
-    else:
-        errors = [_convergence_single(w) for w in work]
     dts = [config.dt / s for s in scales]
-    exponent = observables.power_law_exponent(dts, errors)
-    passed = 0.85 <= exponent <= 1.15 and errors[-1] <= 0.02
-    metrics = {"fit_exponent": exponent, "threshold_ok": passed}
-    for dt_v, err in zip(dts, errors):
-        metrics[f"max_p_e_error_dt_{_fmt(dt_v)}"] = err
-    fine = SimulationParams(gamma=config.gamma, dt=config.dt / 4,
-                            n_steps=config.n_steps * 4, omega_q=config.omega_q,
-                            delta=config.delta, fock_dim=config.fock_dim)
-    initial = DenseJointState.product_state("e", fine.n_steps, fine.fock_dim)
-    traj = run_dense(fine, initial, frame=LAB)
-    steps = _sample_steps(fine.n_steps, config.snapshot_stride)
-    p_e, re_c, im_c, ent, _ = _qubit_rows(traj.qubit_matrices, steps)
-    flux = observables.photon_density(traj.snapshot(fine.n_steps), dt=fine.dt)
-    table = ResultTable(t=steps * fine.dt, p_e=p_e, re_coh=re_c, im_coh=im_c,
-                        entropy_bits=ent, norm=traj.norms[steps] ** 2,
-                        photon_flux=_flux_column(flux, steps, fine.n_steps))
-    return table, metrics
+    traj, residuals, metrics = _sweep(config, jobs, io_residual_max, scales, 1, dts,
+                                      "max_io_residual")
+    bound_ok = all(r <= 5 * dt_v for r, dt_v in zip(residuals, dts))
+    metrics["threshold_ok"] = bound_ok and 0.8 <= metrics["fit_exponent"] <= 1.2
+    return _dense_table(traj, config.snapshot_stride,
+                        io_residual=observables.io_residual(traj)), metrics
+
+
+def _run_convergence(config: ScenarioConfig, jobs: int):
+    scales = [1, 2, 4]
+    traj, errors, metrics = _sweep(config, jobs, convergence_error, scales, 4,
+                                   [config.dt / s for s in scales], "max_p_e_error")
+    metrics["threshold_ok"] = 0.85 <= metrics["fit_exponent"] <= 1.15 and errors[-1] <= 0.02
+    return _dense_table(traj, config.snapshot_stride, flux=_dense_flux(traj)), metrics
+
+
+_SWEEPS = {"oracle-compare": _run_oracle_compare, "io-check": _run_io_check,
+           "convergence": _run_convergence}
 
 
 def run_scenario(config: ScenarioConfig, out_dir: str = ".", jobs: int = 1,
                  strict: bool = False):
     """Execute a validated config; returns (table, metrics, csv_path, exit_code)."""
     params = config.params(strict=strict)
-    if config.scenario == "spont":
-        table, metrics = _run_spont(config, params)
-    elif config.scenario == "coherent":
-        table, metrics = _run_coherent(config, params)
-    elif config.scenario == "single-photon":
-        table, metrics = _run_single_photon(config, params)
-    elif config.scenario == "oracle-compare":
-        table, metrics = _run_oracle_compare(config, params, jobs)
-    elif config.scenario == "io-check":
-        table, metrics = _run_io_check(config, params, jobs)
+    if config.scenario in _SWEEPS:
+        table, metrics = _SWEEPS[config.scenario](config, jobs)
     else:
-        table, metrics = _run_convergence(config, params, jobs)
+        table, metrics = _solve(config, params), {}
     os.makedirs(out_dir, exist_ok=True)
     stem = os.path.join(out_dir, config.stem())
     csv_path = stem + ".csv"
     table.write_csv(csv_path)
-    if "norm_deficit" not in metrics and table.norm is not None:
-        metrics["norm_deficit"] = float(1.0 - table.norm[-1])
+    metrics["norm_deficit"] = float(1.0 - table.norm[-1])
     write_manifest(stem + ".manifest", config, metrics)
     code = EXIT_OK if metrics.get("threshold_ok", True) else EXIT_THRESHOLD
     return table, metrics, csv_path, code

@@ -63,8 +63,8 @@ class TimeGrid:
     n_steps: int
 
     def __post_init__(self):
-        if self.dt <= 0:
-            raise ValueError(f"dt must be positive, got {self.dt}")
+        if not (math.isfinite(self.dt) and self.dt > 0):
+            raise ValueError(f"dt must be positive and finite, got {self.dt}")
         if self.n_steps < 1 or int(self.n_steps) != self.n_steps:
             raise ValueError(f"n_steps must be a positive integer, got {self.n_steps}")
 
@@ -113,6 +113,9 @@ class SimulationParams:
     strict: bool = False
 
     def __post_init__(self):
+        for name in ("gamma", "dt", "omega_q", "delta", "omega_rabi"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
         if self.gamma <= 0:
             raise ValueError(f"gamma must be positive, got {self.gamma}")
         if self.omega_q < 0:
@@ -202,7 +205,9 @@ def _normalized(raw: np.ndarray, grid: TimeGrid) -> Wavepacket:
         raise ValueError("wavepacket envelope is identically zero")
     factor = 1.0 / norm
     pkt = Wavepacket(samples=raw * factor, grid=grid, renorm_factor=factor)
-    assert abs(pkt.discrete_norm() - 1.0) < 1e-9
+    if not abs(pkt.discrete_norm() - 1.0) < 1e-9:
+        raise ValueError(f"wavepacket envelope cannot be normalized: discrete norm "
+                         f"{pkt.discrete_norm()} after rescaling")
     return pkt
 
 

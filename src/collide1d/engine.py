@@ -14,7 +14,6 @@ The qubit basis order is (g, e) everywhere; mode occupation indices run
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass, field
 
@@ -433,6 +432,14 @@ class SectorState:
             rho += v @ v.conj().T
         return rho
 
+    def dense_index(self, m: int, fock_dim: int = 2) -> np.ndarray:
+        """Flat index of each m-photon tuple in a (2, d^N) dense amplitude array.
+
+        The dense layout puts mode 0 slowest, so a photon in mode k adds
+        d^(N-1-k); N is the number of modes on the grid.
+        """
+        return (fock_dim ** (self.grid.n_steps - 1 - self.tuples[m])).sum(axis=1)
+
     def amplitude(self, eps: str, modes=()) -> complex:
         """Amplitude of qubit label eps with photons exactly in `modes` (sorted)."""
         m = len(modes)
@@ -553,39 +560,9 @@ class SectorRun:
             raise MemoryGuardError(
                 f"materializing {total} tuple amplitudes exceeds the guard "
                 f"({max_amplitudes}); lower m_max or use the lazy accessors")
-        tuples: list[np.ndarray] = [np.zeros((1, 0), dtype=int)]
-        values: list[np.ndarray] = [(self.powers[step] @ self.phi0).reshape(2, 1)]
-        # birth vectors of the previous sector, indexed like tuples[m-1]
-        births = self.phi0.reshape(2, 1)
-        prev_last = np.full(1, -1, dtype=int)  # "last emission" step; -1 for vacuum
-        prev_tuples = tuples[0]
-        for m in range(1, self.m_max + 1):
-            combos = np.array(list(itertools.combinations(range(step), m)), dtype=int)
-            if combos.size == 0:
-                tuples.append(combos.reshape(0, m))
-                values.append(np.zeros((2, 0), dtype=complex))
-                births = np.zeros((2, 0), dtype=complex)
-                prev_last = np.zeros(0, dtype=int)
-                prev_tuples = tuples[-1]
-                continue
-            # locate each combo's parent (its prefix) in the previous sector
-            if m == 1:
-                parent_idx = np.zeros(len(combos), dtype=int)
-            else:
-                order = {tuple(t): i for i, t in enumerate(prev_tuples.tolist())}
-                parent_idx = np.fromiter(
-                    (order[tuple(c[:-1])] for c in combos.tolist()), dtype=int,
-                    count=len(combos))
-            last = combos[:, -1]
-            lag = last - prev_last[parent_idx] - 1
-            parent_now = np.einsum("kab,bk->ak", self.powers[lag], births[:, parent_idx])
-            new_births = self.emission_phases[last] * (self.emission_block @ parent_now)
-            vals = np.einsum("kab,bk->ak", self.powers[step - 1 - last], new_births)
-            tuples.append(combos)
-            values.append(vals)
-            births = new_births
-            prev_last = last
-            prev_tuples = combos
+        tuples, values = _conv.materialize_tuples(self.powers, self.emission_block,
+                                                  self.emission_phases, self.phi0, step,
+                                                  self.m_max, offset=1)
         return SectorState(step=step, m_max=self.m_max, grid=self.grid,
                            frame=DISPLACED, tuples=tuples, values=values)
 

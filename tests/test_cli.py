@@ -24,6 +24,13 @@ n_steps = 5000
 """
 
 
+def spont_config(**overrides):
+    """A valid analytic spont config as text, with some values replaced or added."""
+    values = {"scenario": "spont", "solver": "analytic", "gamma": "1", "dt": "1e-3",
+              "n_steps": "10", **overrides}
+    return "".join(f"{key} = {value}\n" for key, value in values.items())
+
+
 class TestParseConfig:
     def test_minimal_valid(self):
         config = parse_config(MINIMAL_SPONT)
@@ -66,6 +73,13 @@ class TestParseConfig:
         with pytest.raises(ConfigError) as err:
             parse_config(text)
         assert len(err.value.violations) >= 4  # scenario, gamma, what, missing dt/n_steps
+
+    @pytest.mark.parametrize("key,value,lineno", [("gamma", "nan", 3), ("dt", "inf", 4),
+                                                  ("omega_q", "-inf", 6)])
+    def test_non_finite_number_reports_line(self, key, value, lineno):
+        with pytest.raises(ConfigError) as err:
+            parse_config(spont_config(**{key: value}))
+        assert any(f"line {lineno}" in v and "finite" in v for v in err.value.violations)
 
     def test_duplicate_key(self):
         with pytest.raises(ConfigError) as err:
@@ -148,6 +162,14 @@ class TestMain:
                        "dt = 1e-3\nn_steps = 10\n")
         assert cli.main(["run", str(bad), "--out", str(tmp_path)]) == 2
         assert "gamma" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("key,value", [("gamma", "nan"), ("dt", "inf")])
+    def test_run_rejects_non_finite_number(self, tmp_path, capsys, key, value):
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_text(spont_config(**{key: value}))
+        assert cli.main(["run", str(cfg), "--out", str(tmp_path)]) == 2
+        assert "finite" in capsys.readouterr().err
+        assert not (tmp_path / "spont.csv").exists()
 
     def test_run_missing_target(self, tmp_path, capsys):
         assert cli.main(["run", "no-such-preset", "--out", str(tmp_path)]) == 2

@@ -6,6 +6,7 @@ import pytest
 from collide1d import (SimulationParams, TimeGrid, ValidityWarning, complex_rabi,
                        make_exponential_wavepacket, make_gaussian_wavepacket,
                        rabi_from_amplitude)
+from collide1d.core import _normalized
 
 
 class TestTimeGrid:
@@ -24,7 +25,8 @@ class TestTimeGrid:
         with pytest.raises(ValueError):
             grid.index_of(5.0005e-3)
 
-    @pytest.mark.parametrize("dt,n", [(0.0, 5), (-1.0, 5), (0.1, 0)])
+    @pytest.mark.parametrize("dt,n", [(0.0, 5), (-1.0, 5), (0.1, 0), (math.inf, 5),
+                                      (math.nan, 5)])
     def test_invalid_construction(self, dt, n):
         with pytest.raises(ValueError):
             TimeGrid(dt=dt, n_steps=n)
@@ -38,6 +40,8 @@ class TestSimulationParams:
     @pytest.mark.parametrize("kwargs", [
         dict(gamma=-1.0), dict(gamma=0.0), dict(omega_q=-1.0),
         dict(omega_rabi=-0.5), dict(dt=0.0), dict(n_steps=0), dict(fock_dim=1),
+        dict(gamma=math.nan), dict(dt=math.inf), dict(omega_q=math.inf),
+        dict(delta=math.nan), dict(omega_rabi=math.nan),
     ])
     def test_domain_errors(self, kwargs):
         base = dict(gamma=1.0, dt=1e-3, n_steps=10)
@@ -139,3 +143,11 @@ class TestWavepackets:
         grid = TimeGrid(dt=1e-2, n_steps=100)
         with pytest.raises(ValueError):
             make_gaussian_wavepacket(1.0, 0.5, 0.0, grid)
+
+    @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
+    @pytest.mark.parametrize("fill", [1e200, math.nan])
+    def test_non_normalizable_envelope_raises(self, fill):
+        # 1e200 squared overflows, so the rescaled envelope comes out all zero
+        grid = TimeGrid(dt=1e-2, n_steps=4)
+        with pytest.raises(ValueError, match="cannot be normalized"):
+            _normalized(np.full(4, fill, dtype=complex), grid)

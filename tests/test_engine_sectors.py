@@ -8,8 +8,10 @@ from collide1d import (DenseJointState, MemoryGuardError, SimulationParams,
 
 
 def dense_amplitudes(params, phi0):
+    """Final displaced dense amplitudes as a (2, 2^N) array."""
     initial = DenseJointState.product_state(phi0, params.n_steps, 2, frame="displaced")
-    return run_dense(params, initial, frame="displaced").snapshot(params.n_steps).tensor()
+    final = run_dense(params, initial, frame="displaced").snapshot(params.n_steps)
+    return final.amplitudes.reshape(2, -1)
 
 
 class TestSectorRun:
@@ -33,16 +35,17 @@ class TestSectorRun:
                              omega_rabi=1.5)
         psi = dense_amplitudes(p, "g")
         state = run_displaced_sectors(p, 6, "g").state_at(6)
-        worst = 0.0
-        for m in range(7):
-            for row, modes in enumerate(state.tuples[m]):
-                occ = [0] * 6
-                for mode in modes:
-                    occ[mode] = 1
-                for qi in (0, 1):
-                    worst = max(worst, abs(psi[(qi,) + tuple(occ)]
-                                           - state.values[m][qi, row]))
+        worst = max(float(np.abs(psi[:, state.dense_index(m)] - state.values[m]).max())
+                    for m in range(7))
         assert worst < 1e-12
+
+    def test_dense_index_places_photons_by_mode(self):
+        p = SimulationParams(gamma=1.0, dt=1e-2, n_steps=4, omega_rabi=1.0)
+        state = run_displaced_sectors(p, 2, "g").state_at(3)
+        # mode 0 is the slowest axis: a photon in mode k adds d^(N-1-k)
+        assert state.dense_index(0).tolist() == [0]
+        assert state.dense_index(1).tolist() == [8, 4, 2]
+        assert state.dense_index(2, fock_dim=3).tolist() == [27 + 9, 27 + 3, 9 + 3]
 
     def test_lazy_amplitude_matches_materialized(self):
         p = SimulationParams(gamma=1.0, dt=1e-2, n_steps=7, omega_rabi=2.0,
