@@ -5,16 +5,20 @@ photon tuple depends only on the lag since its last emission: every tuple
 amplitude is a chain of no-emission propagators joined by emission blocks.
 Both tiers supply their own propagators and differ only in the lag offset
 (see ``moment_chain``).  ``materialize_tuples`` evaluates that chain for every
-tuple.  Summing |amplitude|^2 over all tuples with the same last emission step
-instead collapses each sector into one 2x2 moment matrix per step, and
-propagating those moments is a causal convolution against the lag family of
-no-emission propagators.  This gives reduced-qubit trajectories in
-O(m_max * N log N) instead of O(N^(m+1)).
+tuple.  Summing |amplitude|^2 over all tuples with the same photon count
+instead collapses each sector into one 2x2 moment matrix per step.  One
+collision maps the moments of every sector by one constant linear map (the
+Kraus map X -> K X K^dag + E X E^dag, split by photon count), so the moment
+trajectories are the powers of that map applied to the initial state.
+``linear_recurrence`` evaluates them in blocks, which gives reduced-qubit
+trajectories in O(N * m_max^2) time and O(N * m_max) memory instead of
+O(N^(m+1)).
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 
 import numpy as np
 
@@ -31,6 +35,30 @@ def causal_convolve(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return c
 
 
+def linear_recurrence(A: np.ndarray, x0: np.ndarray, n: int) -> np.ndarray:
+    """x[s] = A^s x0 for s = 0..n, as an (n+1, D) complex array.
+
+    Evaluated in blocks of B steps (a blocked scan of a linear recurrence,
+    Blelloch 1990): a table of A^0..A^(B-1), the block starts
+    y[k+1] = A^B y[k], and one matrix product x[kB + i] = A^i y[k].  With
+    B ~ sqrt(n+1) the sequential part is about 2 sqrt(n) small products; B is
+    also capped so that the (B, D, D) table is never larger than the result.
+    """
+    dim = A.shape[0]
+    block = min(math.isqrt(n + 1), max(1, (n + 1) // dim))
+    table = np.empty((block, dim, dim), dtype=complex)
+    table[0] = np.eye(dim)
+    for i in range(1, block):
+        table[i] = A @ table[i - 1]
+    jump = A @ table[-1]
+    starts = np.empty((-(-(n + 1) // block), dim), dtype=complex)
+    starts[0] = x0
+    for k in range(1, len(starts)):
+        starts[k] = jump @ starts[k - 1]
+    # x[kB + i][e] = sum_d table[i][e, d] * starts[k][d]
+    return np.tensordot(starts, table, axes=(1, 2)).reshape(-1, dim)[:n + 1]
+
+
 def moment_chain(props: np.ndarray, emit: np.ndarray, phi0: np.ndarray,
                  m_max: int, offset: int):
     """Sector-by-sector qubit moment trajectories.
@@ -38,8 +66,9 @@ def moment_chain(props: np.ndarray, emit: np.ndarray, phi0: np.ndarray,
     Parameters
     ----------
     props : (N+1, 2, 2) complex
-        No-emission propagator at integer lag j; props[0] must be the identity
-        for a discrete propagator (offset 1) or the t=0 closed form (offset 0).
+        No-emission propagator at integer lag j.  It must be a semigroup,
+        props[j] = props[1]^j with props[0] the identity, because the chain
+        advances the moments by the one-step map props[1].
     emit : (2, 2) complex
         Per-collision emission block mapping the parent qubit vector to the
         qubit vector attached to the newborn photon tuple.
@@ -55,62 +84,39 @@ def moment_chain(props: np.ndarray, emit: np.ndarray, phi0: np.ndarray,
 
     Returns
     -------
-    q : (N+1, 2) complex
-        Vacuum-sector qubit amplitudes.
-    sector_moments : list of (N+1, 2, 2) complex
-        For m = 1..m_max, S_m[s][a, b] = sum over m-photon tuples of
-        A_a * conj(A_b) at step s.  The reduced qubit matrix at step s is
-        outer(q[s]) + sum_m S_m[s].
-    births : list of (N, 2, 2) complex
-        Per-step newborn moment of each sector; its trace is the emission
-        weight deposited into bin n (the photon flux times dt).
+    rho : (N+1, 2, 2) complex
+        Reduced qubit matrices, outer(q[s]) for the vacuum amplitudes
+        q[s] = props[s] @ phi0 plus the sector moments S_m[s] (trace <= 1 by
+        the weight beyond m_max).  S_m[s][a, b] sums A_a * conj(A_b) over the
+        m-photon tuples at step s.
+    weights : (m_max+1, N+1, 2) float
+        Weight per photon count, step and qubit label: |q|^2, then the
+        diagonals of the S_m.
+    emitted : (N,) float
+        Weight deposited into bin n by the births of sectors 1..m_max, the
+        trace of E S_(m-1)[n] E^dag summed over m (the photon flux times dt).
     """
     if offset not in (0, 1):
         raise ValueError("offset must be 0 or 1")
     n_steps = props.shape[0] - 1
     q = np.einsum("nab,b->na", props, phi0)
-
-    # lag kernel G[j][(a,b),(c,d)] = props[j][a,c] * conj(props[j][b,d])
-    G = np.einsum("nac,nbd->nabcd", props[:n_steps], props[:n_steps].conj())
-    if offset == 0:
-        G = G.copy()
-        G[0] = 0.0  # births propagate over lag >= 1 in the closed-form convention
-    G = G.reshape(n_steps, 4, 4)
-
-    n_fft = 1
-    while n_fft < 2 * n_steps:
-        n_fft *= 2
-    G_hat = np.fft.fft(G, n=n_fft, axis=0)
-
-    def propagate(D):
-        """S[s] = sum_{n < s} G[s - n - offset] D[n] for s = 0..n_steps."""
-        D_hat = np.fft.fft(D.reshape(n_steps, 4), n=n_fft, axis=0)
-        flat = np.fft.ifft(np.einsum("lab,lb->la", G_hat, D_hat), axis=0)
-        S = np.zeros((n_steps + 1, 2, 2), complex)
-        k = np.arange(n_steps + 1) - offset
-        ok = k >= 0
-        S[ok] = flat[k[ok]].reshape(-1, 2, 2)
-        return S
-
-    sector_moments: list[np.ndarray] = []
-    births: list[np.ndarray] = []
-    # births out of the vacuum sector (pre-collision parent amplitudes)
-    parent = np.einsum("na,nb->nab", q[:n_steps], q[:n_steps].conj())
-    for m in range(1, m_max + 1):
-        D = np.einsum("ac,ncd,bd->nab", emit, parent, emit.conj())
-        births.append(D)
-        S = propagate(D)
-        sector_moments.append(S)
-        parent = S[:n_steps]
-    return q, sector_moments, births
-
-
-def reduced_qubit_trajectory(q: np.ndarray, sector_moments) -> np.ndarray:
-    """(N+1, 2, 2) reduced qubit matrices from a moment chain (trace <= 1)."""
-    rho = np.einsum("na,nb->nab", q, q.conj())
-    for S in sector_moments:
-        rho = rho + S
-    return rho
+    # X -> K X K^dag and X -> E X E^dag on row-major vec(X)
+    keep = np.kron(props[1], props[1].conj())
+    birth = np.kron(emit, emit.conj())
+    # S_m[s+1] = K S_m[s] K^dag + E S_{m-1}[s] E^dag.  At offset 0 a birth is
+    # already propagated over its own bin: S_m[s+1] = L (S_m[s] + E S_{m-1}[s] E^dag).
+    feed = birth if offset else keep @ birth
+    size = m_max + 1
+    A = np.kron(np.eye(size), keep) + np.kron(np.eye(size, k=-1), feed)
+    x0 = np.zeros(4 * size, dtype=complex)
+    x0[:4] = np.outer(phi0, phi0.conj()).ravel()
+    x = linear_recurrence(A, x0, n_steps).reshape(n_steps + 1, size, 4)
+    # tr(E X E^dag) = sum_cd (E^T conj(E))[c, d] X[c, d]
+    emitted = np.einsum("nmd,d->n", x[:-1, :-1], (emit.T @ emit.conj()).ravel()).real
+    sectors = x[:, 1:].reshape(n_steps + 1, m_max, 2, 2)
+    rho = np.einsum("na,nb->nab", q, q.conj()) + np.einsum("nmab->nab", sectors)
+    weights = np.concatenate(((np.abs(q) ** 2)[None], np.einsum("nmaa->mna", sectors).real))
+    return rho, weights, emitted
 
 
 def materialize_tuples(props: np.ndarray, emit: np.ndarray, phases: np.ndarray,

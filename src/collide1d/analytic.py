@@ -130,19 +130,13 @@ def coherent_qubit_trajectory(params: SimulationParams, m_max: int, phi0="g"):
     """Reduced-qubit and sector-weight trajectories of the closed-form state.
 
     Returns (rho, weights): rho is (N+1, 2, 2); weights is (m_max+1, N+1, 2)
-    per photon count and qubit label.  Costs O(m_max * N log N) by convolving
-    per-sector qubit moments instead of enumerating tuples.
+    per photon count and qubit label.  The per-sector qubit moments follow a
+    blocked linear recurrence in the one-step map M(dt) instead of an
+    enumeration of tuples: O(N * m_max^2) time and O(N * m_max) memory.
     """
-    grid = params.grid
-    mats = f0_matrix(grid.times(), params)
+    mats = f0_matrix(params.grid.times(), params)
     emit = -math.sqrt(params.gamma * params.dt) * SIGMA_MINUS
-    q, sectors, _ = _conv.moment_chain(mats, emit, qubit_vector(phi0), m_max, offset=0)
-    rho = _conv.reduced_qubit_trajectory(q, sectors)
-    weights = np.empty((m_max + 1, q.shape[0], 2))
-    weights[0] = np.abs(q) ** 2
-    for m, S in enumerate(sectors, start=1):
-        weights[m, :, 0] = S[:, 0, 0].real
-        weights[m, :, 1] = S[:, 1, 1].real
+    rho, weights, _ = _conv.moment_chain(mats, emit, qubit_vector(phi0), m_max, offset=0)
     return rho, weights
 
 

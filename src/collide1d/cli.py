@@ -23,7 +23,7 @@ from . import __version__
 from . import analytic, observables
 from .core import (MemoryGuardError, SimulationParams, Wavepacket,
                    make_exponential_wavepacket, make_gaussian_wavepacket)
-from .engine import (DISPLACED, LAB, DenseJointState, run_dense,
+from .engine import (DISPLACED, LAB, MAX_SECTOR_AMPLITUDES, DenseJointState, run_dense,
                      run_displaced_sectors, run_single_excitation)
 
 CSV_HEADER = "t,p_e,re_coh,im_coh,entropy_bits,norm,photon_flux,io_residual"
@@ -302,6 +302,32 @@ def _dense_flux(traj) -> np.ndarray:
     return observables.photon_density(traj.snapshot(n), dt=traj.params.dt)
 
 
+def _check_tracked_weight(rho: np.ndarray, weights_at, m_max: int,
+                          params: SimulationParams) -> None:
+    """Refuse a sector-truncated trajectory the entropy column cannot interpret.
+
+    rho is the (N+1, 2, 2) trajectory at m_max sectors; weights_at(m) returns
+    the same tier's (m+1, N+1, 2) sector weights at m sectors.  A sector's
+    weight does not depend on the sectors tracked above it, so one run at m
+    sectors gives the tracked weight of every smaller m_max.  The search
+    doubles m up to N, within the sector memory guard.
+    """
+    floor = 1.0 - observables.MAX_NORM_DEFICIT
+    tracked = np.einsum("naa->n", rho).real
+    if tracked.min() >= floor:
+        return
+    n, m, best = params.n_steps, m_max, None
+    while best is None and m < n and 4 * (n + 1) * (2 * m + 2) <= MAX_SECTOR_AMPLITUDES:
+        m = min(2 * m + 1, n)
+        reached = np.cumsum(weights_at(m).sum(axis=2), axis=0).min(axis=1) >= floor
+        best = int(reached.argmax()) if reached.any() else None
+    step = int((tracked < floor).argmax())
+    hint = f"m_max = {best} keeps it" if best is not None else f"no m_max up to {m} keeps it"
+    raise ValueError(f"sector truncation: tracked weight falls to {tracked.min():.4g} "
+                     f"at m_max = {m_max}, below {floor:g} from step {step} "
+                     f"(t = {step * params.dt:.6g}); {hint} >= {floor:g}")
+
+
 # ---------------------------------------------------------------------------
 # scenario runners
 # ---------------------------------------------------------------------------
@@ -320,10 +346,14 @@ def _solve(config: ScenarioConfig, params: SimulationParams) -> ResultTable:
     if config.solver == "sectors":
         # spont is the undriven displaced run from |e>
         run = run_displaced_sectors(params, config.m_max, phi0)
-        return _table(params, steps, run.qubit_trajectory()[steps],
-                      flux=run.emission_weights() / params.dt)
+        rho = run.qubit_trajectory()
+        _check_tracked_weight(rho, lambda m: run_displaced_sectors(
+            params, m, phi0).sector_weight_trajectories(), config.m_max, params)
+        return _table(params, steps, rho[steps], flux=run.emission_weights() / params.dt)
     if config.scenario == "coherent":
         rho, _ = analytic.coherent_qubit_trajectory(params, config.m_max, phi0)
+        _check_tracked_weight(rho, lambda m: analytic.coherent_qubit_trajectory(
+            params, m, phi0)[1], config.m_max, params)
         return _table(params, steps, rho[steps])
     if config.scenario == "spont":
         gamma = params.gamma

@@ -478,11 +478,9 @@ class SectorRun:
         self.no_jump_block = unit[np.ix_([0, 2], [0, 2])]
         self.emission_block = unit[np.ix_([1, 3], [0, 2])]
         n = params.n_steps
-        powers = np.empty((n + 1, 2, 2), dtype=complex)
-        powers[0] = np.eye(2)
-        for j in range(n):
-            powers[j + 1] = self.no_jump_block @ powers[j]
-        self.powers = powers
+        # K^j for j = 0..N: vec(K^j) = (K x 1)^j vec(1) on row-major vec
+        self.powers = _conv.linear_recurrence(np.kron(self.no_jump_block, np.eye(2)),
+                                              np.eye(2).ravel(), n).reshape(n + 1, 2, 2)
         self.emission_phases = np.exp(-1j * params.omega_p * params.dt * np.arange(n))
         self._chain = None
 
@@ -496,8 +494,7 @@ class SectorRun:
 
     def qubit_trajectory(self) -> np.ndarray:
         """(N+1, 2, 2) reduced qubit matrices (trace < 1 by the truncated weight)."""
-        q, sectors, _ = self._moments()
-        return _conv.reduced_qubit_trajectory(q, sectors)
+        return self._moments()[0].copy()
 
     def p_excited(self) -> np.ndarray:
         return self.qubit_trajectory()[:, 1, 1].real
@@ -507,13 +504,7 @@ class SectorRun:
 
     def sector_weight_trajectories(self) -> np.ndarray:
         """(m_max+1, N+1, 2) sector weights per qubit label over the run."""
-        q, sectors, _ = self._moments()
-        out = np.empty((self.m_max + 1, q.shape[0], 2))
-        out[0] = np.abs(q) ** 2
-        for m, S in enumerate(sectors, start=1):
-            out[m, :, 0] = S[:, 0, 0].real
-            out[m, :, 1] = S[:, 1, 1].real
-        return out
+        return self._moments()[1].copy()
 
     def truncation_deficit(self, step: int | None = None) -> float:
         norms = self.norm_trajectory()
@@ -526,11 +517,7 @@ class SectorRun:
         weight at any later time: K and E together preserve the norm of every
         tuple's qubit vector, and children keep their parent's indices.
         """
-        _, _, births = self._moments()
-        w = np.zeros(self.params.n_steps)
-        for D in births:
-            w += np.einsum("naa->n", D).real
-        return w
+        return self._moments()[2].copy()
 
     # -- amplitudes --------------------------------------------------------------
 

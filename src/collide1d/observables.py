@@ -10,6 +10,10 @@ from .engine import (DenseJointState, DenseTrajectory, SectorState,
                      SinglePhotonState, SIGMA_MINUS, annihilation)
 
 
+#: largest |trace - 1| of a reduced qubit state that is still renormalized
+MAX_NORM_DEFICIT = 0.1
+
+
 def reduced_qubit(state, renormalize: bool = True) -> np.ndarray:
     """2x2 reduced qubit density matrix of any state representation.
 
@@ -28,7 +32,7 @@ def reduced_qubit(state, renormalize: bool = True) -> np.ndarray:
     else:
         raise TypeError(f"cannot reduce a {type(state).__name__}")
     trace = float(np.trace(rho).real)
-    if abs(trace - 1.0) > 0.1:
+    if abs(trace - 1.0) > MAX_NORM_DEFICIT:
         raise ValueError(f"state norm deficit too large to interpret: trace = {trace}")
     return rho / trace if renormalize else rho
 

@@ -172,11 +172,13 @@ class TestAssembly:
         assert np.einsum("aa->", rho[-1]).real >= 0.95
 
     def test_chain_matches_assembled_weights(self):
+        # from |e> the photon emitted in bin 0 reaches the last step at lag N
         p = SimulationParams(gamma=1.0, dt=1e-2, n_steps=30, omega_rabi=3.0)
-        rho, weights = coherent_qubit_trajectory(p, 2, "g")
-        state = assemble_coherent(p, 0.3, 2, "g")
-        assert np.abs(state.qubit_matrix() - rho[30]).max() < 1e-12
-        assert weights[:, 30, :] == pytest.approx(state.sector_weights(), abs=1e-12)
+        for phi0 in "ge":
+            rho, weights = coherent_qubit_trajectory(p, 2, phi0)
+            state = assemble_coherent(p, 0.3, 2, phi0)
+            assert np.abs(state.qubit_matrix() - rho[30]).max() < 1e-12
+            assert weights[:, 30, :] == pytest.approx(state.sector_weights(), abs=1e-12)
 
 
 class TestStrongDrive:

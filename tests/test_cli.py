@@ -171,6 +171,20 @@ class TestMain:
         assert "finite" in capsys.readouterr().err
         assert not (tmp_path / "spont.csv").exists()
 
+    @pytest.mark.parametrize("solver,step", [("sectors", 2223), ("analytic", 2221)])
+    def test_truncation_guard_names_step_and_m_max(self, tmp_path, capsys, solver, step):
+        # Omega = 20 for t = 10/gamma: two tracked sectors keep 12% of the
+        # weight, and eight are needed to keep 90%
+        cfg = tmp_path / "trunc.cfg"
+        cfg.write_text(f"scenario = coherent\nsolver = {solver}\nomega_rabi = 20\n"
+                       "dt = 1e-3\nn_steps = 10000\nm_max = 2\n")
+        assert cli.main(["run", str(cfg), "--out", str(tmp_path)]) == 2
+        err = capsys.readouterr().err
+        assert "tracked weight falls to 0.124" in err
+        assert f"below 0.9 from step {step} " in err
+        assert "m_max = 8 keeps it >= 0.9" in err
+        assert not (tmp_path / "coherent.csv").exists()
+
     def test_run_missing_target(self, tmp_path, capsys):
         assert cli.main(["run", "no-such-preset", "--out", str(tmp_path)]) == 2
 
