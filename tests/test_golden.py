@@ -38,8 +38,7 @@ def largest_field_difference(fresh: str, golden: str, sep: str) -> float:
     assert len(fresh_rows) == len(golden_rows)
     worst = 0.0
     for fresh_row, golden_row in zip(fresh_rows, golden_rows):
-        pairs = list(zip(fresh_row.split(sep), golden_row.split(sep), strict=True))
-        for a, b in pairs:
+        for a, b in zip(fresh_row.split(sep), golden_row.split(sep), strict=True):
             if a != b:
                 worst = max(worst, abs(float(a) - float(b)))
     return worst

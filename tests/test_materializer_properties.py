@@ -24,7 +24,7 @@ EXCEPTIONAL = dict(gamma=2.0, omega_rabi=1.0, delta=0.0, omega_q=0.7, dt=0.02, n
 
 
 @st.composite
-def drives(draw):
+def drives(draw, n_steps=st.integers(1, 6)):
     """(gamma, Omega, delta, omega_q, dt) with every rate times dt inside the bound."""
     dt = draw(st.floats(1e-3, 0.05))
     top = 0.99 * VALIDITY_BOUND / dt
@@ -32,7 +32,7 @@ def drives(draw):
                 omega_rabi=draw(st.floats(0.0, top)),
                 delta=draw(st.floats(-top, top)),
                 omega_q=draw(st.floats(0.0, 5.0)),
-                dt=dt, n_steps=draw(st.integers(1, 6)))
+                dt=dt, n_steps=draw(n_steps))
 
 
 @PROPERTY

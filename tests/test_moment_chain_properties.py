@@ -17,10 +17,12 @@ from hypothesis import given, settings, strategies as st  # noqa: E402
 
 from collide1d import SimulationParams, _conv, run_displaced_sectors  # noqa: E402
 from collide1d.analytic import coherent_qubit_trajectory, f0_matrix  # noqa: E402
-from collide1d.core import VALIDITY_BOUND  # noqa: E402
 from collide1d.engine import SIGMA_MINUS  # noqa: E402
+from test_materializer_properties import drives  # noqa: E402
 
 PROPERTY = settings(max_examples=40, deadline=None, derandomize=True, database=None)
+#: long enough for several blocks of the recurrence
+LONG = st.integers(1, 120)
 
 
 def fft_moment_chain(props, emit, phi0, m_max, offset):
@@ -59,17 +61,6 @@ def fft_moment_chain(props, emit, phi0, m_max, offset):
 
 
 @st.composite
-def drives(draw, n_steps=st.integers(1, 120)):
-    """(gamma, Omega, delta, dt, n_steps) with every rate times dt inside the bound."""
-    dt = draw(st.floats(1e-3, 0.05))
-    top = 0.99 * VALIDITY_BOUND / dt
-    return dict(gamma=draw(st.floats(0.01 * top, top)),
-                omega_rabi=draw(st.floats(0.0, top)),
-                delta=draw(st.floats(-top, top)),
-                dt=dt, n_steps=draw(n_steps))
-
-
-@st.composite
 def qubit_states(draw):
     """A normalized qubit vector with a random relative phase."""
     theta = draw(st.floats(0.0, math.pi))
@@ -87,7 +78,7 @@ def tier_inputs(params, phi0, offset):
 
 
 @PROPERTY
-@given(drive=drives(), phi0=qubit_states(), m_max=st.integers(0, 5),
+@given(drive=drives(n_steps=LONG), phi0=qubit_states(), m_max=st.integers(0, 5),
        offset=st.sampled_from((0, 1)))
 def test_recurrence_matches_fft_reference(drive, phi0, m_max, offset):
     params = SimulationParams(**drive)
@@ -100,7 +91,7 @@ def test_recurrence_matches_fft_reference(drive, phi0, m_max, offset):
 
 
 @PROPERTY
-@given(drive=drives(), phi0=qubit_states(), m_max=st.integers(0, 5))
+@given(drive=drives(n_steps=LONG), phi0=qubit_states(), m_max=st.integers(0, 5))
 def test_sector_weights_are_probabilities(drive, phi0, m_max):
     params = SimulationParams(**drive)
     sectors = run_displaced_sectors(params, m_max, phi0).sector_weight_trajectories()
