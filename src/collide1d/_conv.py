@@ -6,12 +6,11 @@ amplitude is a chain of no-emission propagators joined by emission blocks.
 Both tiers supply their own propagators and differ only in the lag offset
 (see ``moment_chain``).  ``materialize_tuples`` evaluates that chain for every
 tuple.  Summing |amplitude|^2 over all tuples with the same photon count
-instead collapses each sector into one 2x2 moment matrix per step.  One
+instead collapses each sector into one 2x2 moment matrix per step, and one
 collision maps the moments of every sector by one constant linear map (the
-Kraus map X -> K X K^dag + E X E^dag, split by photon count), so the moment
-trajectories are the powers of that map applied to the initial state.
-``linear_recurrence`` evaluates them in blocks, which gives reduced-qubit
-trajectories in O(N * m_max^2) time and O(N * m_max) memory instead of
+Kraus map X -> K X K^dag + E X E^dag, split by photon count).
+``linear_recurrence`` evaluates such a recurrence in blocks, which gives
+reduced-qubit trajectories in O(N * m_max) time and memory instead of
 O(N^(m+1)).
 """
 
@@ -23,78 +22,47 @@ import math
 import numpy as np
 
 
-def causal_convolve(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Full linear convolution c[k] = sum_j a[k-j] b[j] of 1-d sequences via FFT."""
-    n = len(a) + len(b) - 1
-    n_fft = 1
-    while n_fft < n:
-        n_fft *= 2
-    c = np.fft.ifft(np.fft.fft(a, n_fft) * np.fft.fft(b, n_fft))[:n]
-    if np.isrealobj(a) and np.isrealobj(b):
-        return c.real
-    return c
+#: vec(X) = HERMITIAN @ (X00, X11, Re X01, Im X01) for a Hermitian 2x2 X, row-major vec
+HERMITIAN = np.array([[1, 0, 0, 0], [0, 0, 1, 1j], [0, 0, 1, -1j], [0, 1, 0, 0]])
 
 
-def linear_recurrence(A: np.ndarray, x0: np.ndarray, n: int) -> np.ndarray:
-    """x[s] = A^s x0 for s = 0..n, as an (n+1, D) complex array.
+def linear_recurrence(advance, jump, x0: np.ndarray, n: int, block: int) -> np.ndarray:
+    """x[s] for s = 0..n of the linear recurrence x[s+1] = advance(x[s]).
 
-    Evaluated in blocks of B steps (a blocked scan of a linear recurrence,
-    Blelloch 1990): a table of A^0..A^(B-1), the block starts
-    y[k+1] = A^B y[k], and one matrix product x[kB + i] = A^i y[k].  With
-    B ~ sqrt(n+1) the sequential part is about 2 sqrt(n) small products; B is
-    also capped so that the (B, D, D) table is never larger than the result.
+    advance acts on the trailing axes of a stack of states, and jump(y) must
+    equal `block` calls of advance on one state.  A blocked scan (Blelloch
+    1990): the block starts y[k+1] = jump(y[k]) run one after another, then
+    block - 1 calls of advance fill every block at once.  Returns an
+    (n+1, *x0.shape) array.
     """
-    dim = A.shape[0]
-    block = min(math.isqrt(n + 1), max(1, (n + 1) // dim))
-    table = np.empty((block, dim, dim), dtype=complex)
-    table[0] = np.eye(dim)
+    x = np.empty((-(-(n + 1) // block), block) + x0.shape, dtype=x0.dtype)
+    x[0, 0] = x0
+    for k in range(1, len(x)):
+        x[k, 0] = jump(x[k - 1, 0])
     for i in range(1, block):
-        table[i] = A @ table[i - 1]
-    jump = A @ table[-1]
-    starts = np.empty((-(-(n + 1) // block), dim), dtype=complex)
-    starts[0] = x0
-    for k in range(1, len(starts)):
-        starts[k] = jump @ starts[k - 1]
-    # x[kB + i][e] = sum_d table[i][e, d] * starts[k][d]
-    return np.tensordot(starts, table, axes=(1, 2)).reshape(-1, dim)[:n + 1]
+        x[:, i] = advance(x[:, i - 1])
+    return x.reshape((-1,) + x0.shape)[:n + 1]
 
 
 def moment_chain(props: np.ndarray, emit: np.ndarray, phi0: np.ndarray,
                  m_max: int, offset: int):
-    """Sector-by-sector qubit moment trajectories.
+    """Reduced-qubit, sector-weight and emission trajectories of one tier.
 
-    Parameters
-    ----------
-    props : (N+1, 2, 2) complex
-        No-emission propagator at integer lag j.  It must be a semigroup,
-        props[j] = props[1]^j with props[0] the identity, because the chain
-        advances the moments by the one-step map props[1].
-    emit : (2, 2) complex
-        Per-collision emission block mapping the parent qubit vector to the
-        qubit vector attached to the newborn photon tuple.
-    phi0 : (2,) complex
-        Initial qubit state.
-    m_max : int
-        Highest photon sector tracked.
-    offset : int
-        Lag convention after an emission at step n: the propagator applied up
-        to step s is props[s - n - offset].  A discrete collision product uses
-        offset 1 (the emitting collision itself is consumed); closed-form
-        continuum coefficients use offset 0.
+    props is the (N+1, 2, 2) no-emission propagator at integer lag j.  It must
+    be the semigroup props[j] = props[1]^j, because the moments advance by the
+    one-step map props[1].  emit is the (2, 2) per-collision emission block and
+    phi0 the initial qubit state.  After an emission at step n the propagator
+    up to step s is props[s - n - offset]: offset 1 for a discrete collision
+    product (the emitting collision is consumed), 0 for closed-form continuum
+    coefficients.
 
-    Returns
-    -------
-    rho : (N+1, 2, 2) complex
-        Reduced qubit matrices, outer(q[s]) for the vacuum amplitudes
-        q[s] = props[s] @ phi0 plus the sector moments S_m[s] (trace <= 1 by
-        the weight beyond m_max).  S_m[s][a, b] sums A_a * conj(A_b) over the
-        m-photon tuples at step s.
-    weights : (m_max+1, N+1, 2) float
-        Weight per photon count, step and qubit label: |q|^2, then the
-        diagonals of the S_m.
-    emitted : (N,) float
-        Weight deposited into bin n by the births of sectors 1..m_max, the
-        trace of E S_(m-1)[n] E^dag summed over m (the photon flux times dt).
+    Returns (rho, weights, emitted).  rho (N+1, 2, 2) is outer(q, q*) for the
+    vacuum amplitudes q[s] = props[s] @ phi0 plus the moments S_1..S_m_max,
+    where S_m[s][a, b] sums A_a conj(A_b) over the m-photon tuples at step s
+    (trace <= 1 by the weight beyond m_max).  weights (m_max+1, N+1, 2) holds
+    |q|^2 and the diagonals of the S_m.  emitted (N,) is the weight deposited
+    into bin n by the births of sectors 1..m_max, the trace of
+    E S_(m-1)[n] E^dag summed over m (the photon flux times dt).
     """
     if offset not in (0, 1):
         raise ValueError("offset must be 0 or 1")
@@ -105,17 +73,37 @@ def moment_chain(props: np.ndarray, emit: np.ndarray, phi0: np.ndarray,
     birth = np.kron(emit, emit.conj())
     # S_m[s+1] = K S_m[s] K^dag + E S_{m-1}[s] E^dag.  At offset 0 a birth is
     # already propagated over its own bin: S_m[s+1] = L (S_m[s] + E S_{m-1}[s] E^dag).
-    feed = birth if offset else keep @ birth
+    # Both maps keep S_m Hermitian: act on its real coordinates, as row vectors.
+    keep, feed = (np.linalg.solve(HERMITIAN, a @ HERMITIAN).real.T
+                  for a in (keep, birth if offset else keep @ birth))
     size = m_max + 1
-    A = np.kron(np.eye(size), keep) + np.kron(np.eye(size, k=-1), feed)
-    x0 = np.zeros(4 * size, dtype=complex)
-    x0[:4] = np.outer(phi0, phi0.conj()).ravel()
-    x = linear_recurrence(A, x0, n_steps).reshape(n_steps + 1, size, 4)
+
+    def advance(x):  # one collision of every sector; x[..., m, :] holds S_m
+        flat = x.reshape(-1, 4)
+        out = (flat @ keep).reshape(x.shape)
+        out[..., 1:, :] += (flat @ feed).reshape(x.shape)[..., :-1, :]
+        return out
+
+    def compose(y, t):  # A^b y, for t[:, j] the blocks of A^b from sector m to m + j
+        out = np.zeros_like(y)
+        for j in range(size):
+            out[..., j:, :] += y[..., :size - j, :] @ t[:, j]
+        return out
+
+    # A^B is block-Toeplitz, so its first block column t is all of it.  Doubling
+    # B up to ~sqrt(N * size) gives both loops of linear_recurrence about as many steps.
+    t, block = advance(np.eye(4, 4 * size).reshape(4, size, 4)), 1
+    while 4 * block * block <= (n_steps + 1) * min(size, n_steps + 1):
+        t, block = compose(t, t), 2 * block
+    x0 = np.zeros((size, 4))
+    x0[0] = np.linalg.solve(HERMITIAN, np.outer(phi0, phi0.conj()).ravel()).real
+    x = linear_recurrence(advance, lambda y: compose(y, t), x0, n_steps, block)
     # tr(E X E^dag) = sum_cd (E^T conj(E))[c, d] X[c, d]
-    emitted = np.einsum("nmd,d->n", x[:-1, :-1], (emit.T @ emit.conj()).ravel()).real
-    sectors = x[:, 1:].reshape(n_steps + 1, m_max, 2, 2)
-    rho = np.einsum("na,nb->nab", q, q.conj()) + np.einsum("nmab->nab", sectors)
-    weights = np.concatenate(((np.abs(q) ** 2)[None], np.einsum("nmaa->mna", sectors).real))
+    emitted = np.einsum("nmd->nd", x[:-1, :-1]) @ (
+        (emit.T @ emit.conj()).ravel() @ HERMITIAN).real
+    rho = (np.einsum("na,nb->nab", q, q.conj())
+           + (np.einsum("nmd->nd", x[:, 1:]) @ HERMITIAN.T).reshape(n_steps + 1, 2, 2))
+    weights = np.concatenate(((np.abs(q) ** 2)[None], np.moveaxis(x[:, 1:, :2], 1, 0)))
     return rho, weights, emitted
 
 

@@ -132,7 +132,7 @@ def coherent_qubit_trajectory(params: SimulationParams, m_max: int, phi0="g"):
     Returns (rho, weights): rho is (N+1, 2, 2); weights is (m_max+1, N+1, 2)
     per photon count and qubit label.  The per-sector qubit moments follow a
     blocked linear recurrence in the one-step map M(dt) instead of an
-    enumeration of tuples: O(N * m_max^2) time and O(N * m_max) memory.
+    enumeration of tuples: O(N * m_max) time and memory.
     """
     mats = f0_matrix(params.grid.times(), params)
     emit = -math.sqrt(params.gamma * params.dt) * SIGMA_MINUS
@@ -182,30 +182,25 @@ def strong_drive_state(t: float, params: SimulationParams) -> CoefficientSet:
 def strong_drive_weights(params: SimulationParams):
     """Sector weights (2, N+1, 2) of the strong-drive state over the whole grid.
 
-    Index order: photon count (0, 1), step, qubit label.  Evaluated by a
-    causal convolution so the full trajectory costs O(N log N).
+    Index order: photon count (0, 1), step, qubit label.  The one-photon
+    kernels cos^2 and sin^2 of Omega (t - t')/2 are (1 +- cos Omega (t - t'))/2,
+    which separate in t and t', so cumulative sums over past bins give the
+    whole trajectory in O(N).
     """
     _strong_drive_guard(params)
-    grid = params.grid
-    t = grid.times()
-    gamma, omega = params.gamma, params.omega_rabi
+    t = params.grid.times()
+    gamma, omega, n = params.gamma, params.omega_rabi, params.n_steps
     damp = np.exp(-0.5 * gamma * t)
     sin2 = np.sin(0.5 * omega * t) ** 2
-    cos2 = np.cos(0.5 * omega * t) ** 2
-    n = grid.n_steps
     src = sin2[:n] * np.exp(-gamma * t[:n])
-    w1 = np.zeros((n + 1, 2))
-    for col, ker in ((0, cos2[:n]), (1, sin2[:n])):
-        conv = _conv.causal_convolve(ker, src)
-        acc = np.zeros(n + 1)
-        acc[1:] = conv[1:n + 1]
-        # strictly past bins: drop the same-step (lag-0) term
-        acc[1:n] -= ker[0] * src[1:n]
-        w1[:, col] = gamma * params.dt * damp * acc
+    # sums over strictly past bins t' < t of src(t') and of cos(Omega (t - t')) src(t')
+    flat = np.concatenate(([0.0], np.cumsum(src)))
+    turn = np.concatenate(([0.0], np.cumsum(np.exp(-1j * omega * t[:n]) * src)))
+    rot = (np.exp(1j * omega * t) * turn).real
     weights = np.empty((2, n + 1, 2))
-    weights[0, :, 0] = damp * cos2
+    weights[0, :, 0] = damp * np.cos(0.5 * omega * t) ** 2
     weights[0, :, 1] = damp * sin2
-    weights[1] = w1
+    weights[1] = 0.5 * gamma * params.dt * damp[:, None] * np.stack((flat + rot, flat - rot), 1)
     return weights
 
 

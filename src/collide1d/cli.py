@@ -164,14 +164,9 @@ def parse_config(text: str) -> ScenarioConfig:
             problems.append(f"{where(key)}: {key} must be positive, got {values[key]}")
     if isinstance(values.get("omega_rabi"), float) and values["omega_rabi"] < 0:
         problems.append(f"{where('omega_rabi')}: omega_rabi must be non-negative")
-    if isinstance(values.get("n_steps"), int) and values.get("n_steps", 1) < 1:
-        problems.append(f"{where('n_steps')}: n_steps must be >= 1")
-    if isinstance(values.get("fock_dim"), int) and values.get("fock_dim", 2) < 2:
-        problems.append(f"{where('fock_dim')}: fock_dim must be >= 2")
-    if isinstance(values.get("m_max"), int) and values.get("m_max", 0) < 0:
-        problems.append(f"{where('m_max')}: m_max must be >= 0")
-    if isinstance(values.get("snapshot_stride"), int) and values.get("snapshot_stride", 1) < 1:
-        problems.append(f"{where('snapshot_stride')}: snapshot_stride must be >= 1")
+    for key, low in (("n_steps", 1), ("fock_dim", 2), ("m_max", 0), ("snapshot_stride", 1)):
+        if isinstance(values.get(key), int) and values[key] < low:
+            problems.append(f"{where(key)}: {key} must be >= {low}")
     if values.get("phi0") not in (None, "g", "e"):
         problems.append(f"{where('phi0')}: phi0 must be 'g' or 'e'")
     if values.get("wavepacket") not in (None, "exponential", "gaussian"):
@@ -302,30 +297,25 @@ def _dense_flux(traj) -> np.ndarray:
     return observables.photon_density(traj.snapshot(n), dt=traj.params.dt)
 
 
-def _check_tracked_weight(rho: np.ndarray, weights_at, m_max: int,
-                          params: SimulationParams) -> None:
-    """Refuse a sector-truncated trajectory the entropy column cannot interpret.
+def _check_tracked_weight(weights: np.ndarray, weights_at, params: SimulationParams):
+    """Refuse a sector-truncated run whose entropy column cannot be interpreted.
 
-    rho is the (N+1, 2, 2) trajectory at m_max sectors; weights_at(m) returns
-    the same tier's (m+1, N+1, 2) sector weights at m sectors.  A sector's
-    weight does not depend on the sectors tracked above it, so one run at m
-    sectors gives the tracked weight of every smaller m_max.  The search
-    doubles m up to N, within the sector memory guard.
+    weights are the run's (m_max+1, N+1, 2) sector weights and weights_at(m)
+    its tier's at m sectors.  A sector's weight does not depend on the sectors
+    above it, so one run at the most sectors the sector memory guard admits
+    (at most N) gives the tracked weight of every smaller m_max.
     """
-    floor = 1.0 - observables.MAX_NORM_DEFICIT
-    tracked = np.einsum("naa->n", rho).real
-    if tracked.min() >= floor:
-        return
-    n, m, best = params.n_steps, m_max, None
-    while best is None and m < n and 4 * (n + 1) * (2 * m + 2) <= MAX_SECTOR_AMPLITUDES:
-        m = min(2 * m + 1, n)
-        reached = np.cumsum(weights_at(m).sum(axis=2), axis=0).min(axis=1) >= floor
-        best = int(reached.argmax()) if reached.any() else None
-    step = int((tracked < floor).argmax())
-    hint = f"m_max = {best} keeps it" if best is not None else f"no m_max up to {m} keeps it"
-    raise ValueError(f"sector truncation: tracked weight falls to {tracked.min():.4g} "
-                     f"at m_max = {m_max}, below {floor:g} from step {step} "
-                     f"(t = {step * params.dt:.6g}); {hint} >= {floor:g}")
+    floor, n, m_max = 1.0 - observables.MAX_NORM_DEFICIT, params.n_steps, len(weights) - 1
+    tracked = weights.sum(axis=(0, 2))
+    if tracked.min() < floor:
+        wide = weights_at(max(m_max, min(n, MAX_SECTOR_AMPLITUDES // (4 * n + 4) - 1)))
+        reached = np.cumsum(wide.sum(axis=2), axis=0).min(axis=1) >= floor
+        hint = (f"m_max = {reached.argmax()} keeps it" if reached.any()
+                else f"no m_max up to {len(wide) - 1} keeps it")
+        step = int((tracked < floor).argmax())
+        raise ValueError(f"sector truncation: tracked weight falls to {tracked.min():.4g} "
+                         f"at m_max = {m_max}, below {floor:g} from step {step} "
+                         f"(t = {step * params.dt:.6g}); {hint} >= {floor:g}")
 
 
 # ---------------------------------------------------------------------------
@@ -347,13 +337,13 @@ def _solve(config: ScenarioConfig, params: SimulationParams) -> ResultTable:
         # spont is the undriven displaced run from |e>
         run = run_displaced_sectors(params, config.m_max, phi0)
         rho = run.qubit_trajectory()
-        _check_tracked_weight(rho, lambda m: run_displaced_sectors(
-            params, m, phi0).sector_weight_trajectories(), config.m_max, params)
+        _check_tracked_weight(run.sector_weight_trajectories(), lambda m: run_displaced_sectors(
+            params, m, phi0).sector_weight_trajectories(), params)
         return _table(params, steps, rho[steps], flux=run.emission_weights() / params.dt)
     if config.scenario == "coherent":
-        rho, _ = analytic.coherent_qubit_trajectory(params, config.m_max, phi0)
-        _check_tracked_weight(rho, lambda m: analytic.coherent_qubit_trajectory(
-            params, m, phi0)[1], config.m_max, params)
+        rho, weights = analytic.coherent_qubit_trajectory(params, config.m_max, phi0)
+        _check_tracked_weight(weights, lambda m: analytic.coherent_qubit_trajectory(
+            params, m, phi0)[1], params)
         return _table(params, steps, rho[steps])
     if config.scenario == "spont":
         gamma = params.gamma

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -478,23 +479,24 @@ class SectorRun:
         self.no_jump_block = unit[np.ix_([0, 2], [0, 2])]
         self.emission_block = unit[np.ix_([1, 3], [0, 2])]
         n = params.n_steps
-        # K^j for j = 0..N: vec(K^j) = (K x 1)^j vec(1) on row-major vec
-        self.powers = _conv.linear_recurrence(np.kron(self.no_jump_block, np.eye(2)),
-                                              np.eye(2).ravel(), n).reshape(n + 1, 2, 2)
+        # K^j for j = 0..N, on row-major vec: vec(K X) = (K x 1) vec(X)
+        step, block = np.kron(self.no_jump_block, np.eye(2)).T, math.isqrt(n + 1)
+        jump = np.linalg.matrix_power(step, block)
+        powers = _conv.linear_recurrence(lambda x: x @ step, lambda y: y @ jump,
+                                         np.eye(2, dtype=complex).ravel(), n, block)
+        self.powers = powers.reshape(n + 1, 2, 2)
         self.emission_phases = np.exp(-1j * params.omega_p * params.dt * np.arange(n))
-        self._chain = None
 
     # -- aggregate trajectories ------------------------------------------------
 
+    @cached_property
     def _moments(self):
-        if self._chain is None:
-            self._chain = _conv.moment_chain(self.powers, self.emission_block,
-                                             self.phi0, self.m_max, offset=1)
-        return self._chain
+        return _conv.moment_chain(self.powers, self.emission_block, self.phi0, self.m_max,
+                                  offset=1)
 
     def qubit_trajectory(self) -> np.ndarray:
         """(N+1, 2, 2) reduced qubit matrices (trace < 1 by the truncated weight)."""
-        return self._moments()[0].copy()
+        return self._moments[0].copy()
 
     def p_excited(self) -> np.ndarray:
         return self.qubit_trajectory()[:, 1, 1].real
@@ -504,7 +506,7 @@ class SectorRun:
 
     def sector_weight_trajectories(self) -> np.ndarray:
         """(m_max+1, N+1, 2) sector weights per qubit label over the run."""
-        return self._moments()[1].copy()
+        return self._moments[1].copy()
 
     def truncation_deficit(self, step: int | None = None) -> float:
         norms = self.norm_trajectory()
@@ -517,7 +519,7 @@ class SectorRun:
         weight at any later time: K and E together preserve the norm of every
         tuple's qubit vector, and children keep their parent's indices.
         """
-        return self._moments()[2].copy()
+        return self._moments[2].copy()
 
     # -- amplitudes --------------------------------------------------------------
 

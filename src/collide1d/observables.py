@@ -9,7 +9,6 @@ import numpy as np
 from .engine import (DenseJointState, DenseTrajectory, SectorState,
                      SinglePhotonState, SIGMA_MINUS, annihilation)
 
-
 #: largest |trace - 1| of a reduced qubit state that is still renormalized
 MAX_NORM_DEFICIT = 0.1
 

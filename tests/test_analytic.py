@@ -216,6 +216,18 @@ class TestStrongDrive:
         _, full = coherent_qubit_trajectory(p, 1, "g")
         assert np.abs(sd[1] - full[1]).max() < 1e-1
 
+    @pytest.mark.parametrize("n_steps", [1, 2, 300])
+    def test_weights_match_direct_sums_over_past_bins(self, n_steps):
+        p = SimulationParams(gamma=1.0, dt=1e-3, n_steps=n_steps, omega_rabi=40.0)
+        weights = analytic.strong_drive_weights(p)
+        t = p.grid.times()
+        src = np.sin(20.0 * t) ** 2 * np.exp(-t)
+        for s in range(n_steps + 1):
+            lag = t[s] - t[:s]
+            for col, ker in ((0, np.cos(20.0 * lag) ** 2), (1, np.sin(20.0 * lag) ** 2)):
+                want = p.dt * math.exp(-0.5 * t[s]) * np.sum(ker * src[:s])
+                assert weights[1, s, col] == pytest.approx(want, rel=1e-12, abs=1e-15)
+
     def test_weights_match_state_at_grid_point(self):
         p = SimulationParams(gamma=1.0, dt=1e-3, n_steps=500, omega_rabi=40.0)
         weights = analytic.strong_drive_weights(p)

@@ -185,6 +185,22 @@ class TestMain:
         assert "m_max = 8 keeps it >= 0.9" in err
         assert not (tmp_path / "coherent.csv").exists()
 
+    @pytest.mark.parametrize("n_steps,searched", [(4, 4), (10_000, 51), (600_000, 1)])
+    def test_truncation_guard_searches_within_the_memory_guard(self, n_steps, searched):
+        # the search run tracks min(N, 2^21 // (4(N+1)) - 1) sectors, never
+        # fewer than the run itself; here no m_max it reaches keeps 0.9
+        params = cli.ScenarioConfig(scenario="coherent", dt=1e-6, n_steps=n_steps).params()
+        short = np.zeros((2, 3, 2))
+        short[0, :, 0] = [1.0, 0.7, 0.5]
+        asked = []
+
+        def weights_at(m):
+            asked.append(m)
+            return np.concatenate((short, np.zeros((m - 1, 3, 2))))
+        with pytest.raises(ValueError, match=f"no m_max up to {searched} keeps it"):
+            cli._check_tracked_weight(short, weights_at, params)
+        assert asked == [searched]
+
     def test_run_missing_target(self, tmp_path, capsys):
         assert cli.main(["run", "no-such-preset", "--out", str(tmp_path)]) == 2
 

@@ -103,6 +103,25 @@ def test_sector_weights_are_probabilities(drive, phi0, m_max):
     assert closed.min() >= 0.0
 
 
+#: more sectors than steps (the sectors above N stay empty) and wide chains
+#: whose block jump spans many sectors
+WIDE = ((3, 9), (30, 40), (200, 24), (500, 60))
+
+
+@pytest.mark.parametrize("offset", (0, 1))
+@pytest.mark.parametrize("n_steps,m_max", WIDE)
+def test_wide_recurrence_matches_fft_reference(n_steps, m_max, offset):
+    params = SimulationParams(gamma=1.0, omega_rabi=30.0, delta=2.0, omega_q=1.0,
+                              dt=2e-3, n_steps=n_steps)
+    phi0 = np.array([0.6, 0.8j])
+    props, emit = tier_inputs(params, phi0, offset)
+    fast = _conv.moment_chain(props, emit, phi0, m_max, offset)
+    reference = fft_moment_chain(props, emit, phi0, m_max, offset)
+    for got, want in zip(fast, reference):
+        assert np.abs(got - want).max() <= 1e-12
+    assert np.all(fast[1][n_steps + 1:] == 0.0)
+
+
 #: 1, 2, 3; N+1 a perfect square (3, 8, 15, 24, 99); N a perfect square
 #: (4, 9, 16, 100); N+1 not divisible by the block size (10, 50, 200)
 POWER_STEPS = (1, 2, 3, 4, 8, 9, 10, 15, 16, 24, 50, 99, 100, 200)
