@@ -269,7 +269,7 @@ def _table(params: SimulationParams, steps: np.ndarray, rho: np.ndarray, norm=No
     coh = rho[:, 0, 1]
     return ResultTable(
         t=steps * params.dt, p_e=rho[:, 1, 1].real, re_coh=coh.real, im_coh=coh.imag,
-        entropy_bits=np.array([observables.entanglement_entropy(r) for r in rho]),
+        entropy_bits=observables.entanglement_entropy(rho),
         norm=np.einsum("naa->n", rho).real if norm is None else norm,
         photon_flux=(None if flux is None
                      else [float(flux[s]) if s < n else None for s in steps]),

@@ -13,13 +13,21 @@ from .engine import (DenseJointState, DenseTrajectory, SectorState,
 MAX_NORM_DEFICIT = 0.1
 
 
+def _reject_rows(bad: np.ndarray, message: str, values: np.ndarray):
+    """Raise ValueError for the first flagged matrix, naming its row in a stack."""
+    if bad.any():
+        row = np.unravel_index(np.argmax(bad), bad.shape)
+        where = f" in row {', '.join(map(str, row))}" if row else ""
+        raise ValueError(f"{message}{where} = {values[row]}")
+
+
 def reduced_qubit(state, renormalize: bool = True) -> np.ndarray:
-    """2x2 reduced qubit density matrix of any state representation.
+    """2x2 reduced qubit density matrix of any state, or a (..., 2, 2) stack of them.
 
     States with a norm deficit (sector truncation, discretization) are
     renormalized to unit trace by default; a deficit above 0.1 is rejected.
     """
-    if isinstance(state, np.ndarray) and state.shape == (2, 2):
+    if isinstance(state, np.ndarray) and state.shape[-2:] == (2, 2):
         rho = state.astype(complex)
     elif isinstance(state, DenseJointState):
         rho = state.qubit_matrix()
@@ -30,21 +38,20 @@ def reduced_qubit(state, renormalize: bool = True) -> np.ndarray:
                        abs(state.c_e) ** 2]).astype(complex)
     else:
         raise TypeError(f"cannot reduce a {type(state).__name__}")
-    trace = float(np.trace(rho).real)
-    if abs(trace - 1.0) > MAX_NORM_DEFICIT:
-        raise ValueError(f"state norm deficit too large to interpret: trace = {trace}")
-    return rho / trace if renormalize else rho
+    trace = rho[..., 0, 0].real + rho[..., 1, 1].real
+    _reject_rows(np.abs(trace - 1.0) > MAX_NORM_DEFICIT,
+                 "state norm deficit too large to interpret: trace", trace)
+    return rho / trace[..., None, None] if renormalize else rho
 
 
-def entanglement_entropy(state) -> float:
-    """Von Neumann entropy of the reduced qubit, in bits."""
-    rho = reduced_qubit(state)
-    evals = np.linalg.eigvalsh(rho)
-    if evals.min() < -1e-10 or evals.max() > 1 + 1e-10:
-        raise ValueError(f"reduced state not a density matrix: eigenvalues {evals}")
+def entanglement_entropy(state):
+    """Von Neumann entropy of the reduced qubit, in bits; an array for a stack."""
+    evals = np.linalg.eigvalsh(reduced_qubit(state))
+    _reject_rows((evals[..., 0] < -1e-10) | (evals[..., 1] > 1 + 1e-10),
+                 "reduced state not a density matrix: eigenvalues", evals)
     evals = np.clip(evals, 0.0, 1.0)
-    nz = evals[evals > 0]
-    return float(-np.sum(nz * np.log2(nz))) + 0.0
+    terms = evals * np.log2(evals, out=np.zeros_like(evals), where=evals > 0)
+    return -(terms[..., 0] + terms[..., 1]) + 0.0
 
 
 def photon_density(state, dt: float | None = None) -> np.ndarray:

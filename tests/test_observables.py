@@ -59,6 +59,39 @@ class TestEntropy:
             assert 0.0 <= s <= 1.0
 
 
+def random_density_matrices(rng, count):
+    """Mixed, pure and zero-eigenvalue diagonal states, traces within 5% of 1."""
+    a = rng.normal(size=(count, 2, 2)) + 1j * rng.normal(size=(count, 2, 2))
+    mixed = a @ a.conj().transpose(0, 2, 1)
+    psi = a[:, :, 0]
+    pure = np.einsum("na,nb->nab", psi, psi.conj())
+    diagonal = np.zeros((count, 2, 2), complex)
+    occupied = rng.integers(0, 2, count)
+    diagonal[np.arange(count), occupied, occupied] = 1.0
+    stack = np.concatenate((mixed, pure, diagonal))
+    stack /= np.einsum("naa->n", stack).real[:, None, None]
+    return stack * rng.uniform(0.95, 1.05, len(stack))[:, None, None]
+
+
+class TestStackedEntropy:
+    def test_stack_equals_per_matrix_call(self):
+        stack = random_density_matrices(np.random.default_rng(7), 300)
+        per_matrix = np.array([entanglement_entropy(rho) for rho in stack])
+        assert np.array_equal(entanglement_entropy(stack), per_matrix)
+        assert np.array_equal(reduced_qubit(stack),
+                              np.array([reduced_qubit(rho) for rho in stack]))
+
+    @pytest.mark.parametrize("bad, message", [
+        (np.diag([0.5, 0.3]), "norm deficit"),
+        (np.array([[0.5, 0.6], [0.6, 0.5]]), "not a density matrix"),
+    ])
+    def test_bad_row_is_named(self, bad, message):
+        stack = random_density_matrices(np.random.default_rng(8), 4)
+        stack[5] = bad
+        with pytest.raises(ValueError, match=f"{message}.* in row 5 "):
+            entanglement_entropy(stack)
+
+
 class TestPhotonDensity:
     def test_vacuum_is_zero(self):
         p = SimulationParams(gamma=1.0, dt=1e-2, n_steps=5, omega_q=1.0)
