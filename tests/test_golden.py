@@ -9,8 +9,9 @@ code that rounds differently: an FFT convolution chain for the three whose
 sector moments now come from the blocked moment recurrence, and a sequential
 collision loop for the two recursion branches, which now use a doubling scan.
 Largest measured differences (.csv/.manifest): recursion-exponential
-1.3e-15/4.4e-16, recursion-gaussian 2.3e-15/2.3e-15.  Regenerate the files only for a
-change that is meant to alter the numbers, and say so where it is recorded.
+1.3e-15/4.4e-16, recursion-gaussian 2.3e-15/2.3e-15.  Regenerate the files
+only for a change that is meant to alter the numbers, and say so where it is
+recorded.
 The goldens assume numpy's default BLAS thread count: with one BLAS thread the
 dense reductions round differently and the sweep branches differ in the last
 digit.
