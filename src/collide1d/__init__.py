@@ -20,11 +20,11 @@ from .engine import (CollisionUnitary, DenseJointState, DenseTrajectory,
                      apply_collision, displaced_collision_unitary,
                      lab_collision_unitary, run_dense, run_displaced_sectors,
                      run_single_excitation)
-from .analytic import (CoefficientSet, assemble_coherent, coherent_qubit_trajectory,
-                       f0, f1, f2, fm, single_photon_state,
-                       spontaneous_emission_state, strong_drive_state, xi_tilde)
-from .observables import (entanglement_entropy, io_record, io_residual,
-                          photon_density, reduced_qubit, state_fidelity)
+from .analytic import (assemble_coherent, coherent_qubit_trajectory, f0, f1, f2, fm,
+                       single_photon_state, spontaneous_emission_state,
+                       strong_drive_state, xi_tilde)
+from .observables import (entanglement_entropy, io_residual, photon_density,
+                          reduced_qubit, state_fidelity)
 from .obe import BlochTrajectory, compare_with_cm, obe_integrate
 
 __all__ = [
@@ -36,10 +36,10 @@ __all__ = [
     "SectorState", "SinglePhotonRun", "SinglePhotonState", "apply_collision",
     "displaced_collision_unitary", "lab_collision_unitary", "run_dense",
     "run_displaced_sectors", "run_single_excitation",
-    "CoefficientSet", "assemble_coherent", "coherent_qubit_trajectory",
+    "assemble_coherent", "coherent_qubit_trajectory",
     "f0", "f1", "f2", "fm", "single_photon_state", "spontaneous_emission_state",
     "strong_drive_state", "xi_tilde",
-    "entanglement_entropy", "io_record", "io_residual", "photon_density",
+    "entanglement_entropy", "io_residual", "photon_density",
     "reduced_qubit", "state_fidelity",
     "BlochTrajectory", "compare_with_cm", "obe_integrate",
 ]

@@ -5,6 +5,7 @@ mirrored by the pytest module of the same name."""
 from __future__ import annotations
 
 import contextlib
+import functools
 import io
 import math
 import os
@@ -33,253 +34,229 @@ class CriterionResult:
         return f"{status} {self.name} [{self.runtime_s:.2f}s] {self.detail}"
 
 
-def _timed(fn):
-    start = time.perf_counter()
-    passed, detail = fn()
-    return passed, detail, time.perf_counter() - start
+def _criterion(name: str, gate: float | None = None):
+    """Turn a body returning (passed, detail) into a timed criterion.
+
+    With a `gate`, a run that takes `gate` seconds or longer fails, and the
+    detail states the runtime against it.
+    """
+    def decorate(body):
+        @functools.wraps(body)
+        def criterion() -> CriterionResult:
+            start = time.perf_counter()
+            passed, detail = body()
+            runtime = time.perf_counter() - start
+            if gate is not None:
+                passed = passed and runtime < gate
+                detail += f"; runtime {runtime:.2f}s < {gate:g}s"
+            return CriterionResult(name, passed, detail, runtime)
+        return criterion
+    return decorate
 
 
-def criterion_1() -> CriterionResult:
+@_criterion("criterion-1 spontaneous-emission-convergence", gate=1.0)
+def criterion_1():
     """Spontaneous emission: dense-oracle error vs e^{-gamma t} is O(dt)."""
-    def body():
-        # gamma*dt = 0.04, 0.02, 0.01 at fixed final time t = 0.2/gamma
-        config = cli.ScenarioConfig("convergence", gamma=1.0, dt=0.04, n_steps=5)
-        dts = [0.04, 0.02, 0.01]
-        errors = [cli.convergence_error(config, scale)[0] for scale in (1, 2, 4)]
-        exponent = observables.power_law_exponent(dts, errors)
-        ok = abs(exponent - 1.0) <= 0.15 and errors[-1] <= 0.02 and errors[-1] > 0
-        return ok, (f"fit exponent {exponent:.3f} (want 1.0 +- 0.15), "
-                    f"max error at gamma*dt=0.01: {errors[-1]:.2e} (want <= 0.02)")
-    passed, detail, rt = _timed(body)
-    return CriterionResult("criterion-1 spontaneous-emission-convergence",
-                           passed and rt < 1.0, detail + f"; runtime {rt:.2f}s < 1s",
-                           rt)
+    # gamma*dt = 0.04, 0.02, 0.01 at fixed final time t = 0.2/gamma
+    config = cli.ScenarioConfig("convergence", gamma=1.0, dt=0.04, n_steps=5)
+    _, metrics = cli.sweep(config)
+    return metrics["threshold_ok"], (
+        f"convergence sweep: fit exponent {metrics['fit_exponent']:.3f}, max error at "
+        f"gamma*dt=0.01: {metrics['max_p_e_error_dt_0.01']:.2e}")
 
 
-def criterion_2() -> CriterionResult:
+@_criterion("criterion-2 norm-ledger", gate=1.0)
+def criterion_2():
     """Norm ledger: analytic deficit <= gamma*dt, closed form exact, dense 1e-10."""
-    def body():
-        gamma, dt, n = 1.0, 1e-3, 3000
-        params = SimulationParams(gamma=gamma, dt=dt, n_steps=n)
-        worst_analytic = 0.0
-        for step in range(0, n + 1, 50):
-            state = analytic.spontaneous_emission_state(step * dt, params)
-            worst_analytic = max(worst_analytic, abs(state.norm_squared() - 1.0))
-        closed = abs(analytic.spontaneous_emission_norm_closed_form(gamma, 1.3) - 1.0)
-        worst_dense = 0.0
-        lab = SimulationParams(gamma=1.0, dt=0.02, n_steps=10)
-        traj = run_dense(lab, DenseJointState.product_state("e", 10, 2), frame=LAB)
-        worst_dense = max(worst_dense, float(np.abs(traj.norms - 1.0).max()))
-        drv = SimulationParams(gamma=1.0, dt=0.01, n_steps=8, omega_rabi=2.0,
-                               omega_q=1.0, fock_dim=3)
-        traj = run_dense(drv, DenseJointState.product_state("g", 8, 3, frame=DISPLACED),
-                         frame=DISPLACED)
-        worst_dense = max(worst_dense, float(np.abs(traj.norms - 1.0).max()))
-        ok = worst_analytic <= gamma * dt and closed == 0.0 and worst_dense <= 1e-10
-        return ok, (f"analytic deficit {worst_analytic:.2e} <= {gamma * dt:.0e}, "
-                    f"closed-form deviation {closed:.1e} (want 0), "
-                    f"dense norm drift {worst_dense:.2e} <= 1e-10")
-    passed, detail, rt = _timed(body)
-    return CriterionResult("criterion-2 norm-ledger", passed and rt < 1.0,
-                           detail + f"; runtime {rt:.2f}s < 1s", rt)
+    gamma, dt, n = 1.0, 1e-3, 3000
+    params = SimulationParams(gamma=gamma, dt=dt, n_steps=n)
+    worst_analytic = 0.0
+    for step in range(0, n + 1, 50):
+        state = analytic.spontaneous_emission_state(step * dt, params)
+        worst_analytic = max(worst_analytic, abs(state.norm_squared() - 1.0))
+    closed = abs(analytic.spontaneous_emission_norm_closed_form(gamma, 1.3) - 1.0)
+    worst_dense = 0.0
+    lab = SimulationParams(gamma=1.0, dt=0.02, n_steps=10)
+    traj = run_dense(lab, DenseJointState.product_state("e", 10, 2), frame=LAB)
+    worst_dense = max(worst_dense, float(np.abs(traj.norms - 1.0).max()))
+    drv = SimulationParams(gamma=1.0, dt=0.01, n_steps=8, omega_rabi=2.0,
+                           omega_q=1.0, fock_dim=3)
+    traj = run_dense(drv, DenseJointState.product_state("g", 8, 3, frame=DISPLACED),
+                     frame=DISPLACED)
+    worst_dense = max(worst_dense, float(np.abs(traj.norms - 1.0).max()))
+    ok = worst_analytic <= gamma * dt and closed == 0.0 and worst_dense <= 1e-10
+    return ok, (f"analytic deficit {worst_analytic:.2e} <= {gamma * dt:.0e}, "
+                f"closed-form deviation {closed:.1e} (want 0), "
+                f"dense norm drift {worst_dense:.2e} <= 1e-10")
 
 
-def criterion_3() -> CriterionResult:
+@_criterion("criterion-3 coherent-three-way", gate=30.0)
+def criterion_3():
     """Coherent drive: analytic, sector propagator, and Bloch oracle agree."""
-    def body():
-        params = SimulationParams(gamma=1.0, dt=1e-4, n_steps=10000, omega_rabi=20.0)
-        m_max, t_final = 2, 1.0
-        run = run_displaced_sectors(params, m_max, "g")
-        pe_sec = run.p_excited()
-        rho_ana, _ = analytic.coherent_qubit_trajectory(params, m_max, "g")
-        pe_ana = rho_ana[:, 1, 1].real
-        pe_obe = obe_integrate(params, t_final, "g").p_excited()
-        pe_err = max(float(np.abs(pe_sec - pe_ana).max()),
-                     float(np.abs(pe_sec - pe_obe).max()),
-                     float(np.abs(pe_ana - pe_obe).max()))
+    params = SimulationParams(gamma=1.0, dt=1e-4, n_steps=10000, omega_rabi=20.0)
+    m_max, t_final = 2, 1.0
+    run = run_displaced_sectors(params, m_max, "g")
+    pe_sec = run.p_excited()
+    rho_ana, _ = analytic.coherent_qubit_trajectory(params, m_max, "g")
+    pe_ana = rho_ana[:, 1, 1].real
+    pe_obe = obe_integrate(params, t_final, "g").p_excited()
+    pe_err = max(float(np.abs(pe_sec - pe_ana).max()),
+                 float(np.abs(pe_sec - pe_obe).max()),
+                 float(np.abs(pe_ana - pe_obe).max()))
 
-        # amplitude comparison at t = 1 on subsampled tuples, density level
-        n = params.n_steps
-        mats = analytic.f0_matrix(params.grid.times(), params)
-        phi = np.array([1.0, 0.0], complex)
-        amp_err = float(np.abs(run.powers[n] @ phi - mats[n] @ phi).max())
-        root_g, root_dt = math.sqrt(params.gamma), math.sqrt(params.dt)
-        for n1 in range(0, n, 379):
-            sec = np.array([run.amplitude(eps, (n1,), n) for eps in "ge"]) / root_dt
-            ana = (-root_g * mats[n - n1][:, 0]
+    # amplitude comparison at t = 1 on subsampled tuples, density level
+    n = params.n_steps
+    mats = analytic.f0_matrix(params.grid.times(), params)
+    phi = np.array([1.0, 0.0], complex)
+    amp_err = float(np.abs(run.powers[n] @ phi - mats[n] @ phi).max())
+    root_g, root_dt = math.sqrt(params.gamma), math.sqrt(params.dt)
+    for n1 in range(0, n, 379):
+        sec = np.array([run.amplitude(eps, (n1,), n) for eps in "ge"]) / root_dt
+        ana = (-root_g * mats[n - n1][:, 0]
+               * np.exp(-1j * params.omega_p * n1 * params.dt) * mats[n1][1, 0])
+        amp_err = max(amp_err, float(np.abs(sec - ana).max()))
+    for n1 in range(0, n, 1531):
+        for n2 in range(n1 + 211, n, 1373):
+            sec = np.array([run.amplitude(eps, (n1, n2), n) for eps in "ge"]) / params.dt
+            ana = (params.gamma * mats[n - n2][:, 0]
+                   * np.exp(-1j * params.omega_p * n2 * params.dt) * mats[n2 - n1][1, 0]
                    * np.exp(-1j * params.omega_p * n1 * params.dt) * mats[n1][1, 0])
             amp_err = max(amp_err, float(np.abs(sec - ana).max()))
-        for n1 in range(0, n, 1531):
-            for n2 in range(n1 + 211, n, 1373):
-                sec = np.array([run.amplitude(eps, (n1, n2), n) for eps in "ge"]) / params.dt
-                ana = (params.gamma * mats[n - n2][:, 0]
-                       * np.exp(-1j * params.omega_p * n2 * params.dt) * mats[n2 - n1][1, 0]
-                       * np.exp(-1j * params.omega_p * n1 * params.dt) * mats[n1][1, 0])
-                amp_err = max(amp_err, float(np.abs(sec - ana).max()))
-        ok = pe_err <= 1e-2 and amp_err <= 2e-3
-        return ok, (f"max pairwise P_e error {pe_err:.2e} <= 1e-2, "
-                    f"max amplitude error {amp_err:.2e} <= 2e-3")
-    passed, detail, rt = _timed(body)
-    return CriterionResult("criterion-3 coherent-three-way", passed and rt < 30.0,
-                           detail + f"; runtime {rt:.2f}s < 30s", rt)
+    ok = pe_err <= 1e-2 and amp_err <= 2e-3
+    return ok, (f"max pairwise P_e error {pe_err:.2e} <= 1e-2, "
+                f"max amplitude error {amp_err:.2e} <= 2e-3")
 
 
-def criterion_4() -> CriterionResult:
+@_criterion("criterion-4 strong-drive-limit", gate=10.0)
+def criterion_4():
     """Strong-drive closed form vs full assembly; Rabi frequency from P_e."""
-    def body():
-        gamma, omega = 1.0, 40.0
-        params = SimulationParams(gamma=gamma, dt=2.5e-4, n_steps=3200,
-                                  omega_rabi=omega)
-        sd = analytic.strong_drive_weights(params)            # (2, N+1, 2)
-        _, full = analytic.coherent_qubit_trajectory(params, 2, "g")
-        # the Omega' ~ Omega replacement bounds the no-emission amplitudes;
-        # the one-photon sector of the simplified form carries its own extra
-        # damping and is only reported, not gated
-        pop_err = float(np.abs(sd[0] - full[0]).max())
-        photon_dev = float(np.abs(sd[1] - full[1]).max())
+    gamma, omega = 1.0, 40.0
+    params = SimulationParams(gamma=gamma, dt=2.5e-4, n_steps=3200,
+                              omega_rabi=omega)
+    sd = analytic.strong_drive_weights(params)            # (2, N+1, 2)
+    _, full = analytic.coherent_qubit_trajectory(params, 2, "g")
+    # the Omega' ~ Omega replacement bounds the no-emission amplitudes;
+    # the one-photon sector of the simplified form carries its own extra
+    # damping and is only reported, not gated
+    pop_err = float(np.abs(sd[0] - full[0]).max())
+    photon_dev = float(np.abs(sd[1] - full[1]).max())
 
-        freq_params = SimulationParams(gamma=gamma, dt=5e-4, n_steps=8000,
-                                       omega_rabi=omega)
-        weights = analytic.strong_drive_weights(freq_params)
-        pe = weights[0, :, 1] + weights[1, :, 1]
-        om_est = observables.dominant_angular_frequency(pe, freq_params.dt)
-        freq_err = abs(om_est - omega) / omega
-        ok = pop_err <= 5e-2 and freq_err <= 1e-2
-        return ok, (f"max vacuum-sector population error {pop_err:.2e} <= 5e-2 "
-                    f"(one-photon deviation {photon_dev:.2e}), "
-                    f"Rabi frequency {om_est:.3f} vs {omega} ({freq_err:.2%} <= 1%)")
-    passed, detail, rt = _timed(body)
-    return CriterionResult("criterion-4 strong-drive-limit", passed and rt < 10.0,
-                           detail + f"; runtime {rt:.2f}s < 10s", rt)
+    freq_params = SimulationParams(gamma=gamma, dt=5e-4, n_steps=8000,
+                                   omega_rabi=omega)
+    weights = analytic.strong_drive_weights(freq_params)
+    pe = weights[0, :, 1] + weights[1, :, 1]
+    om_est = observables.dominant_angular_frequency(pe, freq_params.dt)
+    freq_err = abs(om_est - omega) / omega
+    ok = pop_err <= 5e-2 and freq_err <= 1e-2
+    return ok, (f"max vacuum-sector population error {pop_err:.2e} <= 5e-2 "
+                f"(one-photon deviation {photon_dev:.2e}), "
+                f"Rabi frequency {om_est:.3f} vs {omega} ({freq_err:.2%} <= 1%)")
 
 
-def criterion_5() -> CriterionResult:
+@_criterion("criterion-5 single-photon-excitation", gate=5.0)
+def criterion_5():
     """Resonant exponential single photon: P_e max 4/e^2 from both tiers."""
-    def body():
-        gamma, dt = 1.0, 1e-3
-        params = SimulationParams(gamma=gamma, dt=dt, n_steps=16000)
-        packet = make_exponential_wavepacket(gamma, 0.0, params.grid)
-        target = 4 * math.exp(-2.0)
+    gamma, dt = 1.0, 1e-3
+    params = SimulationParams(gamma=gamma, dt=dt, n_steps=16000)
+    packet = make_exponential_wavepacket(gamma, 0.0, params.grid)
+    target = 4 * math.exp(-2.0)
 
-        run = run_single_excitation(params, packet)
-        pe_r = run.p_excited()
-        k_r = int(np.argmax(pe_r))
-        pe_a = analytic.single_photon_p_excited(packet, params)
-        k_a = int(np.argmax(pe_a))
-        max_ok = (abs(pe_r[k_r] - target) <= 2e-3 and abs(pe_a[k_a] - target) <= 2e-3)
-        t_ok = (abs(k_r * dt - 2.0) <= 2 * dt + 1e-12
-                and abs(k_a * dt - 2.0) <= 2 * dt + 1e-12)
-        fid = observables.state_fidelity(run.state_at(params.grid.index_of(2.0)),
-                                         analytic.single_photon_state(packet, 2.0, params))
-        ok = max_ok and t_ok and fid >= 1 - 1e-3
-        return ok, (f"P_e max {pe_r[k_r]:.6f}/{pe_a[k_a]:.6f} vs {target:.6f} (+-2e-3) "
-                    f"at t = {k_r * dt:.3f}/{k_a * dt:.3f} (want 2 +- 2dt), "
-                    f"fidelity {fid:.6f} >= {1 - 1e-3}")
-    passed, detail, rt = _timed(body)
-    return CriterionResult("criterion-5 single-photon-excitation", passed and rt < 5.0,
-                           detail + f"; runtime {rt:.2f}s < 5s", rt)
+    run = run_single_excitation(params, packet)
+    pe_r = run.p_excited()
+    k_r = int(np.argmax(pe_r))
+    pe_a = analytic.single_photon_p_excited(packet, params)
+    k_a = int(np.argmax(pe_a))
+    max_ok = (abs(pe_r[k_r] - target) <= 2e-3 and abs(pe_a[k_a] - target) <= 2e-3)
+    t_ok = (abs(k_r * dt - 2.0) <= 2 * dt + 1e-12
+            and abs(k_a * dt - 2.0) <= 2 * dt + 1e-12)
+    fid = observables.state_fidelity(run.state_at(params.grid.index_of(2.0)),
+                                     analytic.single_photon_state(packet, 2.0, params))
+    ok = max_ok and t_ok and fid >= 1 - 1e-3
+    return ok, (f"P_e max {pe_r[k_r]:.6f}/{pe_a[k_a]:.6f} vs {target:.6f} (+-2e-3) "
+                f"at t = {k_r * dt:.3f}/{k_a * dt:.3f} (want 2 +- 2dt), "
+                f"fidelity {fid:.6f} >= {1 - 1e-3}")
 
 
-def criterion_6() -> CriterionResult:
+@_criterion("criterion-6 input-output-relation", gate=5.0)
+def criterion_6():
     """Input-output residual: exact zero undriven, first order in dt driven."""
-    def body():
-        quiet = 0.0
-        lab = SimulationParams(gamma=1.0, dt=0.01, n_steps=8, omega_q=1.0)
-        for phi0 in ("g", "e"):
-            traj = run_dense(lab, DenseJointState.product_state(phi0, 8, 2),
-                             frame=LAB, snapshot_steps="all")
-            quiet = max(quiet, float(observables.io_residual(traj).max()))
-        config = cli.ScenarioConfig("io-check", gamma=1.0, dt=1e-2, n_steps=8,
-                                    omega_rabi=2.0, omega_q=1.0, fock_dim=3)
-        dts = [1e-2, 5e-3, 2.5e-3]
-        residuals = [cli.io_residual_max(config, scale)[0] for scale in (1, 2, 4)]
-        exponent = observables.power_law_exponent(dts, residuals)
-        bound_ok = all(r <= 5 * dt for r, dt in zip(residuals, dts))
-        ok = quiet <= 1e-12 and bound_ok and abs(exponent - 1.0) <= 0.2
-        return ok, (f"undriven residual {quiet:.1e} <= 1e-12, driven max "
-                    f"{residuals[0]:.2e} <= {5 * dts[0]:.2e}, "
-                    f"fit exponent {exponent:.3f} (want 1.0 +- 0.2)")
-    passed, detail, rt = _timed(body)
-    return CriterionResult("criterion-6 input-output-relation", passed and rt < 5.0,
-                           detail + f"; runtime {rt:.2f}s < 5s", rt)
+    quiet = 0.0
+    lab = SimulationParams(gamma=1.0, dt=0.01, n_steps=8, omega_q=1.0)
+    for phi0 in ("g", "e"):
+        traj = run_dense(lab, DenseJointState.product_state(phi0, 8, 2),
+                         frame=LAB, snapshot_steps="all")
+        quiet = max(quiet, float(observables.io_residual(traj).max()))
+    config = cli.ScenarioConfig("io-check", gamma=1.0, dt=1e-2, n_steps=8,
+                                omega_rabi=2.0, omega_q=1.0, fock_dim=3)
+    _, metrics = cli.sweep(config)
+    return quiet <= 1e-12 and metrics["threshold_ok"], (
+        f"undriven residual {quiet:.1e} <= 1e-12, io-check sweep: driven max "
+        f"{metrics['max_io_residual_dt_0.01']:.2e}, "
+        f"fit exponent {metrics['fit_exponent']:.3f}")
 
 
-def criterion_7() -> CriterionResult:
+@_criterion("criterion-7 representation-equivalence", gate=10.0)
+def criterion_7():
     """Sector propagator with m_max = N equals the dense displaced oracle."""
-    def body():
-        params = SimulationParams(gamma=1.0, dt=1e-2, n_steps=8, omega_q=3.0,
-                                  delta=0.5, omega_rabi=2.0, fock_dim=2)
-        worst = 0.0
-        for phi0 in ("g", "e"):
-            initial = DenseJointState.product_state(phi0, 8, 2, frame=DISPLACED)
-            dense = run_dense(params, initial, frame=DISPLACED).snapshot(8)
-            psi = dense.amplitudes.reshape(2, -1)
-            state = run_displaced_sectors(params, 8, phi0).state_at(8)
-            for m in range(9):
-                diff = psi[:, state.dense_index(m)] - state.values[m]
-                worst = max(worst, float(np.abs(diff).max()))
-        return worst <= 1e-10, f"max amplitude difference {worst:.2e} <= 1e-10"
-    passed, detail, rt = _timed(body)
-    return CriterionResult("criterion-7 representation-equivalence",
-                           passed and rt < 10.0, detail + f"; runtime {rt:.2f}s < 10s",
-                           rt)
+    params = SimulationParams(gamma=1.0, dt=1e-2, n_steps=8, omega_q=3.0,
+                              delta=0.5, omega_rabi=2.0, fock_dim=2)
+    worst = 0.0
+    for phi0 in ("g", "e"):
+        initial = DenseJointState.product_state(phi0, 8, 2, frame=DISPLACED)
+        dense = run_dense(params, initial, frame=DISPLACED).snapshot(8)
+        psi = dense.amplitudes.reshape(2, -1)
+        state = run_displaced_sectors(params, 8, phi0).state_at(8)
+        for m in range(9):
+            diff = psi[:, state.dense_index(m)] - state.values[m]
+            worst = max(worst, float(np.abs(diff).max()))
+    return worst <= 1e-10, f"max amplitude difference {worst:.2e} <= 1e-10"
 
 
-def criterion_8() -> CriterionResult:
+@_criterion("criterion-8 entanglement-entropy", gate=1.0)
+def criterion_8():
     """Entanglement entropy: zero at t=0, one bit at t = ln2/gamma."""
-    def body():
-        dt = math.log(2.0) / 693
-        params = SimulationParams(gamma=1.0, dt=dt, n_steps=800)
-        at_zero = [
-            observables.entanglement_entropy(
-                analytic.spontaneous_emission_state(0.0, params)),
-            observables.entanglement_entropy(
-                run_displaced_sectors(params, 1, "g").qubit_trajectory()[0]),
-        ]
-        packet = make_exponential_wavepacket(1.0, 0.0, SimulationParams(
-            gamma=1.0, dt=1e-3, n_steps=16000).grid)
-        run = run_single_excitation(SimulationParams(gamma=1.0, dt=1e-3, n_steps=16000),
-                                    packet)
-        at_zero.append(observables.entanglement_entropy(run.state_at(0)))
-        half_life = analytic.spontaneous_emission_state(693 * dt, params)
-        bit = observables.entanglement_entropy(half_life)
-        ok = max(at_zero) <= 1e-12 and abs(bit - 1.0) <= 5e-3
-        return ok, (f"entropy(t=0) max {max(at_zero):.1e} <= 1e-12, "
-                    f"entropy(ln2/gamma) = {bit:.4f} bits (want 1.000 +- 0.005)")
-    passed, detail, rt = _timed(body)
-    return CriterionResult("criterion-8 entanglement-entropy", passed and rt < 1.0,
-                           detail + f"; runtime {rt:.2f}s < 1s", rt)
+    dt = math.log(2.0) / 693
+    params = SimulationParams(gamma=1.0, dt=dt, n_steps=800)
+    at_zero = [
+        observables.entanglement_entropy(
+            analytic.spontaneous_emission_state(0.0, params)),
+        observables.entanglement_entropy(
+            run_displaced_sectors(params, 1, "g").qubit_trajectory()[0]),
+    ]
+    packet = make_exponential_wavepacket(1.0, 0.0, SimulationParams(
+        gamma=1.0, dt=1e-3, n_steps=16000).grid)
+    run = run_single_excitation(SimulationParams(gamma=1.0, dt=1e-3, n_steps=16000),
+                                packet)
+    at_zero.append(observables.entanglement_entropy(run.state_at(0)))
+    half_life = analytic.spontaneous_emission_state(693 * dt, params)
+    bit = observables.entanglement_entropy(half_life)
+    ok = max(at_zero) <= 1e-12 and abs(bit - 1.0) <= 5e-3
+    return ok, (f"entropy(t=0) max {max(at_zero):.1e} <= 1e-12, "
+                f"entropy(ln2/gamma) = {bit:.4f} bits (want 1.000 +- 0.005)")
 
 
-def criterion_9() -> CriterionResult:
+@_criterion("criterion-9 determinism")
+def criterion_9():
     """Determinism: every preset yields byte-identical CSV on repeated runs."""
-    def body():
-        mismatched = []
-        with tempfile.TemporaryDirectory() as tmp:
-            for name in cli.PRESETS:
-                stem = _preset_stem(name)
-                payloads = []
-                for attempt in ("a", "b"):
-                    out = os.path.join(tmp, f"{name}-{attempt}")
-                    with contextlib.redirect_stdout(io.StringIO()):
-                        code = cli.main(["run", name, "--out", out])
-                    if code != 0:
-                        mismatched.append(f"{name}: exit {code}")
-                        break
-                    with open(os.path.join(out, stem + ".csv"), "rb") as fh:
-                        payloads.append(fh.read())
-                if len(payloads) == 2 and payloads[0] != payloads[1]:
-                    mismatched.append(name)
-        ok = not mismatched
-        return ok, ("all presets byte-identical on rerun" if ok
-                    else f"mismatches: {mismatched}")
-    passed, detail, rt = _timed(body)
-    return CriterionResult("criterion-9 determinism", passed, detail, rt)
-
-
-def _preset_stem(name: str) -> str:
-    config = cli.parse_config(cli.PRESETS[name])
-    return config.stem()
+    mismatched = []
+    with tempfile.TemporaryDirectory() as tmp:
+        for name in cli.PRESETS:
+            payloads = []
+            for attempt in ("a", "b"):
+                out = os.path.join(tmp, f"{name}-{attempt}")
+                with contextlib.redirect_stdout(io.StringIO()) as printed:
+                    code = cli.main(["run", name, "--out", out])
+                if code != 0:
+                    mismatched.append(f"{name}: exit {code}")
+                    break
+                # the first line `collide1d run` prints is the CSV path
+                with open(printed.getvalue().splitlines()[0], "rb") as fh:
+                    payloads.append(fh.read())
+            if len(payloads) == 2 and payloads[0] != payloads[1]:
+                mismatched.append(name)
+    ok = not mismatched
+    return ok, ("all presets byte-identical on rerun" if ok
+                else f"mismatches: {mismatched}")
 
 
 ALL_CRITERIA = (criterion_1, criterion_2, criterion_3, criterion_4, criterion_5,

@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -97,17 +96,13 @@ def fm(eps: str, phi0: str, t: float, times, params: SimulationParams) -> comple
     return (-math.sqrt(params.gamma)) ** len(times) * value
 
 
-@dataclass
-class CoefficientSet(SectorState):
-    """Analytic coefficients assembled into the sector-state layout.
-
-    Discrete amplitudes are (sqrt(dt))^m times the continuum densities.
-    """
-
-
 def assemble_coherent(params: SimulationParams, t: float, m_max: int, phi0="g",
-                      max_amplitudes: int = MAX_SECTOR_AMPLITUDES) -> CoefficientSet:
-    """Evaluate the closed-form coefficients over all ordered tuples up to m_max."""
+                      max_amplitudes: int = MAX_SECTOR_AMPLITUDES) -> SectorState:
+    """Evaluate the closed-form coefficients over all ordered tuples up to m_max.
+
+    The result has the sector-state layout; its discrete amplitudes are
+    (sqrt(dt))^m times the continuum densities.
+    """
     if m_max > 3:
         raise ValueError("analytic assembly is limited to m_max <= 3 (cost guard)")
     grid = params.grid
@@ -122,8 +117,8 @@ def assemble_coherent(params: SimulationParams, t: float, m_max: int, phi0="g",
     # continuum lags measure from the emission time itself: offset 0
     tuples, values = _conv.materialize_tuples(mats, emit, phases, qubit_vector(phi0), step,
                                               m_max, offset=0)
-    return CoefficientSet(step=step, m_max=m_max, grid=grid, frame=DISPLACED,
-                          tuples=tuples, values=values)
+    return SectorState(step=step, m_max=m_max, grid=grid, frame=DISPLACED,
+                       tuples=tuples, values=values)
 
 
 def coherent_qubit_trajectory(params: SimulationParams, m_max: int, phi0="g"):
@@ -152,7 +147,7 @@ def _strong_drive_guard(params: SimulationParams):
             ValidityWarning, stacklevel=3)
 
 
-def strong_drive_state(t: float, params: SimulationParams) -> CoefficientSet:
+def strong_drive_state(t: float, params: SimulationParams) -> SectorState:
     """Resonant strong-drive state from the ground state, sectors m <= 1.
 
     Vacuum amplitudes e^{-gamma t/4} (cos, sin)(Omega t/2); one-photon
@@ -173,10 +168,10 @@ def strong_drive_state(t: float, params: SimulationParams) -> CoefficientSet:
     one[0] = np.cos(0.5 * omega * (t - tp)) * common
     one[1] = np.sin(0.5 * omega * (t - tp)) * common
     one *= math.sqrt(params.dt)  # discrete amplitude = sqrt(dt) * density
-    return CoefficientSet(step=step, m_max=1, grid=grid, frame=DISPLACED,
-                          tuples=[np.zeros((1, 0), dtype=int),
-                                  np.arange(step, dtype=int).reshape(step, 1)],
-                          values=[vac, one])
+    return SectorState(step=step, m_max=1, grid=grid, frame=DISPLACED,
+                       tuples=[np.zeros((1, 0), dtype=int),
+                               np.arange(step, dtype=int).reshape(step, 1)],
+                       values=[vac, one])
 
 
 def strong_drive_weights(params: SimulationParams):

@@ -16,6 +16,7 @@ import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, fields, replace
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -23,8 +24,9 @@ from . import __version__
 from . import analytic, observables
 from .core import (MemoryGuardError, SimulationParams, Wavepacket,
                    make_exponential_wavepacket, make_gaussian_wavepacket)
-from .engine import (DISPLACED, LAB, MAX_SECTOR_AMPLITUDES, DenseJointState, run_dense,
-                     run_displaced_sectors, run_single_excitation)
+from .engine import (DISPLACED, LAB, MAX_SECTOR_AMPLITUDES, DenseJointState,
+                     check_dense_size, run_dense, run_displaced_sectors,
+                     run_single_excitation)
 
 CSV_HEADER = "t,p_e,re_coh,im_coh,entropy_bits,norm,photon_flux,io_residual"
 
@@ -385,12 +387,8 @@ def _displaced_dense_run(params: SimulationParams, phi0, **kwargs):
     return run_dense(params, initial, frame=DISPLACED, **kwargs)
 
 
-def oracle_amplitude_error(config: ScenarioConfig, scale: int):
-    """Largest |dense - closed form| tuple amplitude density at step dt*scale.
-
-    The final time stays fixed.  Returns (error, dense trajectory).
-    """
-    params = replace(config, dt=config.dt * scale, n_steps=config.n_steps // scale).params()
+def _oracle_amplitude_error(params: SimulationParams, config: ScenarioConfig):
+    """Largest |dense - closed form| tuple amplitude density, and the dense run."""
     phi0 = config.resolved_phi0()
     traj = _displaced_dense_run(params, phi0)
     psi = traj.snapshot(params.n_steps).amplitudes.reshape(2, -1)
@@ -406,91 +404,91 @@ def oracle_amplitude_error(config: ScenarioConfig, scale: int):
     return worst, traj
 
 
-def io_residual_max(config: ScenarioConfig, scale: int):
-    """Largest input-output residual of the displaced dense run at step dt/scale.
-
-    The number of collisions stays fixed.  Returns (residual, dense trajectory).
-    """
-    params = replace(config, dt=config.dt / scale).params()
+def _io_residual_max(params: SimulationParams, config: ScenarioConfig):
+    """Largest input-output residual of the displaced dense run, and the run."""
     traj = _displaced_dense_run(params, config.resolved_phi0(), snapshot_steps="all")
     return float(observables.io_residual(traj).max()), traj
 
 
-def convergence_error(config: ScenarioConfig, scale: int):
-    """Largest |P_e - e^{-gamma t}| of the lab-frame dense run from |e> at step dt/scale.
-
-    The final time stays fixed.  Returns (error, dense trajectory).
-    """
-    params = replace(config, dt=config.dt / scale, n_steps=config.n_steps * scale).params()
+def _convergence_error(params: SimulationParams, config: ScenarioConfig):
+    """Largest |P_e - e^{-gamma t}| of the lab-frame dense run from |e>, and the run."""
     initial = DenseJointState.product_state("e", params.n_steps, params.fock_dim)
     traj = run_dense(params, initial, frame=LAB)
     expected = np.exp(-params.gamma * params.grid.times())
     return float(np.abs(traj.p_excited() - expected).max()), traj
 
 
-def _sweep(config: ScenarioConfig, jobs: int, measure, scales, keep: int, dts, name: str):
-    """Run measure(config, scale) at every scale, in order, on `jobs` workers.
+class _Sweep(NamedTuple):
+    measure: Callable   # (params, config) -> (error, dense trajectory)
+    factors: tuple      # dt multipliers, in run order
+    keep: float         # the factor whose trajectory the CSV shows
+    fixed_time: bool    # n_steps scales as 1/factor; otherwise it stays fixed
+    name: str           # metric prefix: <name>_dt_<dt>
+    passes: Callable    # (fit exponent, dts, errors) -> threshold_ok
+    columns: Callable   # kept trajectory -> extra CSV columns
 
-    Returns the trajectory measured at scale `keep` (the one the CSV shows),
-    the errors, and the metrics: the fitted power of dt and one
-    `<name>_dt_<dt>` entry per scale.
+
+_SWEEPS = {
+    "oracle-compare": _Sweep(
+        _oracle_amplitude_error, (4.0, 2.0, 1.0), 1.0, True, "max_amp_error",
+        lambda fit, dts, errors: 0.7 <= fit <= 1.3, lambda traj: {}),
+    "io-check": _Sweep(
+        _io_residual_max, (1.0, 0.5, 0.25), 1.0, False, "max_io_residual",
+        lambda fit, dts, errors: (abs(fit - 1.0) <= 0.2
+                                  and all(e <= 5 * dt for e, dt in zip(errors, dts))),
+        lambda traj: {"io_residual": observables.io_residual(traj)}),
+    "convergence": _Sweep(
+        _convergence_error, (1.0, 0.5, 0.25), 0.25, True, "max_p_e_error",
+        lambda fit, dts, errors: abs(fit - 1.0) <= 0.15 and errors[-1] <= 0.02,
+        lambda traj: {"flux": _dense_flux(traj)}),
+}
+
+
+def sweep(config: ScenarioConfig, jobs: int = 1, strict: bool = False):
+    """Measure a check scenario's error at every step size, on `jobs` workers.
+
+    Every step size's parameters pass the validity and dense memory guards
+    before the first run.  Returns the trajectory at the kept step size (the
+    one the CSV shows) and the metrics: the fitted power of dt, one
+    `<name>_dt_<dt>` entry per step size, and the sweep's `threshold_ok`.
     """
+    spec = _SWEEPS[config.scenario]
+    coarsest = max(spec.factors)
+    if spec.fixed_time and config.n_steps % coarsest:
+        raise ConfigError([f"config: {config.scenario} needs n_steps divisible by "
+                           f"{coarsest:g} (it runs {coarsest:g}*dt at fixed final time)"])
+    runs = []
+    for factor in spec.factors:
+        n_steps = int(config.n_steps / factor) if spec.fixed_time else config.n_steps
+        params = replace(config, dt=config.dt * factor, n_steps=n_steps).params(strict)
+        check_dense_size(params.n_steps, params.fock_dim)
+        runs.append(params)
     with ProcessPoolExecutor(jobs) if jobs > 1 else contextlib.nullcontext() as pool:
-        results = (pool.map if pool else map)(measure, [config] * len(scales), scales)
-        errors = []
-        for scale in scales:
+        results = (pool.map if pool else map)(spec.measure, runs, [config] * len(runs))
+        dts, errors = [], []
+        for factor in spec.factors:
             error, traj = next(results)
+            dts.append(traj.params.dt)
             errors.append(error)
-            if scale == keep:
+            if factor == spec.keep:
                 kept = traj
-            del traj  # free each other trajectory before the next scale runs
-    metrics = {"fit_exponent": observables.power_law_exponent(dts, errors)}
-    metrics.update((f"{name}_dt_{_fmt(dt)}", err) for dt, err in zip(dts, errors))
-    return kept, errors, metrics
-
-
-def _run_oracle_compare(config: ScenarioConfig, jobs: int):
-    if config.n_steps % 4 != 0:
-        raise ConfigError(["config: oracle-compare needs n_steps divisible by 4 "
-                           "(it compares dt, 2*dt and 4*dt at fixed final time)"])
-    scales = [4, 2, 1]
-    traj, _, metrics = _sweep(config, jobs, oracle_amplitude_error, scales, 1,
-                              [config.dt * s for s in scales], "max_amp_error")
-    metrics["threshold_ok"] = 0.7 <= metrics["fit_exponent"] <= 1.3
-    return _dense_table(traj, config.snapshot_stride), metrics
-
-
-def _run_io_check(config: ScenarioConfig, jobs: int):
-    scales = [1, 2, 4]
-    dts = [config.dt / s for s in scales]
-    traj, residuals, metrics = _sweep(config, jobs, io_residual_max, scales, 1, dts,
-                                      "max_io_residual")
-    bound_ok = all(r <= 5 * dt_v for r, dt_v in zip(residuals, dts))
-    metrics["threshold_ok"] = bound_ok and 0.8 <= metrics["fit_exponent"] <= 1.2
-    return _dense_table(traj, config.snapshot_stride,
-                        io_residual=observables.io_residual(traj)), metrics
-
-
-def _run_convergence(config: ScenarioConfig, jobs: int):
-    scales = [1, 2, 4]
-    traj, errors, metrics = _sweep(config, jobs, convergence_error, scales, 4,
-                                   [config.dt / s for s in scales], "max_p_e_error")
-    metrics["threshold_ok"] = 0.85 <= metrics["fit_exponent"] <= 1.15 and errors[-1] <= 0.02
-    return _dense_table(traj, config.snapshot_stride, flux=_dense_flux(traj)), metrics
-
-
-_SWEEPS = {"oracle-compare": _run_oracle_compare, "io-check": _run_io_check,
-           "convergence": _run_convergence}
+            del traj  # free each other trajectory before the next step size runs
+    fit = observables.power_law_exponent(dts, errors)
+    metrics = {"fit_exponent": fit}
+    metrics.update((f"{spec.name}_dt_{_fmt(dt)}", err) for dt, err in zip(dts, errors))
+    metrics["threshold_ok"] = spec.passes(fit, dts, errors)
+    return kept, metrics
 
 
 def run_scenario(config: ScenarioConfig, out_dir: str = ".", jobs: int = 1,
                  strict: bool = False):
     """Execute a validated config; returns (table, metrics, csv_path, exit_code)."""
-    params = config.params(strict=strict)
     if config.scenario in _SWEEPS:
-        table, metrics = _SWEEPS[config.scenario](config, jobs)
+        traj, metrics = sweep(config, jobs, strict)
+        table = _dense_table(traj, config.snapshot_stride,
+                             **_SWEEPS[config.scenario].columns(traj))
     else:
-        table, metrics = _solve(config, params), {}
+        table, metrics = _solve(config, config.params(strict=strict)), {}
     os.makedirs(out_dir, exist_ok=True)
     stem = os.path.join(out_dir, config.stem())
     csv_path = stem + ".csv"

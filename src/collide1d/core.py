@@ -144,7 +144,8 @@ class SimulationParams:
                        f"is only first order in dt")
                 if self.strict:
                     raise ValueError(msg)
-                warnings.warn(msg, ValidityWarning, stacklevel=3)
+                # past __post_init__ and the generated __init__ to the caller
+                warnings.warn(msg, ValidityWarning, stacklevel=4)
 
     @property
     def omega_p(self) -> float:

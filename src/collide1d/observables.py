@@ -2,12 +2,10 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
 import numpy as np
 
 from .engine import (DenseJointState, DenseTrajectory, SectorState,
-                     SinglePhotonState, SIGMA_MINUS, annihilation)
+                     SinglePhotonState, annihilation)
 
 #: largest |trace - 1| of a reduced qubit state that is still renormalized
 MAX_NORM_DEFICIT = 0.1
@@ -82,20 +80,6 @@ def photon_density(state, dt: float | None = None) -> np.ndarray:
     raise TypeError(f"cannot compute photon density of a {type(state).__name__}")
 
 
-@dataclass
-class IoRecord:
-    """Discrete input/output field averages around each collision (n = 1..N).
-
-    a_out[n-1]   = <a_{n-1}>/sqrt(dt) in the state after collision n-1,
-    a_in_prev[n-1] = <a_{n-1}>/sqrt(dt) in the state before it,
-    sm_prev[n-1] = interaction-picture <sigma_-(t_{n-1})> before it.
-    """
-
-    a_out: np.ndarray = field(repr=False)
-    a_in_prev: np.ndarray = field(repr=False)
-    sm_prev: np.ndarray = field(repr=False)
-
-
 def _mode_average(state: DenseJointState, mode: int) -> complex:
     psi = state.tensor()
     lowered = np.tensordot(annihilation(state.fock_dim), psi, axes=[(1,), (1 + mode,)])
@@ -103,43 +87,27 @@ def _mode_average(state: DenseJointState, mode: int) -> complex:
     return complex(np.vdot(psi.reshape(-1), lowered.reshape(-1)))
 
 
-def _sigma_minus_average(state: DenseJointState) -> complex:
-    psi = state.tensor()
-    lowered = np.tensordot(SIGMA_MINUS, psi, axes=[(1,), (0,)])
-    return complex(np.vdot(psi.reshape(-1), lowered.reshape(-1)))
+def io_residual(trajectory: DenseTrajectory) -> np.ndarray:
+    """|<a_out(t_n)> - <a_in(t_{n-1})> + sqrt(gamma) <sigma_-(t_{n-1})>| per step.
 
-
-def io_record(trajectory: DenseTrajectory) -> IoRecord:
-    """Field averages entering the discrete input-output relation."""
+    For collision n = 1..N, a_out and a_in are <a_{n-1}>/sqrt(dt) in the
+    snapshots after and before it, and <sigma_-> is the interaction-picture
+    rho_eg before it, read from the recorded qubit matrices.  Zero to machine
+    precision for vacuum and spontaneous emission; first order in dt for
+    driven runs (the remainder of the per-collision expansion).
+    """
     params = trajectory.params
     n = params.n_steps
     missing = [s for s in range(n + 1) if s not in trajectory.snapshots]
     if missing:
-        raise ValueError(f"io record needs snapshots at every step; missing {missing[:4]}...")
+        raise ValueError(f"io residual needs snapshots at every step; missing {missing[:4]}...")
     omega = params.omega_q if trajectory.frame == "lab" else params.omega_p
     root_dt = np.sqrt(params.dt)
-    a_out = np.empty(n, dtype=complex)
-    a_in_prev = np.empty(n, dtype=complex)
-    sm_prev = np.empty(n, dtype=complex)
-    for step in range(1, n + 1):
-        after = trajectory.snapshot(step)
-        before = trajectory.snapshot(step - 1)
-        a_out[step - 1] = _mode_average(after, step - 1) / root_dt
-        a_in_prev[step - 1] = _mode_average(before, step - 1) / root_dt
-        sm_prev[step - 1] = (_sigma_minus_average(before)
-                             * np.exp(-1j * omega * (step - 1) * params.dt))
-    return IoRecord(a_out=a_out, a_in_prev=a_in_prev, sm_prev=sm_prev)
-
-
-def io_residual(trajectory: DenseTrajectory) -> np.ndarray:
-    """|<a_out(t_n)> - <a_in(t_{n-1})> + sqrt(gamma) <sigma_-(t_{n-1})>| per step.
-
-    Zero to machine precision for vacuum and spontaneous emission; first order
-    in dt for driven runs (the remainder of the per-collision expansion).
-    """
-    rec = io_record(trajectory)
-    gamma = trajectory.params.gamma
-    return np.abs(rec.a_out - rec.a_in_prev + np.sqrt(gamma) * rec.sm_prev)
+    field = np.array([_mode_average(trajectory.snapshot(s + 1), s) / root_dt
+                      - _mode_average(trajectory.snapshot(s), s) / root_dt for s in range(n)])
+    sigma_minus = (trajectory.qubit_matrices[:n, 1, 0]
+                   * np.exp(-1j * omega * np.arange(n) * params.dt))
+    return np.abs(field + np.sqrt(params.gamma) * sigma_minus)
 
 
 def state_fidelity(a, b) -> float:

@@ -5,6 +5,7 @@ import pytest
 
 from collide1d import cli
 from collide1d.cli import (ConfigError, PRESETS, parse_config, run_scenario)
+from collide1d.engine import run_dense
 
 
 def read_csv(path):
@@ -212,6 +213,26 @@ class TestMain:
             assert cli.main(["run", str(risky), "--out", str(tmp_path)]) == 0
         assert cli.main(["run", str(risky), "--out", str(tmp_path),
                          "--strict"]) == 2
+
+    @pytest.mark.parametrize("text,flags", [
+        # 6, 12 and 24 modes at fixed final time: 24 exceed the dense memory guard
+        ("scenario = convergence\ndt = 0.01\nn_steps = 6\n", []),
+        # gamma*dt = omega_rabi*dt = 0.12 at the coarsest step, 4*dt
+        ("scenario = oracle-compare\ngamma = 1\nomega_rabi = 1\ndt = 0.03\n"
+         "n_steps = 8\n", ["--strict"]),
+    ], ids=["convergence-memory-guard", "oracle-compare-strict"])
+    def test_sweep_guards_run_before_any_dense_run(self, tmp_path, monkeypatch, text,
+                                                   flags):
+        calls = []
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return run_dense(*args, **kwargs)
+        monkeypatch.setattr(cli, "run_dense", counted)
+        cfg = tmp_path / "sweep.cfg"
+        cfg.write_text(text)
+        assert cli.main(["run", str(cfg), "--out", str(tmp_path)] + flags) == 2
+        assert calls == []
 
     def test_threshold_failure_exits_3(self, tmp_path):
         # a drive strong enough that the first-order residual bound genuinely

@@ -53,6 +53,11 @@ class TestSimulationParams:
         with pytest.warns(ValidityWarning):
             SimulationParams(gamma=1.0, dt=0.2, n_steps=5)
 
+    def test_validity_warning_points_at_the_constructing_line(self):
+        with pytest.warns(ValidityWarning) as record:
+            SimulationParams(gamma=1.0, dt=0.2, n_steps=5)
+        assert record[0].filename == __file__
+
     def test_validity_guard_raises_when_strict(self):
         with pytest.raises(ValueError):
             SimulationParams(gamma=1.0, dt=1e-3, n_steps=5, omega_rabi=200.0,

@@ -6,10 +6,12 @@ branch; the ``.csv`` and ``.manifest`` beside it were written by
 must repeat them byte for byte, except those in ``NUMERIC``, which are compared
 field by field to an absolute ``NUMERIC_TOL``.  Their goldens were written by
 code that rounds differently: an FFT convolution chain for the three whose
-sector moments now come from the blocked moment recurrence, and a sequential
-collision loop for the two recursion branches, which now use a doubling scan.
-Largest measured differences (.csv/.manifest): recursion-exponential
-1.3e-15/4.4e-16, recursion-gaussian 2.3e-15/2.3e-15.  Regenerate the files
+sector moments now come from the blocked moment recurrence, a sequential
+collision loop for the two recursion branches, which now use a doubling scan,
+and a full-state <sigma_-> contraction for io-check, whose residual now reads
+rho_eg from the recorded qubit matrices.  Largest measured differences
+(.csv/.manifest): recursion-exponential 1.3e-15/4.4e-16, recursion-gaussian
+2.3e-15/2.3e-15, io-check 1.4e-17/0.  Regenerate the files
 only for a change that is meant to alter the numbers, and say so where it is
 recorded.
 The goldens assume numpy's default BLAS thread count: with one BLAS thread the
@@ -26,7 +28,7 @@ from collide1d.cli import COMPATIBLE, parse_config, run_scenario
 GOLDEN = os.path.join(os.path.dirname(__file__), "golden")
 NAMES = sorted(f[:-4] for f in os.listdir(GOLDEN) if f.endswith(".cfg"))
 SWEEPS = ("oracle-compare", "io-check", "convergence")
-NUMERIC = ("coherent-analytic", "coherent-sectors", "spont-sectors",
+NUMERIC = ("coherent-analytic", "coherent-sectors", "io-check", "spont-sectors",
            "single-photon-recursion-exponential", "single-photon-recursion-gaussian")
 NUMERIC_TOL = 1e-12
 SEPARATOR = {".csv": ",", ".manifest": " = "}

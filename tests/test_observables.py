@@ -191,6 +191,13 @@ class TestFidelity:
         b = run_displaced_sectors(p, 6, "g").state_at(6)
         assert state_fidelity(a, b) == pytest.approx(1.0, abs=1e-12)
 
+    def test_sector_state_against_closed_form(self):
+        # the closed-form assembly has the sector-state layout, so the two compare
+        p = SimulationParams(gamma=1.0, dt=1e-2, n_steps=40, omega_rabi=2.0)
+        fid = state_fidelity(run_displaced_sectors(p, 2).state_at(40),
+                             analytic.assemble_coherent(p, 0.4, 2))
+        assert fid >= 1 - 1e-4
+
 
 class TestAnalysisHelpers:
     def test_dominant_frequency_of_pure_tone(self):
