@@ -106,6 +106,9 @@ _KNOWN_KEYS = {f.name for f in fields(ScenarioConfig)}
 _FLOAT_KEYS = {"gamma", "omega_q", "delta", "omega_rabi", "dt", "wavepacket_gamma",
                "wavepacket_sigma", "wavepacket_t0", "wavepacket_omega"}
 _INT_KEYS = {"n_steps", "fock_dim", "m_max", "snapshot_stride"}
+#: largest magnitude of a float key: the closed forms square rates and widths
+#: (sums of two such squares stay finite), and divide by wavepacket_sigma^2
+_MAX_MAGNITUDE = 1e150
 
 
 def parse_config(text: str) -> ScenarioConfig:
@@ -164,6 +167,13 @@ def parse_config(text: str) -> ScenarioConfig:
     for key in positive & values.keys():
         if isinstance(values[key], (int, float)) and values[key] <= 0:
             problems.append(f"{where(key)}: {key} must be positive, got {values[key]}")
+    for key, value in values.items():
+        if key in _FLOAT_KEYS and math.isfinite(value) and abs(value) > _MAX_MAGNITUDE:
+            problems.append(f"{where(key)}: |{key}| must be <= {_MAX_MAGNITUDE:g}, "
+                            f"got {value:g}")
+    if 0 < values.get("wavepacket_sigma", 1.0) < 1 / _MAX_MAGNITUDE:
+        problems.append(f"{where('wavepacket_sigma')}: wavepacket_sigma must be >= "
+                        f"{1 / _MAX_MAGNITUDE:g}, got {values['wavepacket_sigma']:g}")
     if isinstance(values.get("omega_rabi"), float) and values["omega_rabi"] < 0:
         problems.append(f"{where('omega_rabi')}: omega_rabi must be non-negative")
     for key, low in (("n_steps", 1), ("fock_dim", 2), ("m_max", 0), ("snapshot_stride", 1)):
@@ -222,18 +232,19 @@ class ResultTable:
     photon_flux: list | None = None      # may contain None entries (edge bins)
     io_residual: list | None = None
 
-    def rows(self):
-        n = len(self.t)
-        cols = [self.t, self.p_e, self.re_coh, self.im_coh, self.entropy_bits,
-                self.norm, self.photon_flux, self.io_residual]
-        for i in range(n):
-            yield [None if c is None else c[i] for c in cols]
-
     def write_csv(self, path: str):
+        """One %.17g template per table, absent columns left empty; None cells
+        (edge bins) may sit only in the first and last rows, which go through _fmt."""
+        cols = [getattr(self, f.name) for f in fields(self)]
+        tmpl = ",".join("" if c is None else "%.17g" for c in cols) + "\n"
+        rows = list(zip(*(c.tolist() if isinstance(c, np.ndarray) else c
+                          for c in cols if c is not None)))
+        edge = tmpl.replace("%.17g", "%s")
         with open(path, "w", encoding="utf-8", newline="\n") as fh:
             fh.write(CSV_HEADER + "\n")
-            for row in self.rows():
-                fh.write(",".join(_fmt(v) for v in row) + "\n")
+            fh.writelines([edge % tuple(map(_fmt, rows[0]))]
+                          + [tmpl % row for row in rows[1:-1]]
+                          + [edge % tuple(map(_fmt, row)) for row in rows[1:][-1:]])
 
 
 def write_manifest(path: str, config: ScenarioConfig, metrics: dict):
@@ -388,59 +399,58 @@ def _displaced_dense_run(params: SimulationParams, phi0, **kwargs):
 
 
 def _oracle_amplitude_error(params: SimulationParams, config: ScenarioConfig):
-    """Largest |dense - closed form| tuple amplitude density, and the dense run."""
+    """Per sector, the largest |dense - closed form| tuple amplitude density; and the run."""
     phi0 = config.resolved_phi0()
     traj = _displaced_dense_run(params, phi0)
     psi = traj.snapshot(params.n_steps).amplitudes.reshape(2, -1)
     m_max = min(3, config.m_max, params.n_steps)
     coeffs = analytic.assemble_coherent(params, params.grid.total_time, m_max, phi0)
-    worst = 0.0
+    errors = np.empty(m_max + 1)
     for m in range(m_max + 1):
         diff = psi[:, coeffs.dense_index(m, params.fock_dim)] - coeffs.values[m]
-        # hypot rounds like abs() of one complex number; np.abs of a complex
-        # array may not, and the error is written to the manifest
-        err = float(np.hypot(diff.real, diff.imag).max())
-        worst = max(worst, err / params.dt ** (m / 2))  # densities: every sector O(1)
-    return worst, traj
+        # densities, every sector O(1); hypot rounds like abs() of one complex
+        # number, np.abs of a complex array may not, and the error is written
+        # to the manifest
+        errors[m] = np.hypot(diff.real, diff.imag).max() / params.dt ** (m / 2)
+    return errors, traj
 
 
-def _io_residual_max(params: SimulationParams, config: ScenarioConfig):
-    """Largest input-output residual of the displaced dense run, and the run."""
+def _io_residuals(params: SimulationParams, config: ScenarioConfig):
+    """Input-output residual per collision of the displaced dense run, and the run."""
     traj = _displaced_dense_run(params, config.resolved_phi0(), snapshot_steps="all")
-    return float(observables.io_residual(traj).max()), traj
+    return observables.io_residual(traj), traj
 
 
 def _convergence_error(params: SimulationParams, config: ScenarioConfig):
-    """Largest |P_e - e^{-gamma t}| of the lab-frame dense run from |e>, and the run."""
+    """|P_e - e^{-gamma t}| per step of the lab-frame dense run from |e>, and the run."""
     initial = DenseJointState.product_state("e", params.n_steps, params.fock_dim)
     traj = run_dense(params, initial, frame=LAB)
-    expected = np.exp(-params.gamma * params.grid.times())
-    return float(np.abs(traj.p_excited() - expected).max()), traj
+    return np.abs(traj.p_excited() - np.exp(-params.gamma * params.grid.times())), traj
 
 
 class _Sweep(NamedTuple):
-    measure: Callable   # (params, config) -> (error, dense trajectory)
+    measure: Callable   # (params, config) -> (errors, dense trajectory); metric: max
     factors: tuple      # dt multipliers, in run order
     keep: float         # the factor whose trajectory the CSV shows
     fixed_time: bool    # n_steps scales as 1/factor; otherwise it stays fixed
     name: str           # metric prefix: <name>_dt_<dt>
     passes: Callable    # (fit exponent, dts, errors) -> threshold_ok
-    columns: Callable   # kept trajectory -> extra CSV columns
+    columns: Callable   # (kept trajectory, its errors) -> extra CSV columns
 
 
 _SWEEPS = {
     "oracle-compare": _Sweep(
         _oracle_amplitude_error, (4.0, 2.0, 1.0), 1.0, True, "max_amp_error",
-        lambda fit, dts, errors: 0.7 <= fit <= 1.3, lambda traj: {}),
+        lambda fit, dts, errors: 0.7 <= fit <= 1.3, lambda traj, errors: {}),
     "io-check": _Sweep(
-        _io_residual_max, (1.0, 0.5, 0.25), 1.0, False, "max_io_residual",
+        _io_residuals, (1.0, 0.5, 0.25), 1.0, False, "max_io_residual",
         lambda fit, dts, errors: (abs(fit - 1.0) <= 0.2
                                   and all(e <= 5 * dt for e, dt in zip(errors, dts))),
-        lambda traj: {"io_residual": observables.io_residual(traj)}),
+        lambda traj, residuals: {"io_residual": residuals}),
     "convergence": _Sweep(
         _convergence_error, (1.0, 0.5, 0.25), 0.25, True, "max_p_e_error",
         lambda fit, dts, errors: abs(fit - 1.0) <= 0.15 and errors[-1] <= 0.02,
-        lambda traj: {"flux": _dense_flux(traj)}),
+        lambda traj, errors: {"flux": _dense_flux(traj)}),
 }
 
 
@@ -448,9 +458,10 @@ def sweep(config: ScenarioConfig, jobs: int = 1, strict: bool = False):
     """Measure a check scenario's error at every step size, on `jobs` workers.
 
     Every step size's parameters pass the validity and dense memory guards
-    before the first run.  Returns the trajectory at the kept step size (the
-    one the CSV shows) and the metrics: the fitted power of dt, one
-    `<name>_dt_<dt>` entry per step size, and the sweep's `threshold_ok`.
+    before the first run.  Returns the measurement (errors, trajectory) at the
+    kept step size (the one the CSV shows) and the metrics: the fitted power of
+    dt, one `<name>_dt_<dt>` entry (the largest error) per step size, and the
+    sweep's `threshold_ok`.
     """
     spec = _SWEEPS[config.scenario]
     coarsest = max(spec.factors)
@@ -467,11 +478,11 @@ def sweep(config: ScenarioConfig, jobs: int = 1, strict: bool = False):
         results = (pool.map if pool else map)(spec.measure, runs, [config] * len(runs))
         dts, errors = [], []
         for factor in spec.factors:
-            error, traj = next(results)
+            run_errors, traj = next(results)
             dts.append(traj.params.dt)
-            errors.append(error)
+            errors.append(float(run_errors.max()))
             if factor == spec.keep:
-                kept = traj
+                kept = run_errors, traj
             del traj  # free each other trajectory before the next step size runs
     fit = observables.power_law_exponent(dts, errors)
     metrics = {"fit_exponent": fit}
@@ -484,9 +495,9 @@ def run_scenario(config: ScenarioConfig, out_dir: str = ".", jobs: int = 1,
                  strict: bool = False):
     """Execute a validated config; returns (table, metrics, csv_path, exit_code)."""
     if config.scenario in _SWEEPS:
-        traj, metrics = sweep(config, jobs, strict)
+        (errors, traj), metrics = sweep(config, jobs, strict)
         table = _dense_table(traj, config.snapshot_stride,
-                             **_SWEEPS[config.scenario].columns(traj))
+                             **_SWEEPS[config.scenario].columns(traj, errors))
     else:
         table, metrics = _solve(config, config.params(strict=strict)), {}
     os.makedirs(out_dir, exist_ok=True)

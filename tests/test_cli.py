@@ -172,6 +172,29 @@ class TestMain:
         assert "finite" in capsys.readouterr().err
         assert not (tmp_path / "spont.csv").exists()
 
+    @pytest.mark.parametrize("text,message", [
+        # sigma^2 underflows to 0, which make_gaussian_wavepacket divides by
+        ("scenario = single-photon\nsolver = analytic\ndt = 1e-3\nn_steps = 100\n"
+         "wavepacket = gaussian\nwavepacket_sigma = 1e-300\n",
+         "line 6: wavepacket_sigma must be >= 1e-150, got 1e-300"),
+        # delta^2 overflows in the complex Rabi frequency of the closed form
+        ("scenario = coherent\nsolver = analytic\ndt = 1e-3\nn_steps = 100\n"
+         "delta = 1e300\nomega_rabi = 1\n", "line 5: |delta| must be <= 1e+150, got 1e+300"),
+    ], ids=["gaussian-sigma-underflow", "delta-overflow"])
+    def test_run_rejects_magnitudes_the_closed_forms_cannot_square(self, tmp_path, capsys,
+                                                                   text, message):
+        cfg = tmp_path / "range.cfg"
+        cfg.write_text(text)
+        assert cli.main(["run", str(cfg), "--out", str(tmp_path)]) == 2
+        assert f"config error: {message}" in capsys.readouterr().err
+        assert not list(tmp_path.glob("*.csv"))
+
+    def test_magnitude_bounds_are_inclusive(self):
+        config = parse_config(spont_config(solver="analytic", scenario="single-photon",
+                                           wavepacket="gaussian", wavepacket_sigma="1e-150",
+                                           omega_q="1e150"))
+        assert (config.wavepacket_sigma, config.omega_q) == (1e-150, 1e150)
+
     @pytest.mark.parametrize("solver,step", [("sectors", 2223), ("analytic", 2221)])
     def test_truncation_guard_names_step_and_m_max(self, tmp_path, capsys, solver, step):
         # Omega = 20 for t = 10/gamma: two tracked sectors keep 12% of the

@@ -23,6 +23,7 @@ import os
 
 import pytest
 
+from collide1d import observables
 from collide1d.cli import COMPATIBLE, parse_config, run_scenario
 
 GOLDEN = os.path.join(os.path.dirname(__file__), "golden")
@@ -80,3 +81,16 @@ def test_matches_golden(name, tmp_path):
 @pytest.mark.parametrize("name", SWEEPS)
 def test_sweep_with_workers_matches_golden(name, tmp_path):
     run_and_compare(name, tmp_path, jobs=2)
+
+
+def test_io_check_computes_each_residual_once(tmp_path, monkeypatch):
+    # one residual per step size: the kept run's CSV column reuses its metric's
+    calls = []
+    io_residual = observables.io_residual
+
+    def counted(traj):
+        calls.append(traj.params.dt)
+        return io_residual(traj)
+    monkeypatch.setattr(observables, "io_residual", counted)
+    run_and_compare("io-check", tmp_path)
+    assert calls == [0.01, 0.005, 0.0025]

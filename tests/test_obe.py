@@ -5,8 +5,25 @@ import pytest
 
 from collide1d import SimulationParams, compare_with_cm, obe_integrate
 from collide1d.obe import (_initial_bloch, _rk4_step_matrix, bloch_generator,
-                           bloch_steady_state, obe_steady_state_p_excited)
+                           bloch_steady_state, obe_steady_state_p_excited,
+                           rk_step_limit)
 from collide1d.observables import dominant_angular_frequency
+
+
+def loop_obe(params, t_final, phi0="g", dt_rk=None):
+    """(last + 1, 3) Bloch vectors by the sequential RK4 loop, step by step."""
+    last = params.grid.index_of(t_final)
+    limit = rk_step_limit(params)
+    n_sub = max(1, math.ceil(params.dt / (dt_rk if dt_rk is not None else limit)))
+    step = _rk4_step_matrix(*bloch_generator(params), params.dt / n_sub)
+    x = np.append(_initial_bloch(phi0), 1.0)
+    out = np.empty((last + 1, 3))
+    out[0] = x[:3]
+    for n in range(last):
+        for _ in range(n_sub):
+            x = step @ x
+        out[n + 1] = x[:3]
+    return out
 
 
 class TestIntegration:
