@@ -225,13 +225,25 @@ def spontaneous_emission_norm_closed_form(gamma: float, t: float) -> float:
 
 def xi_tilde_trajectory(wavepacket: Wavepacket, params: SimulationParams) -> np.ndarray:
     """Filtered envelope e^{-gamma t/2} int_0^t e^{gamma t'/2 + i w_q t'} xi(t') dt'
-    on every grid point (left-Riemann, cumulative, O(N))."""
+    on every grid point (left-Riemann, cumulative, O(N)).
+
+    The growing exponent restarts every block of gamma*t/2 <= 300, and the
+    damped running sum is carried from block to block, so no factor overflows
+    however long the run; a run that fits in one block is a single pass.
+    """
     grid = wavepacket.grid
-    tp = np.arange(grid.n_steps) * grid.dt
-    integrand = (np.exp((0.5 * params.gamma + 1j * params.omega_q) * tp)
-                 * wavepacket.samples * grid.dt)
-    cum = np.concatenate(([0.0], np.cumsum(integrand)))
-    return np.exp(-0.5 * params.gamma * grid.times()) * cum
+    n, t = grid.n_steps, grid.times()
+    half_rate = 0.5 * params.gamma * grid.dt
+    block = n if half_rate * n <= 300 else max(1, int(300 / half_rate))
+    out = np.zeros(n + 1, dtype=complex)
+    for s in range(0, n, block):
+        e = min(s + block, n)
+        integrand = (np.exp((0.5 * params.gamma + 1j * params.omega_q) * (t[s:e] - t[s]))
+                     * wavepacket.samples[s:e] * grid.dt)
+        cum = np.concatenate(([0.0], np.cumsum(integrand)))
+        out[s:e + 1] = (np.exp(-0.5 * params.gamma * (t[s:e + 1] - t[s]))
+                        * (out[s] + np.exp(1j * params.omega_q * t[s]) * cum))
+    return out
 
 
 def xi_tilde(wavepacket: Wavepacket, t: float, params: SimulationParams) -> complex:

@@ -57,6 +57,18 @@ def check_dense_size(n_modes: int, fock_dim: int) -> int:
     return 2 * fock_dim**n_modes
 
 
+def _partial_trace(m: np.ndarray) -> np.ndarray:
+    """2x2 qubit matrix of a (2, K) amplitude block, rho[0,1] = sum m[0] conj(m[1]).
+
+    numpy's pairwise sums never thread (a BLAS vdot does), so the bits do not
+    depend on the BLAS thread count.
+    """
+    r00 = np.sum(m[0].real ** 2 + m[0].imag ** 2)
+    r11 = np.sum(m[1].real ** 2 + m[1].imag ** 2)
+    r01 = np.sum(m[0] * m[1].conj())
+    return np.array([[r00, r01], [np.conj(r01), r11]])
+
+
 @dataclass
 class DenseJointState:
     """Full joint state vector over qubit x (d-level)^N.
@@ -96,12 +108,7 @@ class DenseJointState:
 
     def qubit_matrix(self) -> np.ndarray:
         """Partial trace over all modes (not renormalized)."""
-        m = self.amplitudes.reshape(2, -1)
-        # three fused reductions instead of materializing m.conj()
-        r00 = np.vdot(m[0], m[0])
-        r11 = np.vdot(m[1], m[1])
-        r01 = np.vdot(m[1], m[0])  # rho[0,1] = sum m[0] conj(m[1])
-        return np.array([[r00, r01], [np.conj(r01), r11]])
+        return _partial_trace(self.amplitudes.reshape(2, -1))
 
     def copy(self) -> "DenseJointState":
         return DenseJointState(self.amplitudes.copy(), self.n_modes, self.fock_dim, self.frame)
@@ -180,8 +187,9 @@ def _collide_in_place(amplitudes: np.ndarray, unitary: CollisionUnitary, n: int,
     Rows of U that are exactly identity are skipped: for a unitary, an identity
     row implies an identity column, so the remaining rows mix only among
     themselves.  This collapses the lab-frame update to the one excitation
-    exchange block instead of a full-state contraction.  ``work`` is an
-    optional (2, 2d, d^(N-1)) scratch buffer so long runs avoid reallocating.
+    exchange block instead of a full-state contraction.  ``amplitudes`` is the
+    flat state or any (2, d^N) view of it; ``work`` is an optional
+    (2, 2d, d^(N-1)) scratch buffer so long runs avoid reallocating.
     """
     d = unitary.fock_dim
     U = unitary.matrix
@@ -245,6 +253,14 @@ def run_dense(params: SimulationParams, initial: DenseJointState,
               frame: str = LAB, snapshot_steps=None) -> DenseTrajectory:
     """Apply collisions n = 0..N-1 in order to the full joint state.
 
+    Light cone: collision n mixes only (qubit, mode n), so an amplitude with a
+    photon in a mode that has not collided yet keeps its input value.  With
+    ``reach`` the smallest f such that every input amplitude with a photon in
+    a mode >= f is zero, collision n and the reduction after it touch only
+    the amplitudes of the first max(n + 1, reach) modes with the rest in
+    vacuum; every other amplitude is exactly zero and stays so.  The state is
+    still the full tensor, so snapshots are full copies.
+
     snapshot_steps: iterable of steps to keep full copies of, or "all"; by
     default only the initial and final states are retained (per-step reduced
     qubit matrices and norms are always recorded).
@@ -267,20 +283,24 @@ def run_dense(params: SimulationParams, initial: DenseJointState,
     state = initial.copy()
     state.frame = frame
     d = state.fock_dim
-    work = np.empty((2, 2 * d, d ** (n - 1)), dtype=complex)
+    # a nonzero at field index r reaches mode n - (trailing zero base-d digits of r)
+    support = np.flatnonzero(state.amplitudes) % d**n
+    reach = next(f for f in range(n + 1) if not np.any(support % d ** (n - f)))
+    work = np.empty(4 * d**n, dtype=complex)
     qubit = np.empty((n + 1, 2, 2), dtype=complex)
-    norms = np.empty(n + 1)
     snaps: dict[int, DenseJointState] = {}
-    qubit[0] = state.qubit_matrix()
-    norms[0] = math.sqrt(np.trace(qubit[0]).real)
+    qubit[0] = _partial_trace(state.amplitudes.reshape(2, d**reach, -1)[:, :, 0])
     if 0 in wanted:
         snaps[0] = state.copy()
     for step in range(n):
-        _collide_in_place(state.amplitudes, build(step, params, d), step, n, work)
-        qubit[step + 1] = state.qubit_matrix()
-        norms[step + 1] = math.sqrt(np.trace(qubit[step + 1]).real)
+        live = max(step + 1, reach)
+        cone = state.amplitudes.reshape(2, d**live, -1)[:, :, 0]
+        _collide_in_place(cone, build(step, params, d), step, live,
+                          work[:4 * d**live].reshape(2, 2 * d, -1))
+        qubit[step + 1] = _partial_trace(cone)
         if step + 1 in wanted:
             snaps[step + 1] = state.copy()
+    norms = np.sqrt(qubit[:, 0, 0].real + qubit[:, 1, 1].real)
     return DenseTrajectory(params=params, frame=frame, qubit_matrices=qubit,
                            norms=norms, snapshots=snaps)
 

@@ -4,8 +4,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .engine import (DenseJointState, DenseTrajectory, SectorState,
-                     SinglePhotonState, annihilation)
+from .engine import DenseJointState, DenseTrajectory, SectorState, SinglePhotonState
 
 #: largest |trace - 1| of a reduced qubit state that is still renormalized
 MAX_NORM_DEFICIT = 0.1
@@ -70,21 +69,25 @@ def photon_density(state, dt: float | None = None) -> np.ndarray:
     if isinstance(state, DenseJointState):
         if dt is None:
             raise ValueError("photon_density of a dense state needs the bin duration dt")
-        probs = np.abs(state.tensor()) ** 2
-        occ = np.arange(state.fock_dim, dtype=float)
+        d = state.fock_dim
+        # sum out the qubit, then peel off the slowest mode at each pass: O(d^N) in all
+        probs = (np.abs(state.amplitudes) ** 2).reshape(2, -1).sum(axis=0)
         out = np.empty(state.n_modes)
         for n in range(state.n_modes):
-            marginal = probs.sum(axis=tuple(ax for ax in range(probs.ndim) if ax != 1 + n))
-            out[n] = float(marginal @ occ)
+            probs = probs.reshape(d, -1)
+            out[n] = float(probs.sum(axis=1) @ np.arange(d))
+            probs = probs.sum(axis=0)
         return out / dt
     raise TypeError(f"cannot compute photon density of a {type(state).__name__}")
 
 
 def _mode_average(state: DenseJointState, mode: int) -> complex:
-    psi = state.tensor()
-    lowered = np.tensordot(annihilation(state.fock_dim), psi, axes=[(1,), (1 + mode,)])
-    lowered = np.moveaxis(lowered, 0, 1 + mode)
-    return complex(np.vdot(psi.reshape(-1), lowered.reshape(-1)))
+    """<a_mode> = sum_k sqrt(k+1) conj(psi[.., k, ..]) psi[.., k+1, ..], one numpy
+    pairwise sum (no BLAS, so the bits do not depend on its thread count)."""
+    d = state.fock_dim
+    psi = state.amplitudes.reshape(-1, d, d ** (state.n_modes - 1 - mode))
+    lowered = np.sqrt(np.arange(1, d))[:, None] * psi[:, 1:]
+    return complex(np.sum(psi[:, :-1].conj() * lowered))
 
 
 def io_residual(trajectory: DenseTrajectory) -> np.ndarray:

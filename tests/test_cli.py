@@ -98,6 +98,23 @@ class TestRunScenario:
         p_e = np.array([float(v) for v in cols["p_e"]])
         assert np.abs(p_e - np.exp(-t)).max() < 1e-12
 
+    def test_single_photon_analytic_finite_at_long_gamma_t(self, tmp_path):
+        # gamma*T/2 = 1000: the filtered envelope's growing exponent e^{gamma t/2}
+        # must not overflow; the closed form still tracks the recursion to first
+        # order in gamma*dt (1.7e-3 here, 8.5e-4 at dt/2)
+        text = ("scenario = single-photon\ngamma = 50\ndt = 1e-3\nn_steps = 40000\n"
+                "wavepacket = exponential\nwavepacket_gamma = 1\n")
+        p_e = {}
+        for solver in ("analytic", "recursion"):
+            config = parse_config(f"{text}solver = {solver}\noutput = {solver}\n")
+            _, _, csv_path, code = run_scenario(config, out_dir=str(tmp_path))
+            assert code == 0
+            with open(csv_path) as fh:
+                fields = fh.read().replace("\n", ",").split(",")
+            assert not {"nan", "inf", "-inf"} & set(fields)
+            p_e[solver] = np.array([float(v) for v in read_csv(csv_path)["p_e"]])
+        assert np.abs(p_e["analytic"] - p_e["recursion"]).max() < 2e-3
+
     def test_fixed_header(self, tmp_path):
         config = parse_config(MINIMAL_SPONT)
         _, _, csv_path, _ = run_scenario(config, out_dir=str(tmp_path))

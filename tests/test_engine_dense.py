@@ -2,11 +2,14 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from collide1d import (DenseJointState, MemoryGuardError, SimulationParams,
                        apply_collision, displaced_collision_unitary,
                        lab_collision_unitary, run_dense)
-from collide1d.engine import PROJ_E, SIGMA_MINUS, SIGMA_PLUS, SIGMA_Y, annihilation
+from collide1d.engine import (DISPLACED, LAB, PROJ_E, SIGMA_MINUS, SIGMA_PLUS, SIGMA_Y,
+                              annihilation)
+from test_materializer_properties import drives
 
 
 def expm_via_eigh(H, dt):
@@ -202,3 +205,60 @@ class TestRunDense:
         assert sorted(traj.snapshots) == [0, 3, 6]
         with pytest.raises(KeyError):
             traj.snapshot(2)
+
+
+def full_contraction(params, initial, frame, wanted):
+    """Reference loop: every collision over the whole state by apply_collision."""
+    build = lab_collision_unitary if frame == LAB else displaced_collision_unitary
+    state = DenseJointState(initial.amplitudes.copy(), initial.n_modes, initial.fock_dim,
+                            frame)
+    states = [state]
+    for step in range(params.n_steps):
+        state = apply_collision(state, step, build(step, params, state.fock_dim))
+        states.append(state)
+    rows = [s.amplitudes.reshape(2, -1) for s in states]
+    qubit = np.array([m @ m.conj().T for m in rows])
+    norms = np.array([np.linalg.norm(s.amplitudes) for s in states])
+    return qubit, norms, {step: states[step] for step in wanted}
+
+
+def light_cone_state(n, d, reach, seed, density):
+    """Random amplitudes on a random support of the states whose photons all
+    sit in modes < reach, with a photon in mode reach - 1 (reach 0: vacuum field)."""
+    rng = np.random.default_rng(seed)
+    cone = rng.normal(size=(2, d**reach)) + 1j * rng.normal(size=(2, d**reach))
+    cone[rng.random(cone.shape) > density] = 0.0
+    cone[rng.integers(2), -1] = 1.0   # d - 1 photons in every mode below reach
+    amps = np.zeros((2, d**reach, d ** (n - reach)), dtype=complex)
+    amps[:, :, 0] = cone / np.linalg.norm(cone)
+    return DenseJointState(amps.ravel(), n, d)
+
+
+@st.composite
+def light_cone_cases(draw):
+    d = draw(st.sampled_from((2, 3)))
+    params = SimulationParams(fock_dim=d, **draw(drives(n_steps=st.integers(1, 10))))
+    n = params.n_steps
+    initial = light_cone_state(n, d, draw(st.integers(0, n)),
+                               draw(st.integers(0, 2**32 - 1)), draw(st.floats(0.05, 1.0)))
+    wanted = draw(st.sets(st.integers(0, n)))
+    return params, initial, draw(st.sampled_from((LAB, DISPLACED))), wanted
+
+
+LARGEST = (SimulationParams(gamma=1.0, dt=0.01, n_steps=10, omega_q=1.0, omega_rabi=2.0,
+                            delta=0.3, fock_dim=3),
+           light_cone_state(10, 3, 10, seed=5, density=0.5), DISPLACED, set(range(11)))
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(case=light_cone_cases())
+@example(case=LARGEST)
+def test_light_cone_matches_full_contraction(case):
+    params, initial, frame, wanted = case
+    traj = run_dense(params, initial, frame=frame, snapshot_steps=wanted)
+    qubit, norms, snaps = full_contraction(params, initial, frame, wanted)
+    assert np.abs(traj.qubit_matrices - qubit).max() <= 1e-12
+    assert np.abs(traj.norms - norms).max() <= 1e-12
+    assert sorted(traj.snapshots) == sorted(snaps)
+    for step, state in snaps.items():
+        assert np.abs(traj.snapshot(step).amplitudes - state.amplitudes).max() <= 1e-12

@@ -8,15 +8,15 @@ field by field to an absolute ``NUMERIC_TOL``.  Their goldens were written by
 code that rounds differently: an FFT convolution chain for the three whose
 sector moments now come from the blocked moment recurrence, a sequential
 collision loop for the two recursion branches, which now use a doubling scan,
-and a full-state <sigma_-> contraction for io-check, whose residual now reads
-rho_eg from the recorded qubit matrices.  Largest measured differences
+a full-state <sigma_-> contraction for io-check, whose residual now reads
+rho_eg from the recorded qubit matrices, and BLAS vdot reductions over the
+whole state for the four dense branches, which now reduce only the light cone
+of each collision by numpy pairwise sums.  Largest measured differences
 (.csv/.manifest): recursion-exponential 1.3e-15/4.4e-16, recursion-gaussian
-2.3e-15/2.3e-15, io-check 1.4e-17/0.  Regenerate the files
-only for a change that is meant to alter the numbers, and say so where it is
-recorded.
-The goldens assume numpy's default BLAS thread count: with one BLAS thread the
-dense reductions round differently and the sweep branches differ in the last
-digit.
+2.3e-15/2.3e-15, io-check 3.3e-17/0, coherent-dense 4.4e-16/0, convergence
+4.4e-16/4.4e-16, oracle-compare 4.4e-16/4.3e-19, spont-dense 2.8e-16/0.
+Regenerate the files only for a change that is meant to alter the numbers,
+and say so where it is recorded.
 """
 
 import os
@@ -29,7 +29,8 @@ from collide1d.cli import COMPATIBLE, parse_config, run_scenario
 GOLDEN = os.path.join(os.path.dirname(__file__), "golden")
 NAMES = sorted(f[:-4] for f in os.listdir(GOLDEN) if f.endswith(".cfg"))
 SWEEPS = ("oracle-compare", "io-check", "convergence")
-NUMERIC = ("coherent-analytic", "coherent-sectors", "io-check", "spont-sectors",
+NUMERIC = ("coherent-analytic", "coherent-dense", "coherent-sectors", "convergence",
+           "io-check", "oracle-compare", "spont-dense", "spont-sectors",
            "single-photon-recursion-exponential", "single-photon-recursion-gaussian")
 NUMERIC_TOL = 1e-12
 SEPARATOR = {".csv": ",", ".manifest": " = "}
