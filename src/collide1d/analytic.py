@@ -235,15 +235,19 @@ def xi_tilde_trajectory(wavepacket: Wavepacket, params: SimulationParams) -> np.
     n, t = grid.n_steps, grid.times()
     half_rate = 0.5 * params.gamma * grid.dt
     block = n if half_rate * n <= 300 else max(1, int(300 / half_rate))
-    out = np.zeros(n + 1, dtype=complex)
+    parts, carry = [], np.zeros(1, dtype=complex)
     for s in range(0, n, block):
         e = min(s + block, n)
-        integrand = (np.exp((0.5 * params.gamma + 1j * params.omega_q) * (t[s:e] - t[s]))
+        # block-local times t_k - t_s = t_(k-s), so the exponent stays below 300
+        integrand = (np.exp((0.5 * params.gamma + 1j * params.omega_q) * t[:e - s])
                      * wavepacket.samples[s:e] * grid.dt)
-        cum = np.concatenate(([0.0], np.cumsum(integrand)))
-        out[s:e + 1] = (np.exp(-0.5 * params.gamma * (t[s:e + 1] - t[s]))
-                        * (out[s] + np.exp(1j * params.omega_q * t[s]) * cum))
-    return out
+        if s:  # the phase e^{i w_q t_s} that the block-local exponent leaves out
+            integrand *= np.exp(1j * params.omega_q * t[s])
+        part = (np.exp(-0.5 * params.gamma * t[:e - s + 1])
+                * np.cumsum(np.concatenate((carry, integrand))))
+        carry = part[-1:]
+        parts.append(part[1:] if s else part)
+    return parts[0] if len(parts) == 1 else np.concatenate(parts)
 
 
 def xi_tilde(wavepacket: Wavepacket, t: float, params: SimulationParams) -> complex:

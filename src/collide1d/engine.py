@@ -2,7 +2,8 @@
 
 Three tiers share the same per-collision unitaries:
 
-* a dense brute-force oracle over the full qubit x (d-level)^N tensor,
+* a dense brute-force oracle over the full qubit x (d-level)^N tensor that
+  contracts only the light cone (before collision n, modes past n keep their input),
 * a recursion for a single excitation shared between qubit and field,
 * an excitation-sector propagator in the displaced frame, where each temporal
   mode interacts exactly once, so the joint state decomposes into ordered
@@ -253,13 +254,11 @@ def run_dense(params: SimulationParams, initial: DenseJointState,
               frame: str = LAB, snapshot_steps=None) -> DenseTrajectory:
     """Apply collisions n = 0..N-1 in order to the full joint state.
 
-    Light cone: collision n mixes only (qubit, mode n), so an amplitude with a
-    photon in a mode that has not collided yet keeps its input value.  With
-    ``reach`` the smallest f such that every input amplitude with a photon in
-    a mode >= f is zero, collision n and the reduction after it touch only
-    the amplitudes of the first max(n + 1, reach) modes with the rest in
-    vacuum; every other amplitude is exactly zero and stays so.  The state is
-    still the full tensor, so snapshots are full copies.
+    Light cone: collision n mixes only (qubit, mode n), so modes past n keep
+    their input.  With ``reach`` the smallest f such that no input amplitude
+    has a photon in a mode >= f, collision n and the reduction after it work
+    on the first max(n + 1, reach) modes with the rest in vacuum; every other
+    amplitude is exactly zero and stays so.  Snapshots are full-state copies.
 
     snapshot_steps: iterable of steps to keep full copies of, or "all"; by
     default only the initial and final states are retained (per-step reduced
@@ -286,7 +285,7 @@ def run_dense(params: SimulationParams, initial: DenseJointState,
     # a nonzero at field index r reaches mode n - (trailing zero base-d digits of r)
     support = np.flatnonzero(state.amplitudes) % d**n
     reach = next(f for f in range(n + 1) if not np.any(support % d ** (n - f)))
-    work = np.empty(4 * d**n, dtype=complex)
+    work = np.empty((2, 2 * d**n), dtype=complex)
     qubit = np.empty((n + 1, 2, 2), dtype=complex)
     snaps: dict[int, DenseJointState] = {}
     qubit[0] = _partial_trace(state.amplitudes.reshape(2, d**reach, -1)[:, :, 0])
@@ -296,7 +295,7 @@ def run_dense(params: SimulationParams, initial: DenseJointState,
         live = max(step + 1, reach)
         cone = state.amplitudes.reshape(2, d**live, -1)[:, :, 0]
         _collide_in_place(cone, build(step, params, d), step, live,
-                          work[:4 * d**live].reshape(2, 2 * d, -1))
+                          work[:, :2 * d**live].reshape(2, 2 * d, -1))
         qubit[step + 1] = _partial_trace(cone)
         if step + 1 in wanted:
             snaps[step + 1] = state.copy()
