@@ -21,6 +21,8 @@ import math
 
 import numpy as np
 
+from .core import MemoryGuardError
+
 
 #: vec(X) = HERMITIAN @ (X00, X11, Re X01, Im X01) for a Hermitian 2x2 X, row-major vec
 HERMITIAN = np.array([[1, 0, 0, 0], [0, 0, 1, 1j], [0, 0, 1, -1j], [0, 1, 0, 0]])
@@ -108,14 +110,21 @@ def moment_chain(props: np.ndarray, emit: np.ndarray, phi0: np.ndarray,
 
 
 def materialize_tuples(props: np.ndarray, emit: np.ndarray, phases: np.ndarray,
-                       phi0: np.ndarray, step: int, m_max: int, offset: int):
+                       phi0: np.ndarray, step: int, m_max: int, offset: int,
+                       max_amplitudes: int):
     """Every tuple amplitude with up to m_max photons after `step` collisions.
 
     props, emit and offset follow ``moment_chain``; phases[n] is the phase
     attached to an emission into bin n.  Returns (tuples, values) in the
     ``SectorState`` layout: tuples[m] lists the lexicographically ordered
-    m-photon mode tuples, values[m] their (2, K_m) qubit amplitudes.
+    m-photon mode tuples, values[m] their (2, K_m) qubit amplitudes.  Raises
+    MemoryGuardError, before building any tuple, when there would be more
+    than max_amplitudes of them.
     """
+    total = sum(math.comb(step, m) for m in range(m_max + 1))
+    if total > max_amplitudes:
+        raise MemoryGuardError(f"materializing {total} tuple amplitudes exceeds the guard "
+                               f"({max_amplitudes}); lower m_max")
     tuples: list[np.ndarray] = [np.zeros((1, 0), dtype=int)]
     values: list[np.ndarray] = [(props[step] @ phi0).reshape(2, 1)]
     # birth vectors of the previous sector, indexed like tuples[m-1]

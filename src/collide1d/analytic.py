@@ -20,14 +20,10 @@ import warnings
 import numpy as np
 
 from . import _conv
-from .core import (MemoryGuardError, SimulationParams, ValidityWarning,
-                   Wavepacket, complex_rabi, qubit_index, qubit_vector)
+from .core import (SimulationParams, ValidityWarning, Wavepacket, complex_rabi,
+                   qubit_index, qubit_vector)
 from .engine import (DISPLACED, MAX_SECTOR_AMPLITUDES, SIGMA_MINUS,
                      SectorState, SinglePhotonState)
-
-#: below this |Omega' * t| the removable singularity sin(x/2)/Omega' is
-#: evaluated by series to avoid cancellation
-_SMALL_PHASE = 1e-6
 
 
 def f0_matrix(t, params: SimulationParams) -> np.ndarray:
@@ -37,19 +33,22 @@ def f0_matrix(t, params: SimulationParams) -> np.ndarray:
         raise ValueError("t must be non-negative")
     gamma, delta, omega = params.gamma, params.delta, params.omega_rabi
     opr = complex_rabi(params)
-    half = 0.5 * opr * t
-    cos_half = np.cos(half)
-    # sin(Omega' t/2)/Omega', analytic limit t/2 - Omega'^2 t^3/48 near zero
-    small = np.abs(opr * t) < _SMALL_PHASE
-    safe = opr if opr != 0 else 1.0
-    sin_over = np.where(small, t / 2 - opr**2 * t**3 / 48, np.sin(half) / safe)
-    pref = np.exp(-0.25 * gamma * t - 0.5j * delta * t)
+    # M is even in Omega', and 0 <= Im Omega' keeps |e^{i Omega' t}| <= 1.  The
+    # prefactor shares one exponent with e^{-i Omega' t/2}; its real part
+    # -gamma t/4 + Im(Omega') t/2 is <= 0 since Im Omega' <= gamma/2, which the
+    # clamp keeps true after rounding, so no factor overflows however long t is
+    opr = complex(math.copysign(opr.real, opr.imag), min(abs(opr.imag), 0.5 * gamma))
+    down = np.exp(-0.5j * (delta + opr - 0.5j * gamma) * t)
+    turn = np.expm1(1j * opr * t)  # e^{i Omega' t} - 1, accurate near t = 0
+    cos_half = down * (1 + 0.5 * turn)
+    # prefactor times sin(Omega' t/2)/Omega', whose limit at Omega' = 0 is t/2
+    sin_over = down * (turn / (2j * opr) if opr else 0.5 * t)
     diag = sin_over * (0.5 * gamma + 1j * delta)
     out = np.empty(t.shape + (2, 2), dtype=complex)
-    out[..., 0, 0] = pref * (cos_half + diag)
-    out[..., 0, 1] = pref * sin_over * omega
-    out[..., 1, 0] = -pref * sin_over * omega
-    out[..., 1, 1] = pref * (cos_half - diag)
+    out[..., 0, 0] = cos_half + diag
+    out[..., 0, 1] = sin_over * omega
+    out[..., 1, 0] = -sin_over * omega
+    out[..., 1, 1] = cos_half - diag
     return out
 
 
@@ -107,16 +106,13 @@ def assemble_coherent(params: SimulationParams, t: float, m_max: int, phi0="g",
         raise ValueError("analytic assembly is limited to m_max <= 3 (cost guard)")
     grid = params.grid
     step = grid.index_of(t)
-    total = sum(math.comb(step, m) for m in range(m_max + 1))
-    if total > max_amplitudes:
-        raise MemoryGuardError(
-            f"assembling {total} tuple amplitudes exceeds the guard ({max_amplitudes})")
     mats = f0_matrix(np.arange(step + 1) * params.dt, params)  # M(t_j) for lags j
     emit = -math.sqrt(params.gamma * params.dt) * SIGMA_MINUS
     phases = np.exp(-1j * params.omega_p * params.dt * np.arange(step))
     # continuum lags measure from the emission time itself: offset 0
     tuples, values = _conv.materialize_tuples(mats, emit, phases, qubit_vector(phi0), step,
-                                              m_max, offset=0)
+                                              m_max, offset=0,
+                                              max_amplitudes=max_amplitudes)
     return SectorState(step=step, m_max=m_max, grid=grid, frame=DISPLACED,
                        tuples=tuples, values=values)
 

@@ -15,7 +15,7 @@ import math
 import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, fields, replace
+from dataclasses import KW_ONLY, MISSING, dataclass, field, fields, replace
 from typing import Callable, NamedTuple
 
 import numpy as np
@@ -30,22 +30,22 @@ from .engine import (DISPLACED, LAB, MAX_SECTOR_AMPLITUDES, DenseJointState,
 
 CSV_HEADER = "t,p_e,re_coh,im_coh,entropy_bits,norm,photon_flux,io_residual"
 
-SCENARIOS = ("spont", "coherent", "single-photon", "oracle-compare", "io-check",
-             "convergence")
-SOLVERS = ("dense", "sectors", "recursion", "analytic")
 
-#: solvers allowed per scenario; empty set = scenario picks its own solvers
-COMPATIBLE = {
-    "spont": {"analytic", "dense", "sectors"},
-    "coherent": {"analytic", "dense", "sectors"},
-    "single-photon": {"analytic", "recursion"},
-    "oracle-compare": set(),
-    "io-check": set(),
-    "convergence": set(),
+class _Scenario(NamedTuple):
+    solvers: tuple   # solvers allowed; empty: the scenario picks its own
+    phi0: str        # initial qubit state when the config sets none
+    driven: bool     # takes a coherent drive; otherwise omega_rabi must be 0
+
+
+SCENARIOS = {
+    "spont": _Scenario(("analytic", "dense", "sectors"), "e", False),
+    "coherent": _Scenario(("analytic", "dense", "sectors"), "g", True),
+    "single-photon": _Scenario(("analytic", "recursion"), "g", False),
+    "oracle-compare": _Scenario((), "g", True),
+    "io-check": _Scenario((), "g", True),
+    "convergence": _Scenario((), "e", False),
 }
-
-DEFAULT_PHI0 = {"spont": "e", "coherent": "g", "single-photon": "g",
-                "oracle-compare": "g", "io-check": "g", "convergence": "e"}
+SOLVERS = ("dense", "sectors", "recursion", "analytic")
 
 EXIT_OK = 0
 EXIT_INVALID = 2
@@ -60,29 +60,39 @@ class ConfigError(ValueError):
         super().__init__("; ".join(self.violations))
 
 
+def _key(default=MISSING, kind=str, low=None, strict=False, choices=()):
+    """A config key: parse type, default (none: the key is required), lower
+    bound (exclusive if strict; float bounds are 0) and allowed values."""
+    return field(default=default,
+                 metadata={"kind": kind, "low": low, "strict": strict, "choices": choices})
+
+
 @dataclass
 class ScenarioConfig:
-    scenario: str
-    solver: str | None = None
-    gamma: float = 1.0
-    omega_q: float = 0.0
-    delta: float = 0.0
-    omega_rabi: float = 0.0
-    dt: float = 0.0
-    n_steps: int = 0
-    fock_dim: int = 2
-    m_max: int = 2
-    phi0: str | None = None
-    wavepacket: str = "exponential"
-    wavepacket_gamma: float | None = None
-    wavepacket_sigma: float = 1.0
-    wavepacket_t0: float | None = None
-    wavepacket_omega: float | None = None
-    snapshot_stride: int = 1
-    output: str | None = None
+    """One run, as a config file states it: each field declares its key."""
+
+    scenario: str = _key(choices=tuple(SCENARIOS))
+    _: KW_ONLY
+    solver: str | None = _key(None, choices=SOLVERS)
+    gamma: float = _key(1.0, float, low=0, strict=True)
+    omega_q: float = _key(0.0, float, low=0)
+    delta: float = _key(0.0, float)
+    omega_rabi: float = _key(0.0, float, low=0)
+    dt: float = _key(kind=float, low=0, strict=True)
+    n_steps: int = _key(kind=int, low=1)
+    fock_dim: int = _key(2, int, low=2)
+    m_max: int = _key(2, int, low=0)
+    phi0: str | None = _key(None, choices=("g", "e"))
+    wavepacket: str = _key("exponential", choices=("exponential", "gaussian"))
+    wavepacket_gamma: float | None = _key(None, float, low=0, strict=True)
+    wavepacket_sigma: float = _key(1.0, float, low=0, strict=True)
+    wavepacket_t0: float | None = _key(None, float)
+    wavepacket_omega: float | None = _key(None, float)
+    snapshot_stride: int = _key(1, int, low=1)
+    output: str | None = _key(None)
 
     def resolved_phi0(self) -> str:
-        return self.phi0 if self.phi0 is not None else DEFAULT_PHI0[self.scenario]
+        return self.phi0 if self.phi0 is not None else SCENARIOS[self.scenario].phi0
 
     def params(self, strict: bool = False) -> SimulationParams:
         return SimulationParams(gamma=self.gamma, dt=self.dt, n_steps=self.n_steps,
@@ -102,10 +112,6 @@ class ScenarioConfig:
         return self.output if self.output else self.scenario
 
 
-_KNOWN_KEYS = {f.name for f in fields(ScenarioConfig)}
-_FLOAT_KEYS = {"gamma", "omega_q", "delta", "omega_rabi", "dt", "wavepacket_gamma",
-               "wavepacket_sigma", "wavepacket_t0", "wavepacket_omega"}
-_INT_KEYS = {"n_steps", "fock_dim", "m_max", "snapshot_stride"}
 #: largest magnitude of a float key: the closed forms square rates and widths
 #: (sums of two such squares stay finite), and divide by wavepacket_sigma^2
 _MAX_MAGNITUDE = 1e150
@@ -114,8 +120,8 @@ _MAX_MAGNITUDE = 1e150
 def parse_config(text: str) -> ScenarioConfig:
     """Parse and validate, collecting every violation (not just the first)."""
     problems: list[str] = []
-    values: dict[str, object] = {}
-    lines_of: dict[str, int] = {}
+    lines: dict[str, tuple[int, str]] = {}
+    declared = {f.name: f for f in fields(ScenarioConfig)}
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -124,83 +130,65 @@ def parse_config(text: str) -> ScenarioConfig:
             problems.append(f"line {lineno}: expected 'key = value', got {raw.strip()!r}")
             continue
         key, _, val = (part.strip() for part in line.partition("="))
-        if key not in _KNOWN_KEYS:
+        if key not in declared:
             problems.append(f"line {lineno}: unknown key {key!r}")
-            continue
-        if key in values:
+        elif key in lines:
             problems.append(f"line {lineno}: duplicate key {key!r}")
-            continue
-        lines_of[key] = lineno
-        if key in _FLOAT_KEYS:
-            try:
-                values[key] = float(val)
-            except ValueError:
-                problems.append(f"line {lineno}: {key} expects a number, got {val!r}")
-                continue
-            if not math.isfinite(values[key]):
-                problems.append(f"line {lineno}: {key} must be finite, got {val!r}")
-        elif key in _INT_KEYS:
-            try:
-                values[key] = int(val)
-            except ValueError:
-                problems.append(f"line {lineno}: {key} expects an integer, got {val!r}")
         else:
-            values[key] = val
+            lines[key] = lineno, val
+
+    values: dict[str, object] = {}
+    for key, declaration in declared.items():
+        if key not in lines:
+            if declaration.default is MISSING:
+                problems.append(f"config: missing required key {key!r}")
+            continue
+        meta, (lineno, val) = declaration.metadata, lines[key]
+        kind, low, choices, at = meta["kind"], meta["low"], meta["choices"], f"line {lineno}: "
+        try:
+            values[key] = value = kind(val)
+        except ValueError:
+            problems.append(f"{at}{key} expects {'a number' if kind is float else 'an integer'}, "
+                            f"got {val!r}")
+            continue
+        if kind is float and not math.isfinite(value):
+            problems.append(f"{at}{key} must be finite, got {val!r}")
+        elif kind is float and abs(value) > _MAX_MAGNITUDE:
+            problems.append(f"{at}|{key}| must be <= {_MAX_MAGNITUDE:g}, got {value:g}")
+        if low is not None and (value <= low if meta["strict"] else value < low):
+            problems.append(at + (f"{key} must be positive, got {value}" if meta["strict"]
+                                  else f"{key} must be non-negative" if kind is float
+                                  else f"{key} must be >= {low}"))
+        if choices and value not in choices:
+            # a two-way choice names both values; a longer one lists them
+            problems.append(at + (f"{key} must be {choices[0]!r} or {choices[1]!r}"
+                                  if len(choices) == 2 else f"unknown {key} {value!r} "
+                                  f"(choose from {', '.join(choices)})"))
 
     def where(key: str) -> str:
-        return f"line {lines_of[key]}" if key in lines_of else "config"
+        return f"line {lines[key][0]}"
 
-    scenario = values.get("scenario")
-    if scenario is None:
-        problems.append("config: missing required key 'scenario'")
-    elif scenario not in SCENARIOS:
-        problems.append(f"{where('scenario')}: unknown scenario {scenario!r} "
-                        f"(choose from {', '.join(SCENARIOS)})")
-    solver = values.get("solver")
-    if solver is not None and solver not in SOLVERS:
-        problems.append(f"{where('solver')}: unknown solver {solver!r} "
-                        f"(choose from {', '.join(SOLVERS)})")
-    for key in ("dt", "n_steps"):
-        if key not in values:
-            problems.append(f"config: missing required key {key!r}")
-    positive = {"gamma", "dt", "wavepacket_gamma", "wavepacket_sigma"}
-    for key in positive & values.keys():
-        if isinstance(values[key], (int, float)) and values[key] <= 0:
-            problems.append(f"{where(key)}: {key} must be positive, got {values[key]}")
-    for key, value in values.items():
-        if key in _FLOAT_KEYS and math.isfinite(value) and abs(value) > _MAX_MAGNITUDE:
-            problems.append(f"{where(key)}: |{key}| must be <= {_MAX_MAGNITUDE:g}, "
-                            f"got {value:g}")
     if 0 < values.get("wavepacket_sigma", 1.0) < 1 / _MAX_MAGNITUDE:
         problems.append(f"{where('wavepacket_sigma')}: wavepacket_sigma must be >= "
                         f"{1 / _MAX_MAGNITUDE:g}, got {values['wavepacket_sigma']:g}")
-    if isinstance(values.get("omega_rabi"), float) and values["omega_rabi"] < 0:
-        problems.append(f"{where('omega_rabi')}: omega_rabi must be non-negative")
-    for key, low in (("n_steps", 1), ("fock_dim", 2), ("m_max", 0), ("snapshot_stride", 1)):
-        if isinstance(values.get(key), int) and values[key] < low:
-            problems.append(f"{where(key)}: {key} must be >= {low}")
-    if values.get("phi0") not in (None, "g", "e"):
-        problems.append(f"{where('phi0')}: phi0 must be 'g' or 'e'")
-    if values.get("wavepacket") not in (None, "exponential", "gaussian"):
-        problems.append(f"{where('wavepacket')}: wavepacket must be 'exponential' or 'gaussian'")
-
-    if scenario in COMPATIBLE:
-        allowed = COMPATIBLE[scenario]
+    scenario, solver = values.get("scenario"), values.get("solver")
+    if scenario in SCENARIOS:
+        allowed = SCENARIOS[scenario].solvers
         if allowed:
             if solver is None:
                 problems.append(f"config: scenario {scenario!r} needs a solver "
-                                f"(one of {', '.join(sorted(allowed))})")
+                                f"(one of {', '.join(allowed)})")
             elif solver in SOLVERS and solver not in allowed:
                 problems.append(f"{where('solver')}: solver {solver!r} is incompatible "
                                 f"with scenario {scenario!r} "
-                                f"(allowed: {', '.join(sorted(allowed))})")
+                                f"(allowed: {', '.join(allowed)})")
         elif solver is not None:
             problems.append(f"{where('solver')}: scenario {scenario!r} chooses its own "
                             f"solvers; remove the solver key")
     if scenario == "single-photon" and values.get("phi0") == "e":
         problems.append(f"{where('phi0')}: the single-photon recursion starts from the "
                         f"ground state; phi0 = e is not supported")
-    if scenario in ("spont", "single-photon", "convergence") and values.get("omega_rabi"):
+    if scenario in SCENARIOS and not SCENARIOS[scenario].driven and values.get("omega_rabi"):
         problems.append(f"{where('omega_rabi')}: scenario {scenario!r} has no coherent "
                         f"drive; omega_rabi must be 0")
 
@@ -622,7 +610,7 @@ def main(argv=None) -> int:
     try:
         _, metrics, csv_path, code = run_scenario(config, out_dir=out_dir,
                                                   jobs=args.jobs, strict=args.strict)
-    except (ValueError, MemoryGuardError, ConfigError) as exc:
+    except (ValueError, MemoryGuardError, OSError) as exc:  # OSError: output not writable
         print(f"invalid run: {exc}", file=sys.stderr)
         return EXIT_INVALID
     print(csv_path)

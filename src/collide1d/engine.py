@@ -556,14 +556,10 @@ class SectorRun:
         """Materialize every tracked tuple amplitude after `step` collisions."""
         if not 0 <= step <= self.params.n_steps:
             raise ValueError(f"step {step} outside grid")
-        total = sum(math.comb(step, m) for m in range(self.m_max + 1))
-        if total > max_amplitudes:
-            raise MemoryGuardError(
-                f"materializing {total} tuple amplitudes exceeds the guard "
-                f"({max_amplitudes}); lower m_max or use the lazy accessors")
         tuples, values = _conv.materialize_tuples(self.powers, self.emission_block,
                                                   self.emission_phases, self.phi0, step,
-                                                  self.m_max, offset=1)
+                                                  self.m_max, offset=1,
+                                                  max_amplitudes=max_amplitudes)
         return SectorState(step=step, m_max=self.m_max, grid=self.grid,
                            frame=DISPLACED, tuples=tuples, values=values)
 

@@ -36,7 +36,8 @@ def reduced_qubit(state, renormalize: bool = True) -> np.ndarray:
     else:
         raise TypeError(f"cannot reduce a {type(state).__name__}")
     trace = rho[..., 0, 0].real + rho[..., 1, 1].real
-    _reject_rows(np.abs(trace - 1.0) > MAX_NORM_DEFICIT,
+    # written as "not within", so a nan trace is rejected too
+    _reject_rows(~(np.abs(trace - 1.0) <= MAX_NORM_DEFICIT),
                  "state norm deficit too large to interpret: trace", trace)
     return rho / trace[..., None, None] if renormalize else rho
 
@@ -44,7 +45,7 @@ def reduced_qubit(state, renormalize: bool = True) -> np.ndarray:
 def entanglement_entropy(state):
     """Von Neumann entropy of the reduced qubit, in bits; an array for a stack."""
     evals = np.linalg.eigvalsh(reduced_qubit(state))
-    _reject_rows((evals[..., 0] < -1e-10) | (evals[..., 1] > 1 + 1e-10),
+    _reject_rows(~((evals[..., 0] >= -1e-10) & (evals[..., 1] <= 1 + 1e-10)),
                  "reduced state not a density matrix: eigenvalues", evals)
     evals = np.clip(evals, 0.0, 1.0)
     terms = evals * np.log2(evals, out=np.zeros_like(evals), where=evals > 0)

@@ -76,6 +76,18 @@ class TestF0:
         m12 = analytic.f0_matrix(t1 + t2, p)
         assert np.abs(m12 - m2 @ m1).max() < 1e-12
 
+    @pytest.mark.parametrize("gamma,delta", [(1.0, 0.0), (1.0, 0.3), (0.1, -2.0),
+                                             (3.0, 5.0)])
+    def test_undriven_stays_finite_at_long_times(self, gamma, delta):
+        # e^{-gamma t/4} alone underflows and cos(Omega' t/2) alone overflows
+        # long before gamma t = 1e4; their product must not
+        p = SimulationParams(gamma=gamma, dt=1e-4, n_steps=10, delta=delta)
+        t = np.linspace(0.0, 1e4 / gamma, 2001)
+        expected = np.zeros((len(t), 2, 2), complex)
+        expected[:, 0, 0] = 1.0
+        expected[:, 1, 1] = np.exp(-(0.5 * gamma + 1j * delta) * t)
+        assert np.abs(analytic.f0_matrix(t, p) - expected).max() <= 1e-12
+
     def test_matches_displaced_oracle_vacuum_amplitude(self):
         # the collision product at d = 2 is the displaced oracle's vacuum block
         p = SimulationParams(gamma=1.0, dt=1e-4, n_steps=5000, omega_rabi=20.0)

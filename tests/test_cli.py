@@ -1,4 +1,6 @@
 import os
+import re
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -86,6 +88,15 @@ class TestParseConfig:
         with pytest.raises(ConfigError) as err:
             parse_config(MINIMAL_SPONT + "gamma = 2\n")
         assert any("duplicate" in v for v in err.value.violations)
+
+
+def test_readme_config_table_names_each_declared_key_once():
+    with open(os.path.join(os.path.dirname(__file__), os.pardir, "README.md"),
+              encoding="utf-8") as fh:
+        table = fh.read().split("| key | meaning | default |\n", 1)[1].split("\n\n", 1)[0]
+    named = [key for row in table.splitlines()[1:]
+             for key in re.findall(r"`(\w+)`", row.split("|")[1])]
+    assert sorted(named) == sorted(f.name for f in fields(cli.ScenarioConfig))
 
 
 class TestRunScenario:
@@ -205,6 +216,34 @@ class TestMain:
         assert cli.main(["run", str(cfg), "--out", str(tmp_path)]) == 2
         assert f"config error: {message}" in capsys.readouterr().err
         assert not list(tmp_path.glob("*.csv"))
+
+    @pytest.mark.parametrize("key", ["omega_q", "omega_rabi"])
+    def test_run_rejects_negative_frequency_naming_its_line(self, tmp_path, capsys, key):
+        cfg = tmp_path / "negative.cfg"
+        cfg.write_text(spont_config(solver="dense", scenario="coherent", **{key: "-1"}))
+        assert cli.main(["run", str(cfg), "--out", str(tmp_path)]) == 2
+        assert capsys.readouterr().err == f"config error: line 6: {key} must be non-negative\n"
+        assert not list(tmp_path.glob("*.csv"))
+
+    @pytest.mark.parametrize("text", [
+        "phi0 = e\ndelta = 0.3\ndt = 0.05\nn_steps = 60000\nsnapshot_stride = 6000\n",
+        "dt = 1e20\nn_steps = 1\n"], ids=["gamma-t-3000", "dt-1e20"])
+    @pytest.mark.filterwarnings("ignore::UserWarning")  # gamma*dt = 1e20
+    def test_closed_form_propagator_stays_finite(self, tmp_path, text):
+        # e^{-gamma t/4} underflows while cos(Omega' t/2) overflows; their
+        # product, the no-emission propagator, must not
+        cfg = tmp_path / "long.cfg"
+        cfg.write_text("scenario = coherent\nsolver = analytic\n" + text)
+        assert cli.main(["run", str(cfg), "--out", str(tmp_path)]) == 0
+        cells = (tmp_path / "coherent.csv").read_text().replace("\n", ",").split(",")
+        assert not {"nan", "inf", "-inf"} & set(cells)
+
+    @pytest.mark.parametrize("output", ["no-such-dir/run", "x" * 300])
+    def test_run_reports_unwritable_output(self, tmp_path, capsys, output):
+        cfg = tmp_path / "out.cfg"
+        cfg.write_text(spont_config(output=output))
+        assert cli.main(["run", str(cfg), "--out", str(tmp_path)]) == 2
+        assert capsys.readouterr().err.startswith("invalid run: ")
 
     def test_magnitude_bounds_are_inclusive(self):
         config = parse_config(spont_config(solver="analytic", scenario="single-photon",

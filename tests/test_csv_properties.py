@@ -10,11 +10,10 @@ import numpy as np
 import pytest
 
 pytest.importorskip("hypothesis")
-from hypothesis import example, given, settings, strategies as st  # noqa: E402
+from hypothesis import example, given, strategies as st  # noqa: E402
 
 from collide1d.cli import CSV_HEADER, ResultTable, _fmt  # noqa: E402
 
-PROPERTY = settings(max_examples=40, deadline=None, derandomize=True, database=None)
 EDGE_VALUES = (0.0, -0.0, 5e-324, -5e-324, 1e300, -1e300, 1.0, -3.0, 2.0**53, 1e16,
                0.1, 1 / 3, float("inf"), float("nan"))
 values = st.one_of(st.sampled_from(EDGE_VALUES), st.integers(-10**6, 10**6).map(float),
@@ -47,7 +46,6 @@ def tables(draw):
     return ResultTable(**table)
 
 
-@PROPERTY
 @given(table=tables())
 @example(table=ResultTable(t=np.array([0.0]), photon_flux=[None], io_residual=[None]))
 @example(table=ResultTable(t=np.array([0.0, 5e-324, 1e300]), norm=np.array([1.0, -0.0, 2.0]),

@@ -250,7 +250,7 @@ LARGEST = (SimulationParams(gamma=1.0, dt=0.01, n_steps=10, omega_q=1.0, omega_r
            light_cone_state(10, 3, 10, seed=5, density=0.5), DISPLACED, set(range(11)))
 
 
-@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@settings(max_examples=60)
 @given(case=light_cone_cases())
 @example(case=LARGEST)
 def test_light_cone_matches_full_contraction(case):

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from collide1d import (DenseJointState, MemoryGuardError, SimulationParams,
-                       run_dense, run_displaced_sectors)
+                       assemble_coherent, run_dense, run_displaced_sectors)
 
 
 def dense_amplitudes(params, phi0):
@@ -85,10 +85,12 @@ class TestSectorRun:
             run.amplitude("g", (4,), 3)
 
     def test_materialization_guard(self):
+        # the sector and closed-form tuples meet one guard, before any is built
         p = SimulationParams(gamma=1.0, dt=1e-4, n_steps=5000, omega_rabi=2.0)
         run = run_displaced_sectors(p, 2, "g")
-        with pytest.raises(MemoryGuardError):
-            run.state_at(5000)
+        for materialize in (run.state_at, lambda step: assemble_coherent(p, step * p.dt, 2)):
+            with pytest.raises(MemoryGuardError, match="materializing 12502501 tuple"):
+                materialize(5000)
 
     def test_emission_weights_conserve_norm(self):
         # weight lost by the tracked sectors equals nothing at m_max = N:

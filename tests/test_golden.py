@@ -24,7 +24,7 @@ import os
 import pytest
 
 from collide1d import observables
-from collide1d.cli import COMPATIBLE, parse_config, run_scenario
+from collide1d.cli import SCENARIOS, parse_config, run_scenario
 
 GOLDEN = os.path.join(os.path.dirname(__file__), "golden")
 NAMES = sorted(f[:-4] for f in os.listdir(GOLDEN) if f.endswith(".cfg"))
@@ -70,8 +70,8 @@ def run_and_compare(name, out_dir, jobs=1):
 
 def test_every_solver_branch_has_a_golden_config():
     branches = {(config.scenario, config.solver) for config in map(load, NAMES)}
-    assert branches == {(scenario, solver) for scenario, allowed in COMPATIBLE.items()
-                        for solver in (allowed or {None})}
+    assert branches == {(scenario, solver) for scenario, row in SCENARIOS.items()
+                        for solver in (row.solvers or (None,))}
 
 
 @pytest.mark.parametrize("name", NAMES)

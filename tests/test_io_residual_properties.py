@@ -12,14 +12,12 @@ import numpy as np
 import pytest
 
 pytest.importorskip("hypothesis")
-from hypothesis import given, settings, strategies as st  # noqa: E402
+from hypothesis import given, strategies as st  # noqa: E402
 
 from collide1d import (DenseJointState, SimulationParams, io_residual,  # noqa: E402
                        run_dense)
 from collide1d.engine import DISPLACED, LAB, SIGMA_MINUS, annihilation  # noqa: E402
 from test_materializer_properties import drives  # noqa: E402
-
-PROPERTY = settings(max_examples=40, deadline=None, derandomize=True, database=None)
 
 
 def expectation(state, op, axis):
@@ -44,7 +42,6 @@ def contracted_io_residual(traj):
     return np.array(out)
 
 
-@PROPERTY
 @given(drive=drives(), frame=st.sampled_from((LAB, DISPLACED)),
        fock_dim=st.integers(2, 3), phi0=st.sampled_from("ge"))
 def test_io_residual_matches_full_state_contraction(drive, frame, fock_dim, phi0):

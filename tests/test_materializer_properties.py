@@ -11,13 +11,12 @@ import numpy as np
 import pytest
 
 pytest.importorskip("hypothesis")
-from hypothesis import example, given, settings, strategies as st  # noqa: E402
+from hypothesis import example, given, strategies as st  # noqa: E402
 
 from collide1d import SimulationParams, run_displaced_sectors  # noqa: E402
 from collide1d.analytic import assemble_coherent, fm  # noqa: E402
 from collide1d.core import VALIDITY_BOUND  # noqa: E402
 
-PROPERTY = settings(max_examples=40, deadline=None, derandomize=True, database=None)
 
 #: the no-emission propagator's complex Rabi frequency vanishes at Omega = gamma/2
 EXCEPTIONAL = dict(gamma=2.0, omega_rabi=1.0, delta=0.0, omega_q=0.7, dt=0.02, n_steps=6)
@@ -35,7 +34,6 @@ def drives(draw, n_steps=st.integers(1, 6)):
                 dt=dt, n_steps=draw(n_steps))
 
 
-@PROPERTY
 @given(drive=drives(), phi0=st.sampled_from("ge"))
 @example(drive=EXCEPTIONAL, phi0="g")
 @example(drive=EXCEPTIONAL, phi0="e")
@@ -51,7 +49,6 @@ def test_state_at_matches_lazy_amplitudes(drive, phi0):
                 assert np.allclose(state.values[m][:, row], lazy, rtol=0, atol=1e-14)
 
 
-@PROPERTY
 @given(drive=drives(), phi0=st.sampled_from("ge"))
 @example(drive=EXCEPTIONAL, phi0="g")
 @example(drive=EXCEPTIONAL, phi0="e")

@@ -13,14 +13,13 @@ import numpy as np
 import pytest
 
 pytest.importorskip("hypothesis")
-from hypothesis import given, settings, strategies as st  # noqa: E402
+from hypothesis import given, strategies as st  # noqa: E402
 
 from collide1d import SimulationParams, _conv, run_displaced_sectors  # noqa: E402
 from collide1d.analytic import coherent_qubit_trajectory, f0_matrix  # noqa: E402
 from collide1d.engine import SIGMA_MINUS  # noqa: E402
 from test_materializer_properties import drives  # noqa: E402
 
-PROPERTY = settings(max_examples=40, deadline=None, derandomize=True, database=None)
 #: long enough for several blocks of the recurrence
 LONG = st.integers(1, 120)
 
@@ -77,7 +76,6 @@ def tier_inputs(params, phi0, offset):
             -math.sqrt(params.gamma * params.dt) * SIGMA_MINUS)
 
 
-@PROPERTY
 @given(drive=drives(n_steps=LONG), phi0=qubit_states(), m_max=st.integers(0, 5),
        offset=st.sampled_from((0, 1)))
 def test_recurrence_matches_fft_reference(drive, phi0, m_max, offset):
@@ -90,7 +88,6 @@ def test_recurrence_matches_fft_reference(drive, phi0, m_max, offset):
         assert np.abs(got - want).max(initial=0.0) <= 1e-12
 
 
-@PROPERTY
 @given(drive=drives(n_steps=LONG), phi0=qubit_states(), m_max=st.integers(0, 5))
 def test_sector_weights_are_probabilities(drive, phi0, m_max):
     params = SimulationParams(**drive)
@@ -127,7 +124,6 @@ def test_wide_recurrence_matches_fft_reference(n_steps, m_max, offset):
 POWER_STEPS = (1, 2, 3, 4, 8, 9, 10, 15, 16, 24, 50, 99, 100, 200)
 
 
-@PROPERTY
 @given(drive=drives(n_steps=st.sampled_from(POWER_STEPS)))
 def test_blocked_powers_match_sequential_products(drive):
     params = SimulationParams(**drive)

@@ -10,13 +10,12 @@ import numpy as np
 import pytest
 
 pytest.importorskip("hypothesis")
-from hypothesis import example, given, settings, strategies as st  # noqa: E402
+from hypothesis import example, given, strategies as st  # noqa: E402
 
 from collide1d import SimulationParams, obe_integrate  # noqa: E402
 from collide1d.obe import rk_step_limit  # noqa: E402
 from test_obe import loop_obe  # noqa: E402
 
-PROPERTY = settings(max_examples=40, deadline=None, derandomize=True, database=None)
 TOL = 1e-11
 
 
@@ -42,7 +41,6 @@ def case(n_steps, last, dt_factor, phi0, dt_rk_factor):
             None if dt_rk_factor is None else dt_rk_factor * limit)
 
 
-@PROPERTY
 @given(run=obe_runs())
 @example(run=case(1, 1, 0.5, "g", None))
 @example(run=case(1, 1, 3.0, "e", 0.7))

@@ -10,13 +10,11 @@ import numpy as np
 import pytest
 
 pytest.importorskip("hypothesis")
-from hypothesis import given, settings, strategies as st  # noqa: E402
+from hypothesis import given, strategies as st  # noqa: E402
 
 from collide1d import (SimulationParams, make_exponential_wavepacket,  # noqa: E402
                        make_gaussian_wavepacket, run_single_excitation)
 from collide1d.core import VALIDITY_BOUND  # noqa: E402
-
-PROPERTY = settings(max_examples=40, deadline=None, derandomize=True, database=None)
 
 
 def loop_recursion(params, b0, ce):
@@ -52,7 +50,6 @@ def single_excitation_runs(draw):
     return params, None
 
 
-@PROPERTY
 @given(case=single_excitation_runs())
 def test_scan_matches_collision_loop(case):
     params, packet = case
