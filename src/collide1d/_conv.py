@@ -5,18 +5,18 @@ photon tuple depends only on the lag since its last emission: every tuple
 amplitude is a chain of no-emission propagators joined by emission blocks.
 Both tiers supply their own propagators and differ only in the lag offset
 (see ``moment_chain``).  ``materialize_tuples`` evaluates that chain for every
-tuple.  Summing |amplitude|^2 over all tuples with the same photon count
-instead collapses each sector into one 2x2 moment matrix per step, and one
-collision maps the moments of every sector by one constant linear map (the
-Kraus map X -> K X K^dag + E X E^dag, split by photon count).
+tuple; each m-photon tuple is an (m-1)-photon parent followed by one later
+mode, and children appended in parent order stay lexicographic, at
+O(total amplitudes) cost.  Summing |amplitude|^2 over all tuples with the same
+photon count instead collapses each sector into one 2x2 moment matrix per
+step, and one collision maps the moments of every sector by one constant
+linear map (the Kraus map X -> K X K^dag + E X E^dag, split by photon count).
 ``linear_recurrence`` evaluates such a recurrence in blocks, which gives
-reduced-qubit trajectories in O(N * m_max) time and memory instead of
-O(N^(m+1)).
+reduced-qubit trajectories in O(N * m_max) time and memory instead of O(N^(m+1)).
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 
 import numpy as np
@@ -116,8 +116,9 @@ def materialize_tuples(props: np.ndarray, emit: np.ndarray, phases: np.ndarray,
 
     props, emit and offset follow ``moment_chain``; phases[n] is the phase
     attached to an emission into bin n.  Returns (tuples, values) in the
-    ``SectorState`` layout: tuples[m] lists the lexicographically ordered
-    m-photon mode tuples, values[m] their (2, K_m) qubit amplitudes.  Raises
+    ``SectorState`` layout: tuples[m] lists the m-photon mode tuples, values[m]
+    their (2, K_m) qubit amplitudes.  Each sector is its parents' children in
+    parent order, hence lexicographic, built in O(total amplitudes).  Raises
     MemoryGuardError, before building any tuple, when there would be more
     than max_amplitudes of them.
     """
@@ -131,18 +132,17 @@ def materialize_tuples(props: np.ndarray, emit: np.ndarray, phases: np.ndarray,
     births = phi0.reshape(2, 1)
     # the vacuum counts as emitted at step -offset, so its first lag is the emission step
     prev_last = np.full(1, -offset)
+    first = np.zeros(1, dtype=int)  # a tuple's children append one of modes first..step-1
     for m in range(1, m_max + 1):
-        combos = np.array(list(itertools.combinations(range(step), m)),
-                          dtype=int).reshape(-1, m)
-        # locate each combo's parent (its prefix) in the previous sector
-        order = {tuple(t): i for i, t in enumerate(tuples[-1].tolist())}
-        parent_idx = np.fromiter((order[tuple(c[:-1])] for c in combos.tolist()),
-                                 dtype=int, count=len(combos))
-        last = combos[:, -1]
+        counts = step - first
+        parent_idx = np.repeat(np.arange(len(counts)), counts)
+        # a parent's children count up to mode step - 1, where its segment ends
+        last = step + np.arange(len(parent_idx)) - np.cumsum(counts)[parent_idx]
+        combos = np.column_stack((tuples[-1][parent_idx], last))
         lag = last - prev_last[parent_idx] - offset
         parent_now = np.einsum("kab,bk->ak", props[lag], births[:, parent_idx])
         births = phases[last] * (emit @ parent_now)
         values.append(np.einsum("kab,bk->ak", props[step - offset - last], births))
         tuples.append(combos)
-        prev_last = last
+        prev_last, first = last, last + 1
     return tuples, values

@@ -35,15 +35,16 @@ class _Scenario(NamedTuple):
     solvers: tuple   # solvers allowed; empty: the scenario picks its own
     phi0: str        # initial qubit state when the config sets none
     driven: bool     # takes a coherent drive; otherwise omega_rabi must be 0
+    start: str = ""  # the solver or sweep that always starts from phi0, fixing it
 
 
 SCENARIOS = {
     "spont": _Scenario(("analytic", "dense", "sectors"), "e", False),
     "coherent": _Scenario(("analytic", "dense", "sectors"), "g", True),
-    "single-photon": _Scenario(("analytic", "recursion"), "g", False),
+    "single-photon": _Scenario(("analytic", "recursion"), "g", False, "recursion"),
     "oracle-compare": _Scenario((), "g", True),
     "io-check": _Scenario((), "g", True),
-    "convergence": _Scenario((), "e", False),
+    "convergence": _Scenario((), "e", False, "sweep"),
 }
 SOLVERS = ("dense", "sectors", "recursion", "analytic")
 
@@ -172,23 +173,22 @@ def parse_config(text: str) -> ScenarioConfig:
         problems.append(f"{where('wavepacket_sigma')}: wavepacket_sigma must be >= "
                         f"{1 / _MAX_MAGNITUDE:g}, got {values['wavepacket_sigma']:g}")
     scenario, solver = values.get("scenario"), values.get("solver")
-    if scenario in SCENARIOS:
-        allowed = SCENARIOS[scenario].solvers
-        if allowed:
-            if solver is None:
-                problems.append(f"config: scenario {scenario!r} needs a solver "
-                                f"(one of {', '.join(allowed)})")
-            elif solver in SOLVERS and solver not in allowed:
-                problems.append(f"{where('solver')}: solver {solver!r} is incompatible "
-                                f"with scenario {scenario!r} "
-                                f"(allowed: {', '.join(allowed)})")
-        elif solver is not None:
-            problems.append(f"{where('solver')}: scenario {scenario!r} chooses its own "
-                            f"solvers; remove the solver key")
-    if scenario == "single-photon" and values.get("phi0") == "e":
-        problems.append(f"{where('phi0')}: the single-photon recursion starts from the "
-                        f"ground state; phi0 = e is not supported")
-    if scenario in SCENARIOS and not SCENARIOS[scenario].driven and values.get("omega_rabi"):
+    row = SCENARIOS.get(scenario)
+    if row and row.solvers:
+        if solver is None:
+            problems.append(f"config: scenario {scenario!r} needs a solver "
+                            f"(one of {', '.join(row.solvers)})")
+        elif solver in SOLVERS and solver not in row.solvers:
+            problems.append(f"{where('solver')}: solver {solver!r} is incompatible with "
+                            f"scenario {scenario!r} (allowed: {', '.join(row.solvers)})")
+    elif row and solver is not None:
+        problems.append(f"{where('solver')}: scenario {scenario!r} chooses its own "
+                        f"solvers; remove the solver key")
+    if row and row.start and values.get("phi0") in {"g", "e"} - {row.phi0}:
+        problems.append(f"{where('phi0')}: the {scenario} {row.start} starts from the "
+                        f"{dict(g='ground', e='excited')[row.phi0]} state; "
+                        f"phi0 = {values['phi0']} is not supported")
+    if row and not row.driven and values.get("omega_rabi"):
         problems.append(f"{where('omega_rabi')}: scenario {scenario!r} has no coherent "
                         f"drive; omega_rabi must be 0")
 
@@ -294,8 +294,7 @@ def _dense_table(traj, stride: int, **columns) -> ResultTable:
 
 
 def _dense_flux(traj) -> np.ndarray:
-    n = traj.params.n_steps
-    return observables.photon_density(traj.snapshot(n), dt=traj.params.dt)
+    return observables.photon_density(traj.snapshot(traj.params.n_steps), dt=traj.params.dt)
 
 
 def _check_tracked_weight(weights: np.ndarray, weights_at, params: SimulationParams):
@@ -411,7 +410,8 @@ def _io_residuals(params: SimulationParams, config: ScenarioConfig):
 
 def _convergence_error(params: SimulationParams, config: ScenarioConfig):
     """|P_e - e^{-gamma t}| per step of the lab-frame dense run from |e>, and the run."""
-    initial = DenseJointState.product_state("e", params.n_steps, params.fock_dim)
+    initial = DenseJointState.product_state(config.resolved_phi0(), params.n_steps,
+                                            params.fock_dim)
     traj = run_dense(params, initial, frame=LAB)
     return np.abs(traj.p_excited() - np.exp(-params.gamma * params.grid.times())), traj
 

@@ -84,6 +84,21 @@ class TestParseConfig:
             parse_config(spont_config(**{key: value}))
         assert any(f"line {lineno}" in v and "finite" in v for v in err.value.violations)
 
+    @pytest.mark.parametrize("head,phi0,message", [
+        ("scenario = single-photon\nsolver = analytic\n", "e", "line 5: the single-photon "
+         "recursion starts from the ground state; phi0 = e is not supported"),
+        ("scenario = convergence\n", "g", "line 4: the convergence sweep starts from the "
+         "excited state; phi0 = g is not supported"),
+    ], ids=["single-photon", "convergence"])
+    def test_fixed_start_rejects_the_other_phi0(self, tmp_path, capsys, head, phi0, message):
+        cfg = tmp_path / "start.cfg"
+        cfg.write_text(f"{head}dt = 0.04\nn_steps = 5\nphi0 = {phi0}\n")
+        assert cli.main(["run", str(cfg), "--out", str(tmp_path)]) == 2
+        assert capsys.readouterr().err == f"config error: {message}\n"
+        assert not list(tmp_path.glob("*.csv"))
+        own = "g" if phi0 == "e" else "e"
+        assert parse_config(f"{head}dt = 0.04\nn_steps = 5\nphi0 = {own}\n").phi0 == own
+
     def test_duplicate_key(self):
         with pytest.raises(ConfigError) as err:
             parse_config(MINIMAL_SPONT + "gamma = 2\n")

@@ -3,9 +3,15 @@
 Both tiers materialize tuple amplitudes through one routine and differ only in
 their propagators and lag offset, so each is checked against an evaluation
 that does not go through it: the sector propagator against its lazy
-per-tuple ``amplitude``, the closed form against the coefficient density
-``fm`` of each tuple.
+per-tuple ``amplitude`` and against the dense displaced oracle, the closed
+form against the coefficient density ``fm`` of each tuple.  The routine
+itself is pinned bit for bit to a prefix-lookup reference over random complex
+inputs, and the dense oracle it is compared with keeps unit norm.
 """
+
+import itertools
+import math
+import re
 
 import numpy as np
 import pytest
@@ -14,8 +20,10 @@ pytest.importorskip("hypothesis")
 from hypothesis import example, given, strategies as st  # noqa: E402
 
 from collide1d import SimulationParams, run_displaced_sectors  # noqa: E402
+from collide1d._conv import materialize_tuples  # noqa: E402
 from collide1d.analytic import assemble_coherent, fm  # noqa: E402
-from collide1d.core import VALIDITY_BOUND  # noqa: E402
+from collide1d.core import VALIDITY_BOUND, MemoryGuardError  # noqa: E402
+from collide1d.engine import DISPLACED, LAB, DenseJointState, run_dense  # noqa: E402
 
 
 #: the no-emission propagator's complex Rabi frequency vanishes at Omega = gamma/2
@@ -66,3 +74,82 @@ def test_assembly_matches_coefficient_densities(drive, phi0):
                 assert np.allclose(coeffs.values[m][:, row], dense, rtol=1e-12,
                                    atol=1e-14)
 
+
+
+def prefix_lookup_tuples(props, emit, phases, phi0, step, m_max, offset):
+    """The materializer by lookup: each sector's tuples from itertools.combinations,
+    each tuple's parent found through a dict keyed by its prefix."""
+    tuples = [np.zeros((1, 0), dtype=int)]
+    values = [(props[step] @ phi0).reshape(2, 1)]
+    births, prev_last = phi0.reshape(2, 1), np.full(1, -offset)
+    for m in range(1, m_max + 1):
+        combos = np.array(list(itertools.combinations(range(step), m)),
+                          dtype=int).reshape(-1, m)
+        order = {tuple(t): i for i, t in enumerate(tuples[-1].tolist())}
+        parent_idx = np.fromiter((order[tuple(c[:-1])] for c in combos.tolist()),
+                                 dtype=int, count=len(combos))
+        last = combos[:, -1]
+        lag = last - prev_last[parent_idx] - offset
+        parent_now = np.einsum("kab,bk->ak", props[lag], births[:, parent_idx])
+        births = phases[last] * (emit @ parent_now)
+        values.append(np.einsum("kab,bk->ak", props[step - offset - last], births))
+        tuples.append(combos)
+        prev_last = last
+    return tuples, values
+
+
+def random_chain(rng, step):
+    """Random complex (props, emit, phases, phi0) for `step` collisions."""
+    def draw(*shape):
+        return rng.normal(size=shape) + 1j * rng.normal(size=shape)
+    return draw(step + 1, 2, 2), draw(2, 2), draw(step), draw(2)
+
+
+@pytest.mark.parametrize("offset", (0, 1))
+@pytest.mark.parametrize("step", range(13))
+def test_materializer_matches_prefix_lookup(step, offset):
+    chain = random_chain(np.random.default_rng(100 * step + offset), step)
+    for m_max in range(step + 3):
+        got = materialize_tuples(*chain, step, m_max, offset, max_amplitudes=1 << 21)
+        want = prefix_lookup_tuples(*chain, step, m_max, offset)
+        for g, w in zip(got, want):
+            assert len(g) == len(w) == m_max + 1
+            for a, b in zip(g, w):
+                assert a.dtype == b.dtype and a.shape == b.shape
+                assert np.array_equal(a, b)
+
+
+@pytest.mark.parametrize("step,m_max", [(0, 0), (0, 2), (5, 2), (12, 12), (12, 14)])
+def test_materializer_guard_boundary(step, m_max):
+    chain = random_chain(np.random.default_rng(step), step)
+    total = sum(math.comb(step, m) for m in range(m_max + 1))
+    tuples, _ = materialize_tuples(*chain, step, m_max, 1, max_amplitudes=total)
+    assert sum(len(t) for t in tuples) == total
+    message = (f"materializing {total} tuple amplitudes exceeds the guard ({total - 1}); "
+               f"lower m_max")
+    with pytest.raises(MemoryGuardError, match=f"^{re.escape(message)}$"):
+        materialize_tuples(*chain, step, m_max, 1, max_amplitudes=total - 1)
+
+
+@given(drive=drives(n_steps=st.integers(1, 8)), phi0=st.sampled_from("ge"))
+@example(drive={**EXCEPTIONAL, "n_steps": 8}, phi0="e")
+def test_sectors_at_full_m_max_match_the_dense_oracle(drive, phi0):
+    # criterion 7 over random drives: every tuple amplitude, at its tolerance
+    params = SimulationParams(**drive)
+    n = params.n_steps
+    initial = DenseJointState.product_state(phi0, n, 2, frame=DISPLACED)
+    psi = run_dense(params, initial, frame=DISPLACED).snapshot(n).amplitudes.reshape(2, -1)
+    state = run_displaced_sectors(params, n, phi0).state_at(n)
+    for m in range(n + 1):
+        assert np.abs(psi[:, state.dense_index(m)] - state.values[m]).max() <= 1e-10
+
+
+@given(drive=drives(n_steps=st.integers(1, 8)), phi0=st.sampled_from("ge"))
+def test_dense_oracle_keeps_unit_norm(drive, phi0):
+    for fock_dim in (2, 3):
+        params = SimulationParams(**drive, fock_dim=fock_dim)
+        for frame in (LAB, DISPLACED):
+            initial = DenseJointState.product_state(phi0, params.n_steps, fock_dim,
+                                                    frame=frame)
+            traj = run_dense(params, initial, frame=frame)
+            assert np.abs(traj.norms - 1.0).max() <= 1e-12, (fock_dim, frame)
