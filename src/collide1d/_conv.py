@@ -3,8 +3,8 @@
 Emitted photons are never revisited, so the qubit 2-vector attached to a
 photon tuple depends only on the lag since its last emission: every tuple
 amplitude is a chain of no-emission propagators joined by emission blocks.
-Both tiers supply their own propagators and differ only in the lag offset
-(see ``moment_chain``).  ``materialize_tuples`` evaluates that chain for every
+Both tiers supply their own propagator and emission block, and an emission
+consumes its bin (see ``moment_chain``).  ``materialize_tuples`` evaluates that chain for every
 tuple; each m-photon tuple is an (m-1)-photon parent followed by one later
 mode, and children appended in parent order stay lexicographic, at
 O(total amplitudes) cost.  Summing |amplitude|^2 over all tuples with the same
@@ -46,17 +46,16 @@ def linear_recurrence(advance, jump, x0: np.ndarray, n: int, block: int) -> np.n
     return x.reshape((-1,) + x0.shape)[:n + 1]
 
 
-def moment_chain(props: np.ndarray, emit: np.ndarray, phi0: np.ndarray,
-                 m_max: int, offset: int):
+def moment_chain(props: np.ndarray, emit: np.ndarray, phi0: np.ndarray, m_max: int):
     """Reduced-qubit, sector-weight and emission trajectories of one tier.
 
     props is the (N+1, 2, 2) no-emission propagator at integer lag j.  It must
     be the semigroup props[j] = props[1]^j, because the moments advance by the
     one-step map props[1].  emit is the (2, 2) per-collision emission block and
-    phi0 the initial qubit state.  After an emission at step n the propagator
-    up to step s is props[s - n - offset]: offset 1 for a discrete collision
-    product (the emitting collision is consumed), 0 for closed-form continuum
-    coefficients.
+    phi0 the initial qubit state.  The emitting collision is consumed, so after
+    an emission at step n the propagator up to step s is props[s - n - 1]; the
+    closed form, whose continuum lags run from the emission time itself,
+    passes emit = M(dt) @ (-sqrt(gamma dt) sigma_-).
 
     Returns (rho, weights, emitted).  rho (N+1, 2, 2) is outer(q, q*) for the
     vacuum amplitudes q[s] = props[s] @ phi0 plus the moments S_1..S_m_max,
@@ -64,20 +63,18 @@ def moment_chain(props: np.ndarray, emit: np.ndarray, phi0: np.ndarray,
     (trace <= 1 by the weight beyond m_max).  weights (m_max+1, N+1, 2) holds
     |q|^2 and the diagonals of the S_m.  emitted (N,) is the weight deposited
     into bin n by the births of sectors 1..m_max, the trace of
-    E S_(m-1)[n] E^dag summed over m (the photon flux times dt).
+    E S_(m-1)[n] E^dag summed over m: the photon flux times dt for a bare
+    emission block.  The closed form's block moves it by O(gamma dt), and
+    ``analytic.coherent_qubit_trajectory`` discards it.
     """
-    if offset not in (0, 1):
-        raise ValueError("offset must be 0 or 1")
     n_steps = props.shape[0] - 1
     q = np.einsum("nab,b->na", props, phi0)
     # X -> K X K^dag and X -> E X E^dag on row-major vec(X)
     keep = np.kron(props[1], props[1].conj())
     birth = np.kron(emit, emit.conj())
-    # S_m[s+1] = K S_m[s] K^dag + E S_{m-1}[s] E^dag.  At offset 0 a birth is
-    # already propagated over its own bin: S_m[s+1] = L (S_m[s] + E S_{m-1}[s] E^dag).
-    # Both maps keep S_m Hermitian: act on its real coordinates, as row vectors.
-    keep, feed = (np.linalg.solve(HERMITIAN, a @ HERMITIAN).real.T
-                  for a in (keep, birth if offset else keep @ birth))
+    # S_m[s+1] = K S_m[s] K^dag + E S_{m-1}[s] E^dag.  Both maps keep S_m
+    # Hermitian: act on its real coordinates, as row vectors.
+    keep, feed = (np.linalg.solve(HERMITIAN, a @ HERMITIAN).real.T for a in (keep, birth))
     size = m_max + 1
 
     def advance(x):  # one collision of every sector; x[..., m, :] holds S_m
@@ -110,11 +107,10 @@ def moment_chain(props: np.ndarray, emit: np.ndarray, phi0: np.ndarray,
 
 
 def materialize_tuples(props: np.ndarray, emit: np.ndarray, phases: np.ndarray,
-                       phi0: np.ndarray, step: int, m_max: int, offset: int,
-                       max_amplitudes: int):
+                       phi0: np.ndarray, step: int, m_max: int, max_amplitudes: int):
     """Every tuple amplitude with up to m_max photons after `step` collisions.
 
-    props, emit and offset follow ``moment_chain``; phases[n] is the phase
+    props and emit follow ``moment_chain``; phases[n] is the phase
     attached to an emission into bin n.  Returns (tuples, values) in the
     ``SectorState`` layout: tuples[m] lists the m-photon mode tuples, values[m]
     their (2, K_m) qubit amplitudes.  Each sector is its parents' children in
@@ -130,8 +126,8 @@ def materialize_tuples(props: np.ndarray, emit: np.ndarray, phases: np.ndarray,
     values: list[np.ndarray] = [(props[step] @ phi0).reshape(2, 1)]
     # birth vectors of the previous sector, indexed like tuples[m-1]
     births = phi0.reshape(2, 1)
-    # the vacuum counts as emitted at step -offset, so its first lag is the emission step
-    prev_last = np.full(1, -offset)
+    # the vacuum counts as emitted at step -1, so its first lag is the emission step
+    prev_last = np.full(1, -1)
     first = np.zeros(1, dtype=int)  # a tuple's children append one of modes first..step-1
     for m in range(1, m_max + 1):
         counts = step - first
@@ -139,10 +135,10 @@ def materialize_tuples(props: np.ndarray, emit: np.ndarray, phases: np.ndarray,
         # a parent's children count up to mode step - 1, where its segment ends
         last = step + np.arange(len(parent_idx)) - np.cumsum(counts)[parent_idx]
         combos = np.column_stack((tuples[-1][parent_idx], last))
-        lag = last - prev_last[parent_idx] - offset
+        lag = last - prev_last[parent_idx] - 1
         parent_now = np.einsum("kab,bk->ak", props[lag], births[:, parent_idx])
         births = phases[last] * (emit @ parent_now)
-        values.append(np.einsum("kab,bk->ak", props[step - offset - last], births))
+        values.append(np.einsum("kab,bk->ak", props[step - 1 - last], births))
         tuples.append(combos)
         prev_last, first = last, last + 1
     return tuples, values

@@ -183,8 +183,7 @@ def criterion_6():
     quiet = 0.0
     lab = SimulationParams(gamma=1.0, dt=0.01, n_steps=8, omega_q=1.0)
     for phi0 in ("g", "e"):
-        traj = run_dense(lab, DenseJointState.product_state(phi0, 8, 2),
-                         frame=LAB, snapshot_steps="all")
+        traj = run_dense(lab, DenseJointState.product_state(phi0, 8, 2), frame=LAB)
         quiet = max(quiet, float(observables.io_residual(traj).max()))
     config = cli.ScenarioConfig("io-check", gamma=1.0, dt=1e-2, n_steps=8,
                                 omega_rabi=2.0, omega_q=1.0, fock_dim=3)

@@ -95,6 +95,11 @@ def fm(eps: str, phi0: str, t: float, times, params: SimulationParams) -> comple
     return (-math.sqrt(params.gamma)) ** len(times) * value
 
 
+def _emission_block(params: SimulationParams) -> np.ndarray:
+    """-sqrt(gamma dt) sigma_- propagated over its own bin by M(dt) (see _conv)."""
+    return f0_matrix(params.dt, params) @ (-math.sqrt(params.gamma * params.dt) * SIGMA_MINUS)
+
+
 def assemble_coherent(params: SimulationParams, t: float, m_max: int, phi0="g",
                       max_amplitudes: int = MAX_SECTOR_AMPLITUDES) -> SectorState:
     """Evaluate the closed-form coefficients over all ordered tuples up to m_max.
@@ -107,12 +112,9 @@ def assemble_coherent(params: SimulationParams, t: float, m_max: int, phi0="g",
     grid = params.grid
     step = grid.index_of(t)
     mats = f0_matrix(np.arange(step + 1) * params.dt, params)  # M(t_j) for lags j
-    emit = -math.sqrt(params.gamma * params.dt) * SIGMA_MINUS
     phases = np.exp(-1j * params.omega_p * params.dt * np.arange(step))
-    # continuum lags measure from the emission time itself: offset 0
-    tuples, values = _conv.materialize_tuples(mats, emit, phases, qubit_vector(phi0), step,
-                                              m_max, offset=0,
-                                              max_amplitudes=max_amplitudes)
+    tuples, values = _conv.materialize_tuples(mats, _emission_block(params), phases,
+                                              qubit_vector(phi0), step, m_max, max_amplitudes)
     return SectorState(step=step, m_max=m_max, grid=grid, frame=DISPLACED,
                        tuples=tuples, values=values)
 
@@ -126,8 +128,7 @@ def coherent_qubit_trajectory(params: SimulationParams, m_max: int, phi0="g"):
     enumeration of tuples: O(N * m_max) time and memory.
     """
     mats = f0_matrix(params.grid.times(), params)
-    emit = -math.sqrt(params.gamma * params.dt) * SIGMA_MINUS
-    rho, weights, _ = _conv.moment_chain(mats, emit, qubit_vector(phi0), m_max, offset=0)
+    rho, weights, _ = _conv.moment_chain(mats, _emission_block(params), qubit_vector(phi0), m_max)
     return rho, weights
 
 

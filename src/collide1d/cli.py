@@ -22,7 +22,7 @@ import numpy as np
 
 from . import __version__
 from . import analytic, observables
-from .core import (MemoryGuardError, SimulationParams, Wavepacket,
+from .core import (VALIDITY_BOUND, MemoryGuardError, SimulationParams, Wavepacket,
                    make_exponential_wavepacket, make_gaussian_wavepacket)
 from .engine import (DISPLACED, LAB, MAX_SECTOR_AMPLITUDES, DenseJointState,
                      check_dense_size, run_dense, run_displaced_sectors,
@@ -301,12 +301,19 @@ def _check_tracked_weight(weights: np.ndarray, weights_at, params: SimulationPar
     """Refuse a sector-truncated run whose entropy column cannot be interpreted.
 
     weights are the run's (m_max+1, N+1, 2) sector weights and weights_at(m)
-    its tier's at m sectors.  A sector's weight does not depend on the sectors
-    above it, so one run at the most sectors the sector memory guard admits
-    (at most N) gives the tracked weight of every smaller m_max.
+    its tier's at m sectors; a weight above 1 + MAX_NORM_DEFICIT, or nan, is
+    refused as well.  A sector's weight does not depend on the sectors above
+    it, so one run at the most sectors the sector memory guard admits (at most
+    N) gives the tracked weight of every smaller m_max.
     """
-    floor, n, m_max = 1.0 - observables.MAX_NORM_DEFICIT, params.n_steps, len(weights) - 1
-    tracked = weights.sum(axis=(0, 2))
+    n, m_max, deficit = params.n_steps, len(weights) - 1, observables.MAX_NORM_DEFICIT
+    floor, tracked = 1.0 - deficit, weights.sum(axis=(0, 2))
+    above = ~(tracked <= 1.0 + deficit)  # nan too
+    if above.any():
+        step = int(above.argmax())
+        raise ValueError(f"tracked weight grows to {tracked[step]:.4g} above {1 + deficit:g} at "
+                         f"step {step} (t = {step * params.dt:.6g}): emissions outweigh the state "
+                         f"(gamma*dt = {params.gamma * params.dt:.4g}, bound {VALIDITY_BOUND:g})")
     if tracked.min() < floor:
         wide = weights_at(max(m_max, min(n, MAX_SECTOR_AMPLITUDES // (4 * n + 4) - 1)))
         reached = np.cumsum(wide.sum(axis=2), axis=0).min(axis=1) >= floor
@@ -379,10 +386,10 @@ def _solve(config: ScenarioConfig, params: SimulationParams) -> ResultTable:
 
 # -- sweeps: one error per step size, fitted to a power law in dt -------------
 
-def _displaced_dense_run(params: SimulationParams, phi0, **kwargs):
+def _displaced_dense_run(params: SimulationParams, phi0):
     initial = DenseJointState.product_state(phi0, params.n_steps, params.fock_dim,
                                             frame=DISPLACED)
-    return run_dense(params, initial, frame=DISPLACED, **kwargs)
+    return run_dense(params, initial, frame=DISPLACED)
 
 
 def _oracle_amplitude_error(params: SimulationParams, config: ScenarioConfig):
@@ -404,7 +411,7 @@ def _oracle_amplitude_error(params: SimulationParams, config: ScenarioConfig):
 
 def _io_residuals(params: SimulationParams, config: ScenarioConfig):
     """Input-output residual per collision of the displaced dense run, and the run."""
-    traj = _displaced_dense_run(params, config.resolved_phi0(), snapshot_steps="all")
+    traj = _displaced_dense_run(params, config.resolved_phi0())
     return observables.io_residual(traj), traj
 
 

@@ -232,13 +232,13 @@ def apply_collision(state: DenseJointState, n: int,
 
 @dataclass
 class DenseTrajectory:
-    """Per-step qubit matrices and norms, plus full snapshots at chosen steps."""
+    """Per-step qubit matrices and norms, plus the input and output states."""
 
     params: SimulationParams
     frame: str
     qubit_matrices: np.ndarray = field(repr=False)   # (N+1, 2, 2)
     norms: np.ndarray = field(repr=False)            # (N+1,)
-    snapshots: dict[int, DenseJointState] = field(repr=False)
+    snapshots: dict[int, DenseJointState] = field(repr=False)  # steps 0 and N
 
     def p_excited(self) -> np.ndarray:
         return self.qubit_matrices[:, 1, 1].real
@@ -251,18 +251,16 @@ class DenseTrajectory:
 
 
 def run_dense(params: SimulationParams, initial: DenseJointState,
-              frame: str = LAB, snapshot_steps=None) -> DenseTrajectory:
+              frame: str = LAB) -> DenseTrajectory:
     """Apply collisions n = 0..N-1 in order to the full joint state.
 
     Light cone: collision n mixes only (qubit, mode n), so modes past n keep
     their input.  With ``reach`` the smallest f such that no input amplitude
     has a photon in a mode >= f, collision n and the reduction after it work
     on the first max(n + 1, reach) modes with the rest in vacuum; every other
-    amplitude is exactly zero and stays so.  Snapshots are full-state copies.
-
-    snapshot_steps: iterable of steps to keep full copies of, or "all"; by
-    default only the initial and final states are retained (per-step reduced
-    qubit matrices and norms are always recorded).
+    amplitude is exactly zero and stays so.  The qubit matrix and norm are
+    recorded at every step; the full state only as snapshot 0, a copy of the
+    input in the run's frame, and snapshot N, the state the collisions acted on.
     """
     n = params.n_steps
     if initial.n_modes != n:
@@ -271,37 +269,27 @@ def run_dense(params: SimulationParams, initial: DenseJointState,
         raise ValueError(f"initial state not normalized: |psi| = {initial.norm}")
     if frame not in (LAB, DISPLACED):
         raise ValueError(f"frame must be 'lab' or 'displaced', got {frame!r}")
-    if snapshot_steps == "all":
-        wanted = set(range(n + 1))
-    elif snapshot_steps is None:
-        wanted = {0, n}
-    else:
-        wanted = set(int(s) for s in snapshot_steps)
 
     build = lab_collision_unitary if frame == LAB else displaced_collision_unitary
-    state = initial.copy()
-    state.frame = frame
+    start = initial.copy()
+    start.frame = frame
+    state = start.copy()
     d = state.fock_dim
     # a nonzero at field index r reaches mode n - (trailing zero base-d digits of r)
     support = np.flatnonzero(state.amplitudes) % d**n
     reach = next(f for f in range(n + 1) if not np.any(support % d ** (n - f)))
     work = np.empty((2, 2 * d**n), dtype=complex)
     qubit = np.empty((n + 1, 2, 2), dtype=complex)
-    snaps: dict[int, DenseJointState] = {}
     qubit[0] = _partial_trace(state.amplitudes.reshape(2, d**reach, -1)[:, :, 0])
-    if 0 in wanted:
-        snaps[0] = state.copy()
     for step in range(n):
         live = max(step + 1, reach)
         cone = state.amplitudes.reshape(2, d**live, -1)[:, :, 0]
         _collide_in_place(cone, build(step, params, d), step, live,
                           work[:, :2 * d**live].reshape(2, 2 * d, -1))
         qubit[step + 1] = _partial_trace(cone)
-        if step + 1 in wanted:
-            snaps[step + 1] = state.copy()
     norms = np.sqrt(qubit[:, 0, 0].real + qubit[:, 1, 1].real)
     return DenseTrajectory(params=params, frame=frame, qubit_matrices=qubit,
-                           norms=norms, snapshots=snaps)
+                           norms=norms, snapshots={0: start, n: state})
 
 
 # ---------------------------------------------------------------------------
@@ -503,8 +491,7 @@ class SectorRun:
 
     @cached_property
     def _moments(self):
-        return _conv.moment_chain(self.powers, self.emission_block, self.phi0, self.m_max,
-                                  offset=1)
+        return _conv.moment_chain(self.powers, self.emission_block, self.phi0, self.m_max)
 
     def qubit_trajectory(self) -> np.ndarray:
         """(N+1, 2, 2) reduced qubit matrices (trace < 1 by the truncated weight)."""
@@ -558,8 +545,7 @@ class SectorRun:
             raise ValueError(f"step {step} outside grid")
         tuples, values = _conv.materialize_tuples(self.powers, self.emission_block,
                                                   self.emission_phases, self.phi0, step,
-                                                  self.m_max, offset=1,
-                                                  max_amplitudes=max_amplitudes)
+                                                  self.m_max, max_amplitudes)
         return SectorState(step=step, m_max=self.m_max, grid=self.grid,
                            frame=DISPLACED, tuples=tuples, values=values)
 

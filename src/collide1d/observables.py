@@ -94,21 +94,20 @@ def _mode_average(state: DenseJointState, mode: int) -> complex:
 def io_residual(trajectory: DenseTrajectory) -> np.ndarray:
     """|<a_out(t_n)> - <a_in(t_{n-1})> + sqrt(gamma) <sigma_-(t_{n-1})>| per step.
 
-    For collision n = 1..N, a_out and a_in are <a_{n-1}>/sqrt(dt) in the
-    snapshots after and before it, and <sigma_-> is the interaction-picture
-    rho_eg before it, read from the recorded qubit matrices.  Zero to machine
-    precision for vacuum and spontaneous emission; first order in dt for
-    driven runs (the remainder of the per-collision expansion).
+    For collision n = 1..N, a_in and a_out are <a_{n-1}>/sqrt(dt) before and
+    after it; only collision n touches mode n - 1, so they are read from the
+    input and output states (snapshots 0 and N).  <sigma_-> is the
+    interaction-picture rho_eg before it, from the recorded qubit matrices.
+    Zero to machine precision for vacuum and spontaneous emission; first order
+    in dt for driven runs (the remainder of the per-collision expansion).
     """
     params = trajectory.params
     n = params.n_steps
-    missing = [s for s in range(n + 1) if s not in trajectory.snapshots]
-    if missing:
-        raise ValueError(f"io residual needs snapshots at every step; missing {missing[:4]}...")
+    before, after = trajectory.snapshot(0), trajectory.snapshot(n)
     omega = params.omega_q if trajectory.frame == "lab" else params.omega_p
     root_dt = np.sqrt(params.dt)
-    field = np.array([_mode_average(trajectory.snapshot(s + 1), s) / root_dt
-                      - _mode_average(trajectory.snapshot(s), s) / root_dt for s in range(n)])
+    field = np.array([_mode_average(after, s) / root_dt - _mode_average(before, s) / root_dt
+                      for s in range(n)])
     sigma_minus = (trajectory.qubit_matrices[:n, 1, 0]
                    * np.exp(-1j * omega * np.arange(n) * params.dt))
     return np.abs(field + np.sqrt(params.gamma) * sigma_minus)

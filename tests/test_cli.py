@@ -280,6 +280,20 @@ class TestMain:
         assert "m_max = 8 keeps it >= 0.9" in err
         assert not (tmp_path / "coherent.csv").exists()
 
+    @pytest.mark.filterwarnings("ignore")  # gamma*dt = 5e113, and the chain overflows
+    def test_tracked_weight_above_one_names_step_and_gamma_dt(self, tmp_path, capsys):
+        # each birth carries gamma*dt*P_e >> 1: the tracked weight runs to 1.09e97,
+        # 1.20e194 and then nan, which the floor check alone lets through
+        cfg = tmp_path / "overflow.cfg"
+        cfg.write_text("scenario = coherent\nsolver = analytic\ngamma = 642023526\n"
+                       "omega_rabi = 3\ndt = 7.802253851277129e+104\nn_steps = 4\nm_max = 3\n")
+        assert cli.main(["run", str(cfg), "--out", str(tmp_path)]) == 2
+        assert capsys.readouterr().err == (
+            "invalid run: tracked weight grows to 1.094e+97 above 1.1 at step 2 "
+            "(t = 1.56045e+105): emissions outweigh the state (gamma*dt = 5.009e+113, "
+            "bound 0.1)\n")
+        assert not (tmp_path / "coherent.csv").exists()
+
     @pytest.mark.parametrize("n_steps,searched", [(4, 4), (10_000, 51), (600_000, 1)])
     def test_truncation_guard_searches_within_the_memory_guard(self, n_steps, searched):
         # the search run tracks min(N, 2^21 // (4(N+1)) - 1) sectors, never

@@ -198,28 +198,34 @@ class TestRunDense:
                          frame="displaced")
         assert np.abs(traj.norms - 1.0).max() < 1e-10
 
-    def test_snapshot_selection(self):
-        p = SimulationParams(gamma=1.0, dt=1e-2, n_steps=6)
-        traj = run_dense(p, DenseJointState.product_state("e", 6, 2), frame="lab",
-                         snapshot_steps=[0, 3, 6])
-        assert sorted(traj.snapshots) == [0, 3, 6]
-        with pytest.raises(KeyError):
-            traj.snapshot(2)
+    def test_keeps_only_the_input_and_output_snapshots(self):
+        p = SimulationParams(gamma=1.0, dt=1e-2, n_steps=6, omega_rabi=1.0)
+        initial = DenseJointState.product_state("e", 6, 2)
+        given_amplitudes = initial.amplitudes.copy()
+        traj = run_dense(p, initial, frame=DISPLACED)
+        assert sorted(traj.snapshots) == [0, 6]
+        initial.amplitudes[:] = 0.0
+        assert np.array_equal(traj.snapshot(0).amplitudes, given_amplitudes)
+        assert traj.snapshot(0).frame == traj.snapshot(6).frame == DISPLACED
+        for step in range(1, 6):
+            with pytest.raises(KeyError, match=f"no snapshot stored for step {step}"):
+                traj.snapshot(step)
 
 
-def full_contraction(params, initial, frame, wanted):
-    """Reference loop: every collision over the whole state by apply_collision."""
+def full_contraction(params, initial, frame):
+    """Reference loop: every collision over the whole state by apply_collision.
+
+    Returns the qubit matrices and norms after each step, and the N+1 states.
+    """
     build = lab_collision_unitary if frame == LAB else displaced_collision_unitary
-    state = DenseJointState(initial.amplitudes.copy(), initial.n_modes, initial.fock_dim,
-                            frame)
-    states = [state]
+    states = [DenseJointState(initial.amplitudes.copy(), initial.n_modes, initial.fock_dim,
+                              frame)]
     for step in range(params.n_steps):
-        state = apply_collision(state, step, build(step, params, state.fock_dim))
-        states.append(state)
+        states.append(apply_collision(states[-1], step, build(step, params, initial.fock_dim)))
     rows = [s.amplitudes.reshape(2, -1) for s in states]
     qubit = np.array([m @ m.conj().T for m in rows])
     norms = np.array([np.linalg.norm(s.amplitudes) for s in states])
-    return qubit, norms, {step: states[step] for step in wanted}
+    return qubit, norms, states
 
 
 def light_cone_state(n, d, reach, seed, density):
@@ -241,13 +247,12 @@ def light_cone_cases(draw):
     n = params.n_steps
     initial = light_cone_state(n, d, draw(st.integers(0, n)),
                                draw(st.integers(0, 2**32 - 1)), draw(st.floats(0.05, 1.0)))
-    wanted = draw(st.sets(st.integers(0, n)))
-    return params, initial, draw(st.sampled_from((LAB, DISPLACED))), wanted
+    return params, initial, draw(st.sampled_from((LAB, DISPLACED)))
 
 
 LARGEST = (SimulationParams(gamma=1.0, dt=0.01, n_steps=10, omega_q=1.0, omega_rabi=2.0,
                             delta=0.3, fock_dim=3),
-           light_cone_state(10, 3, 10, seed=5, density=0.5), DISPLACED, set(range(11)))
+           light_cone_state(10, 3, 10, seed=5, density=0.5), DISPLACED)
 
 
 @settings(max_examples=60)
@@ -255,11 +260,10 @@ LARGEST = (SimulationParams(gamma=1.0, dt=0.01, n_steps=10, omega_q=1.0, omega_r
 @example(case=LARGEST)
 def test_light_cone_matches_full_contraction(case):
     # largest difference found over these cases: 1.1e-15, on LARGEST
-    params, initial, frame, wanted = case
-    traj = run_dense(params, initial, frame=frame, snapshot_steps=wanted)
-    qubit, norms, snaps = full_contraction(params, initial, frame, wanted)
+    params, initial, frame = case
+    traj = run_dense(params, initial, frame=frame)
+    qubit, norms, states = full_contraction(params, initial, frame)
     assert np.abs(traj.qubit_matrices - qubit).max() <= 1e-12
     assert np.abs(traj.norms - norms).max() <= 1e-12
-    assert sorted(traj.snapshots) == sorted(snaps)
-    for step, state in snaps.items():
-        assert np.abs(traj.snapshot(step).amplitudes - state.amplitudes).max() <= 1e-12
+    for step in (0, params.n_steps):
+        assert np.abs(traj.snapshot(step).amplitudes - states[step].amplitudes).max() <= 1e-12

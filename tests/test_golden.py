@@ -8,12 +8,13 @@ field by field to an absolute ``NUMERIC_TOL``.  Their goldens were written by
 code that rounds differently: an FFT convolution chain for the three whose
 sector moments now come from the blocked moment recurrence, a sequential
 collision loop for the two recursion branches, which now use a doubling scan,
-a full-state <sigma_-> contraction for io-check, whose residual now reads
-rho_eg from the recorded qubit matrices, and BLAS vdot reductions over the
+a full-state <sigma_-> contraction over per-step snapshots for io-check,
+whose residual now reads rho_eg from the recorded qubit matrices and each
+<a_n> from the input and output states only, and BLAS vdot reductions over the
 whole state for the four dense branches, which now reduce only the light cone
 of each collision by numpy pairwise sums.  Largest measured differences
 (.csv/.manifest): recursion-exponential 1.3e-15/4.4e-16, recursion-gaussian
-2.3e-15/2.3e-15, io-check 3.3e-17/0, coherent-dense 4.4e-16/0, convergence
+2.3e-15/2.3e-15, io-check 9.4e-17/4.0e-15, coherent-dense 4.4e-16/0, convergence
 4.4e-16/4.4e-16, oracle-compare 4.4e-16/4.3e-19, spont-dense 2.8e-16/0.
 Regenerate the files only for a change that is meant to alter the numbers,
 and say so where it is recorded.

@@ -1,9 +1,11 @@
 """Property test for the input-output residual over random dense runs.
 
-The reference is the per-snapshot evaluation that ``io_residual`` replaced:
-it contracts sigma_- and a_{n-1} with the full joint state before and after
-each collision, where ``io_residual`` reads rho_eg from the qubit matrices
-that ``run_dense`` records at every step.
+The reference is the per-step evaluation that ``io_residual`` replaced: it
+contracts sigma_- and a_{n-1} with the full joint state before and after each
+collision, states built one collision at a time by ``apply_collision``.
+``io_residual`` instead reads a_{n-1} from the input and output states alone
+(only collision n touches mode n - 1) and rho_eg from the qubit matrices that
+``run_dense`` records at every step.
 """
 
 import math
@@ -17,6 +19,7 @@ from hypothesis import given, strategies as st  # noqa: E402
 from collide1d import (DenseJointState, SimulationParams, io_residual,  # noqa: E402
                        run_dense)
 from collide1d.engine import DISPLACED, LAB, SIGMA_MINUS, annihilation  # noqa: E402
+from test_engine_dense import full_contraction  # noqa: E402
 from test_materializer_properties import drives  # noqa: E402
 
 
@@ -27,13 +30,12 @@ def expectation(state, op, axis):
     return complex(np.vdot(psi.reshape(-1), lowered.reshape(-1)))
 
 
-def contracted_io_residual(traj):
-    params = traj.params
-    omega = params.omega_q if traj.frame == LAB else params.omega_p
+def contracted_io_residual(params, frame, states):
+    omega = params.omega_q if frame == LAB else params.omega_p
     root_dt, a = math.sqrt(params.dt), annihilation(params.fock_dim)
     out = []
     for step in range(1, params.n_steps + 1):
-        after, before = traj.snapshot(step), traj.snapshot(step - 1)
+        after, before = states[step], states[step - 1]
         a_out = expectation(after, a, step) / root_dt
         a_in = expectation(before, a, step) / root_dt
         sm = (expectation(before, SIGMA_MINUS, 0)
@@ -47,5 +49,7 @@ def contracted_io_residual(traj):
 def test_io_residual_matches_full_state_contraction(drive, frame, fock_dim, phi0):
     params = SimulationParams(fock_dim=fock_dim, **drive)
     initial = DenseJointState.product_state(phi0, params.n_steps, fock_dim, frame=frame)
-    traj = run_dense(params, initial, frame=frame, snapshot_steps="all")
-    assert np.allclose(io_residual(traj), contracted_io_residual(traj), rtol=0, atol=1e-14)
+    traj = run_dense(params, initial, frame=frame)
+    _, _, states = full_contraction(params, initial, frame)
+    assert np.allclose(io_residual(traj), contracted_io_residual(params, frame, states),
+                       rtol=0, atol=1e-14)

@@ -4,7 +4,10 @@ The reference is an FFT evaluation of the same sector moments: each sector is
 the causal convolution of its births with the lag kernel
 G[j] X = props[j] X props[j]^dag, which never goes through the recurrence.
 Its kernel spans every lag 0..N, so the bin-0 birth reaches the last step at
-lag N in the closed-form (offset 0) convention.
+lag N in the closed-form (offset 0) convention.  The closed form folds that
+offset into its emission block, M(dt) times the bare one, so its chain is
+compared with the reference at offset 0 on the reduced states and sector
+weights; the emitted weights are compared for the sector propagator.
 """
 
 import math
@@ -67,22 +70,27 @@ def qubit_states(draw):
     return np.array([math.cos(theta / 2), math.sin(theta / 2) * np.exp(1j * phase)])
 
 
-def tier_inputs(params, phi0, offset):
-    """(props, emit) of the sector propagator (offset 1) or the closed form (offset 0)."""
+def tier_chains(params, phi0, m_max, offset):
+    """The sector propagator's (offset 1) or the closed form's (offset 0) moment
+    chain, and the FFT reference's at that offset with the bare emission block.
+    The closed form returns (rho, weights) only."""
     if offset:
-        run = run_displaced_sectors(params, 0, phi0)
-        return run.powers, run.emission_block
-    return (f0_matrix(params.grid.times(), params),
-            -math.sqrt(params.gamma * params.dt) * SIGMA_MINUS)
+        run = run_displaced_sectors(params, m_max, phi0)
+        props, emit = run.powers, run.emission_block
+        fast = _conv.moment_chain(props, emit, phi0, m_max)
+    else:
+        props = f0_matrix(params.grid.times(), params)
+        emit = -math.sqrt(params.gamma * params.dt) * SIGMA_MINUS
+        fast = coherent_qubit_trajectory(params, m_max, phi0)
+    return fast, fft_moment_chain(props, emit, phi0, m_max, offset)
 
 
 @given(drive=drives(n_steps=LONG), phi0=qubit_states(), m_max=st.integers(0, 5),
        offset=st.sampled_from((0, 1)))
 def test_recurrence_matches_fft_reference(drive, phi0, m_max, offset):
     params = SimulationParams(**drive)
-    props, emit = tier_inputs(params, phi0, offset)
-    fast = _conv.moment_chain(props, emit, phi0, m_max, offset)
-    reference = fft_moment_chain(props, emit, phi0, m_max, offset)
+    fast, reference = tier_chains(params, phi0, m_max, offset)
+    assert len(fast) == 2 + offset
     for got, want in zip(fast, reference):
         assert got.shape == want.shape
         assert np.abs(got - want).max(initial=0.0) <= 1e-12
@@ -111,9 +119,8 @@ def test_wide_recurrence_matches_fft_reference(n_steps, m_max, offset):
     params = SimulationParams(gamma=1.0, omega_rabi=30.0, delta=2.0, omega_q=1.0,
                               dt=2e-3, n_steps=n_steps)
     phi0 = np.array([0.6, 0.8j])
-    props, emit = tier_inputs(params, phi0, offset)
-    fast = _conv.moment_chain(props, emit, phi0, m_max, offset)
-    reference = fft_moment_chain(props, emit, phi0, m_max, offset)
+    fast, reference = tier_chains(params, phi0, m_max, offset)
+    assert len(fast) == 2 + offset
     for got, want in zip(fast, reference):
         assert np.abs(got - want).max() <= 1e-12
     assert np.all(fast[1][n_steps + 1:] == 0.0)

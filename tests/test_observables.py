@@ -128,8 +128,7 @@ class TestIoResidual:
     def test_vacuum_and_spont_are_exactly_zero(self):
         p = SimulationParams(gamma=1.0, dt=1e-2, n_steps=8, omega_q=1.0)
         for phi0 in ("g", "e"):
-            traj = run_dense(p, DenseJointState.product_state(phi0, 8, 2),
-                             frame="lab", snapshot_steps="all")
+            traj = run_dense(p, DenseJointState.product_state(phi0, 8, 2), frame="lab")
             assert io_residual(traj).max() <= 1e-12
 
     def test_driven_first_order_bound_and_scaling(self):
@@ -140,18 +139,10 @@ class TestIoResidual:
                                  omega_q=1.0, fock_dim=3)
             traj = run_dense(p, DenseJointState.product_state("g", 8, 3,
                                                               frame="displaced"),
-                             frame="displaced", snapshot_steps="all")
+                             frame="displaced")
             residuals.append(io_residual(traj).max())
         assert residuals[0] <= 5 * dts[0]
         assert residuals[0] / residuals[1] == pytest.approx(2.0, rel=0.2)
-
-    def test_requires_all_snapshots(self):
-        p = SimulationParams(gamma=1.0, dt=1e-2, n_steps=6, omega_rabi=1.0)
-        traj = run_dense(p, DenseJointState.product_state("g", 6, 2,
-                                                          frame="displaced"),
-                         frame="displaced")
-        with pytest.raises(ValueError):
-            io_residual(traj)
 
 
 class TestFidelity:
