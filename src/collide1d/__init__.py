@@ -25,7 +25,7 @@ from .analytic import (assemble_coherent, coherent_qubit_trajectory, f0, f1, f2,
                        strong_drive_state, xi_tilde)
 from .observables import (entanglement_entropy, io_residual, photon_density,
                           reduced_qubit, state_fidelity)
-from .obe import BlochTrajectory, compare_with_cm, obe_integrate
+from .obe import BlochTrajectory, obe_integrate
 
 __all__ = [
     "__version__",
@@ -41,5 +41,5 @@ __all__ = [
     "strong_drive_state", "xi_tilde",
     "entanglement_entropy", "io_residual", "photon_density",
     "reduced_qubit", "state_fidelity",
-    "BlochTrajectory", "compare_with_cm", "obe_integrate",
+    "BlochTrajectory", "obe_integrate",
 ]

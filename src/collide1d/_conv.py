@@ -21,7 +21,7 @@ import math
 
 import numpy as np
 
-from .core import MemoryGuardError
+from .core import MAX_NORM_DEFICIT, VALIDITY_BOUND, MemoryGuardError
 
 
 #: vec(X) = HERMITIAN @ (X00, X11, Re X01, Im X01) for a Hermitian 2x2 X, row-major vec
@@ -46,7 +46,8 @@ def linear_recurrence(advance, jump, x0: np.ndarray, n: int, block: int) -> np.n
     return x.reshape((-1,) + x0.shape)[:n + 1]
 
 
-def moment_chain(props: np.ndarray, emit: np.ndarray, phi0: np.ndarray, m_max: int):
+def moment_chain(props: np.ndarray, emit: np.ndarray, phi0: np.ndarray, m_max: int,
+                 gamma_dt: float):
     """Reduced-qubit, sector-weight and emission trajectories of one tier.
 
     props is the (N+1, 2, 2) no-emission propagator at integer lag j.  It must
@@ -66,9 +67,19 @@ def moment_chain(props: np.ndarray, emit: np.ndarray, phi0: np.ndarray, m_max: i
     E S_(m-1)[n] E^dag summed over m: the photon flux times dt for a bare
     emission block.  The closed form's block moves it by O(gamma dt), and
     ``analytic.coherent_qubit_trajectory`` discards it.
+
+    One collision multiplies the tracked weight by up to the largest eigenvalue
+    of K^dag K + E^dag E, K = props[1] and E = emit.  Above 1 + MAX_NORM_DEFICIT,
+    if the vacuum ever emits (else no sector is fed), this raises ValueError
+    naming gamma_dt before anything is composed.
     """
     n_steps = props.shape[0] - 1
     q = np.einsum("nab,b->na", props, phi0)
+    gain = np.linalg.eigvalsh(props[1].conj().T @ props[1] + emit.conj().T @ emit)[-1]
+    if not gain <= 1.0 + MAX_NORM_DEFICIT and np.any(q[:-1] @ emit.T):  # nan gain too
+        raise ValueError(f"one collision multiplies the tracked weight by up to {gain:.4g}, "
+                         f"above {1 + MAX_NORM_DEFICIT:g}: emissions outweigh the state "
+                         f"(gamma*dt = {gamma_dt:.4g}, bound {VALIDITY_BOUND:g})")
     # X -> K X K^dag and X -> E X E^dag on row-major vec(X)
     keep = np.kron(props[1], props[1].conj())
     birth = np.kron(emit, emit.conj())

@@ -128,7 +128,8 @@ def coherent_qubit_trajectory(params: SimulationParams, m_max: int, phi0="g"):
     enumeration of tuples: O(N * m_max) time and memory.
     """
     mats = f0_matrix(params.grid.times(), params)
-    rho, weights, _ = _conv.moment_chain(mats, _emission_block(params), qubit_vector(phi0), m_max)
+    rho, weights, _ = _conv.moment_chain(mats, _emission_block(params), qubit_vector(phi0), m_max,
+                                         params.gamma * params.dt)
     return rho, weights
 
 
@@ -212,12 +213,6 @@ def spontaneous_emission_state(t: float, params: SimulationParams) -> SinglePhot
                     0.0)
     return SinglePhotonState(c_e=complex(math.exp(-0.5 * params.gamma * t)),
                              g=np.sqrt(params.dt) * dens, grid=grid)
-
-
-def spontaneous_emission_norm_closed_form(gamma: float, t: float) -> float:
-    """Continuum norm e^{-gamma t} + gamma * int_0^t e^{-gamma t'} dt', summed exactly."""
-    decayed = math.exp(-gamma * t)
-    return math.fsum((decayed, 1.0, -decayed))
 
 
 def xi_tilde_trajectory(wavepacket: Wavepacket, params: SimulationParams) -> np.ndarray:

@@ -22,8 +22,8 @@ import numpy as np
 
 from . import __version__
 from . import analytic, observables
-from .core import (VALIDITY_BOUND, MemoryGuardError, SimulationParams, Wavepacket,
-                   make_exponential_wavepacket, make_gaussian_wavepacket)
+from .core import (MAX_NORM_DEFICIT, VALIDITY_BOUND, MemoryGuardError, SimulationParams,
+                   Wavepacket, make_exponential_wavepacket, make_gaussian_wavepacket)
 from .engine import (DISPLACED, LAB, MAX_SECTOR_AMPLITUDES, DenseJointState,
                      check_dense_size, run_dense, run_displaced_sectors,
                      run_single_excitation)
@@ -306,7 +306,7 @@ def _check_tracked_weight(weights: np.ndarray, weights_at, params: SimulationPar
     it, so one run at the most sectors the sector memory guard admits (at most
     N) gives the tracked weight of every smaller m_max.
     """
-    n, m_max, deficit = params.n_steps, len(weights) - 1, observables.MAX_NORM_DEFICIT
+    n, m_max, deficit = params.n_steps, len(weights) - 1, MAX_NORM_DEFICIT
     floor, tracked = 1.0 - deficit, weights.sum(axis=(0, 2))
     above = ~(tracked <= 1.0 + deficit)  # nan too
     if above.any():

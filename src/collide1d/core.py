@@ -24,6 +24,9 @@ DENSE_SIZE_BITS = 24
 #: dimensionless first-order validity bound for gamma*dt, Omega*dt, |delta|*dt
 VALIDITY_BOUND = 0.1
 
+#: largest |trace - 1| of a reduced qubit state that is still renormalized
+MAX_NORM_DEFICIT = 0.1
+
 
 class ValidityWarning(UserWarning):
     """A rate times dt is too large for the first-order collision picture."""

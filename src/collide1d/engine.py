@@ -2,8 +2,8 @@
 
 Three tiers share the same per-collision unitaries:
 
-* a dense brute-force oracle over the full qubit x (d-level)^N tensor that
-  contracts only the light cone (before collision n, modes past n keep their input),
+* a dense brute-force oracle over the qubit x (d-level)^N state that stores only
+  the light cone, grown by one vacuum mode per collision (modes past n keep their input),
 * a recursion for a single excitation shared between qubit and field,
 * an excitation-sector propagator in the displaced frame, where each temporal
   mode interacts exactly once, so the joint state decomposes into ordered
@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -156,17 +156,24 @@ def lab_collision_unitary(n: int, params: SimulationParams,
     return CollisionUnitary(matrix=U, frame=LAB, step=n, fock_dim=d)
 
 
+@lru_cache
+def _displaced_operators(d: int) -> tuple:
+    """The step-independent Kronecker products of the displaced generator, read-only:
+    |e><e| x 1, sigma_y x 1, sigma_+ x a and sigma_- x a^dag."""
+    a, eye_d = annihilation(d), np.eye(d)
+    ops = (np.kron(PROJ_E, eye_d), np.kron(SIGMA_Y, eye_d), np.kron(SIGMA_PLUS, a),
+           np.kron(SIGMA_MINUS, a.conj().T))
+    for op in ops:
+        op.setflags(write=False)
+    return ops
+
+
 def displaced_hamiltonian(n: int, params: SimulationParams, fock_dim: int) -> np.ndarray:
     """Collision generator in the displaced frame (drive as a classical term)."""
-    d = fock_dim
-    a = annihilation(d)
-    eye_d = np.eye(d)
+    proj_e, sigma_y, absorb, emit = _displaced_operators(fock_dim)
     phase = np.exp(1j * params.omega_p * n * params.dt)
-    H = (params.delta * np.kron(PROJ_E, eye_d)
-         - 0.5 * params.omega_rabi * np.kron(SIGMA_Y, eye_d)
-         + 1j * math.sqrt(params.gamma / params.dt)
-         * (phase * np.kron(SIGMA_PLUS, a) - np.conj(phase) * np.kron(SIGMA_MINUS, a.conj().T)))
-    return H
+    return (params.delta * proj_e - 0.5 * params.omega_rabi * sigma_y
+            + 1j * math.sqrt(params.gamma / params.dt) * (phase * absorb - np.conj(phase) * emit))
 
 
 def displaced_collision_unitary(n: int, params: SimulationParams,
@@ -188,9 +195,9 @@ def _collide_in_place(amplitudes: np.ndarray, unitary: CollisionUnitary, n: int,
     Rows of U that are exactly identity are skipped: for a unitary, an identity
     row implies an identity column, so the remaining rows mix only among
     themselves.  This collapses the lab-frame update to the one excitation
-    exchange block instead of a full-state contraction.  ``amplitudes`` is the
-    flat state or any (2, d^N) view of it; ``work`` is an optional
-    (2, 2d, d^(N-1)) scratch buffer so long runs avoid reallocating.
+    exchange block instead of a full-state contraction.  ``amplitudes`` is a
+    contiguous state over N = n_modes modes (flat, or ``run_dense``'s (2, d^N)
+    cone); ``work`` is an optional (2, 2d, d^(N-1)) buffer so runs avoid reallocating.
     """
     d = unitary.fock_dim
     U = unitary.matrix
@@ -256,11 +263,13 @@ def run_dense(params: SimulationParams, initial: DenseJointState,
 
     Light cone: collision n mixes only (qubit, mode n), so modes past n keep
     their input.  With ``reach`` the smallest f such that no input amplitude
-    has a photon in a mode >= f, collision n and the reduction after it work
-    on the first max(n + 1, reach) modes with the rest in vacuum; every other
-    amplitude is exactly zero and stays so.  The qubit matrix and norm are
-    recorded at every step; the full state only as snapshot 0, a copy of the
-    input in the run's frame, and snapshot N, the state the collisions acted on.
+    has a photon in a mode >= f, the state before collision n is a contiguous
+    (2, d^live) cone over the first live = max(n, reach) modes, the rest in
+    vacuum.  Collisions n < reach act on the cone in place; from n = reach on,
+    mode n enters in vacuum, so only the columns (g,0) and (e,0) of U act:
+    new[q', x, k'] = sum_q U[(q',k'), (q,0)] cone[q, x].  The qubit matrix and
+    norm are recorded at every step; the full state only as snapshot 0, a copy
+    of the input in the run's frame, and snapshot N, the final cone.
     """
     n = params.n_steps
     if initial.n_modes != n:
@@ -273,23 +282,28 @@ def run_dense(params: SimulationParams, initial: DenseJointState,
     build = lab_collision_unitary if frame == LAB else displaced_collision_unitary
     start = initial.copy()
     start.frame = frame
-    state = start.copy()
-    d = state.fock_dim
+    d = start.fock_dim
     # a nonzero at field index r reaches mode n - (trailing zero base-d digits of r)
-    support = np.flatnonzero(state.amplitudes) % d**n
+    support = np.flatnonzero(start.amplitudes) % d**n
     reach = next(f for f in range(n + 1) if not np.any(support % d ** (n - f)))
-    work = np.empty((2, 2 * d**n), dtype=complex)
+    cone = start.amplitudes.reshape(2, d**reach, -1)[:, :, 0].copy()
+    work = np.empty((2, 2 * d, d**reach // d), dtype=complex) if reach else None
     qubit = np.empty((n + 1, 2, 2), dtype=complex)
-    qubit[0] = _partial_trace(state.amplitudes.reshape(2, d**reach, -1)[:, :, 0])
+    qubit[0] = _partial_trace(cone)
     for step in range(n):
-        live = max(step + 1, reach)
-        cone = state.amplitudes.reshape(2, d**live, -1)[:, :, 0]
-        _collide_in_place(cone, build(step, params, d), step, live,
-                          work[:, :2 * d**live].reshape(2, 2 * d, -1))
+        unitary = build(step, params, d)
+        if step < reach:
+            _collide_in_place(cone, unitary, step, reach, work)
+        else:
+            columns = unitary.matrix[:, ::d].reshape(2, d, 2)  # [q', k', q] of U[(q',k'), (q,0)]
+            grown = np.empty((2, cone.shape[1], d), dtype=complex)
+            for k in range(d):
+                np.matmul(columns[:, k], cone, out=grown[:, :, k])
+            cone = grown.reshape(2, -1)
         qubit[step + 1] = _partial_trace(cone)
     norms = np.sqrt(qubit[:, 0, 0].real + qubit[:, 1, 1].real)
-    return DenseTrajectory(params=params, frame=frame, qubit_matrices=qubit,
-                           norms=norms, snapshots={0: start, n: state})
+    return DenseTrajectory(params=params, frame=frame, qubit_matrices=qubit, norms=norms,
+                           snapshots={0: start, n: DenseJointState(cone.reshape(-1), n, d, frame)})
 
 
 # ---------------------------------------------------------------------------
@@ -491,7 +505,8 @@ class SectorRun:
 
     @cached_property
     def _moments(self):
-        return _conv.moment_chain(self.powers, self.emission_block, self.phi0, self.m_max)
+        return _conv.moment_chain(self.powers, self.emission_block, self.phi0, self.m_max,
+                                  self.params.gamma * self.params.dt)
 
     def qubit_trajectory(self) -> np.ndarray:
         """(N+1, 2, 2) reduced qubit matrices (trace < 1 by the truncated weight)."""

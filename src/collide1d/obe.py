@@ -6,7 +6,7 @@ displaced-frame collision generator, by classic fourth-order Runge-Kutta on
 the Bloch vector.  The RK4 step is one fixed affine map, so the samples on the
 collision grid come from a doubling scan of its powers, not a step-by-step
 loop.  The collision-model reduced dynamics must reproduce this for coherent
-and vacuum inputs; compare_with_cm quantifies the difference.
+and vacuum inputs (acceptance criterion 3).
 """
 
 from __future__ import annotations
@@ -17,8 +17,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .core import SimulationParams, qubit_vector
-from .engine import (PROJ_E, SIGMA_MINUS, SIGMA_PLUS, SIGMA_X, SIGMA_Y,
-                     SIGMA_Z, run_displaced_sectors)
+from .engine import PROJ_E, SIGMA_MINUS, SIGMA_PLUS, SIGMA_X, SIGMA_Y, SIGMA_Z
 
 _PAULIS = (SIGMA_X, SIGMA_Y, SIGMA_Z)
 
@@ -128,29 +127,3 @@ def bloch_steady_state(params: SimulationParams) -> np.ndarray:
     the raw Bloch length is not monotone for a decaying qubit."""
     A, b = bloch_generator(params)
     return np.linalg.solve(A, -b)
-
-
-@dataclass
-class CmObeReport:
-    """Collision-model vs Bloch-equation comparison."""
-
-    max_p_excited_error: float
-    truncation_deficit: float
-    m_max: int
-    n_compared: int
-
-
-def compare_with_cm(params: SimulationParams, t_final: float, m_max: int,
-                    phi0="g") -> CmObeReport:
-    """Max |P_e^CM - P_e^OBE| over the collision grid, and the weight the
-    sector truncation leaves untracked (reported separately)."""
-    last = params.grid.index_of(t_final)
-    run = run_displaced_sectors(params, m_max, phi0)
-    pe_cm = run.p_excited()[:last + 1]
-    pe_obe = obe_integrate(params, t_final, phi0).p_excited()
-    return CmObeReport(
-        max_p_excited_error=float(np.abs(pe_cm - pe_obe).max()),
-        truncation_deficit=run.truncation_deficit(last),
-        m_max=m_max,
-        n_compared=last + 1,
-    )

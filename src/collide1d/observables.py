@@ -4,10 +4,8 @@ from __future__ import annotations
 
 import numpy as np
 
+from .core import MAX_NORM_DEFICIT
 from .engine import DenseJointState, DenseTrajectory, SectorState, SinglePhotonState
-
-#: largest |trace - 1| of a reduced qubit state that is still renormalized
-MAX_NORM_DEFICIT = 0.1
 
 
 def _reject_rows(bad: np.ndarray, message: str, values: np.ndarray):

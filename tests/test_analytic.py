@@ -268,9 +268,15 @@ class TestSpontaneousEmission:
             state = spontaneous_emission_state(t, p)
             assert abs(state.norm_squared() - 1.0) <= gamma * dt
 
-    def test_closed_form_norm_is_exactly_one(self):
-        for t in (0.1, 1.0, 7.3):
-            assert analytic.spontaneous_emission_norm_closed_form(1.0, t) == 1.0
+    def test_norm_ledger_matches_geometric_sum(self):
+        # e^{-gamma t} plus the left-Riemann emitted weight sum_{j<n} gamma dt e^{-gamma t_j}
+        for gamma, dt in ((1.0, 1e-3), (2.5, 4e-3)):
+            p = SimulationParams(gamma=gamma, dt=dt, n_steps=2000)
+            for step in (0, 1, 250, 2000):
+                t = step * dt
+                summed = (math.exp(-gamma * t)
+                          + gamma * dt * math.expm1(-gamma * t) / math.expm1(-gamma * dt))
+                assert abs(spontaneous_emission_state(t, p).norm_squared() - summed) <= 1e-12
 
 
 class TestSinglePhotonClosedForm:

@@ -1,5 +1,6 @@
 import os
 import re
+import warnings
 from dataclasses import fields
 
 import numpy as np
@@ -7,6 +8,7 @@ import pytest
 
 from collide1d import cli
 from collide1d.cli import (ConfigError, PRESETS, parse_config, run_scenario)
+from collide1d.core import ValidityWarning
 from collide1d.engine import run_dense
 
 
@@ -280,19 +282,40 @@ class TestMain:
         assert "m_max = 8 keeps it >= 0.9" in err
         assert not (tmp_path / "coherent.csv").exists()
 
-    @pytest.mark.filterwarnings("ignore")  # gamma*dt = 5e113, and the chain overflows
-    def test_tracked_weight_above_one_names_step_and_gamma_dt(self, tmp_path, capsys):
-        # each birth carries gamma*dt*P_e >> 1: the tracked weight runs to 1.09e97,
-        # 1.20e194 and then nan, which the floor check alone lets through
+    def test_trace_gain_above_the_bound_is_refused_before_the_chain(self, tmp_path, capsys):
+        # gamma*dt = 5e113: one collision would multiply the tracked weight by
+        # 5e113 (the chain ran it to 1.09e97, 1.20e194 and then nan), so the run
+        # stops before the chain, with no overflow warning from it
         cfg = tmp_path / "overflow.cfg"
         cfg.write_text("scenario = coherent\nsolver = analytic\ngamma = 642023526\n"
                        "omega_rabi = 3\ndt = 7.802253851277129e+104\nn_steps = 4\nm_max = 3\n")
-        assert cli.main(["run", str(cfg), "--out", str(tmp_path)]) == 2
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert cli.main(["run", str(cfg), "--out", str(tmp_path)]) == 2
         assert capsys.readouterr().err == (
-            "invalid run: tracked weight grows to 1.094e+97 above 1.1 at step 2 "
-            "(t = 1.56045e+105): emissions outweigh the state (gamma*dt = 5.009e+113, "
-            "bound 0.1)\n")
+            "invalid run: one collision multiplies the tracked weight by up to 5.009e+113, "
+            "above 1.1: emissions outweigh the state (gamma*dt = 5.009e+113, bound 0.1)\n")
+        assert [type(w.message) for w in caught] == [ValidityWarning, ValidityWarning]
         assert not (tmp_path / "coherent.csv").exists()
+
+    def test_tracked_weight_above_one_names_step_and_gamma_dt(self):
+        # a weight that grows more slowly than the per-collision bound, or turns
+        # nan, is refused after the chain at its first step above 1 + 0.1
+        params = cli.ScenarioConfig(scenario="coherent", gamma=2.0, dt=0.01, n_steps=3).params()
+        weights = np.zeros((2, 4, 2))
+        weights[0, :, 0] = [1.0, 0.9, 0.8, 0.7]
+        weights[1, :, 1] = [0.0, 0.1, 0.35, np.nan]
+
+        def never(m):
+            raise AssertionError("the ceiling needs no wider run")
+        with pytest.raises(ValueError) as grown:
+            cli._check_tracked_weight(weights, never, params)
+        assert str(grown.value) == (
+            "tracked weight grows to 1.15 above 1.1 at step 2 (t = 0.02): emissions outweigh "
+            "the state (gamma*dt = 0.02, bound 0.1)")
+        weights[1, 2, 1] = 0.2
+        with pytest.raises(ValueError, match=r"grows to nan above 1\.1 at step 3 \(t = 0\.03\)"):
+            cli._check_tracked_weight(weights, never, params)
 
     @pytest.mark.parametrize("n_steps,searched", [(4, 4), (10_000, 51), (600_000, 1)])
     def test_truncation_guard_searches_within_the_memory_guard(self, n_steps, searched):

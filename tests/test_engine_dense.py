@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -8,7 +9,7 @@ from collide1d import (DenseJointState, MemoryGuardError, SimulationParams,
                        apply_collision, displaced_collision_unitary,
                        lab_collision_unitary, run_dense)
 from collide1d.engine import (DISPLACED, LAB, PROJ_E, SIGMA_MINUS, SIGMA_PLUS, SIGMA_Y,
-                              annihilation)
+                              _displaced_operators, annihilation, displaced_hamiltonian)
 from test_materializer_properties import drives
 
 
@@ -70,6 +71,21 @@ class TestDisplacedUnitary:
     def test_unitarity(self):
         p = SimulationParams(gamma=1.0, dt=1e-3, n_steps=4, delta=0.5, omega_rabi=2.0)
         assert displaced_collision_unitary(0, p, 3).unitarity_defect() < 1e-12
+
+    @given(drive=drives(), d=st.integers(2, 4), n=st.integers(0, 10**6))
+    def test_hamiltonian_matches_kronecker_construction(self, drive, d, n):
+        # the cached operators give the same bits as building every product anew
+        p = SimulationParams(**drive)
+        a = annihilation(d)
+        phase = np.exp(1j * p.omega_p * n * p.dt)
+        built = (p.delta * np.kron(PROJ_E, np.eye(d))
+                 - 0.5 * p.omega_rabi * np.kron(SIGMA_Y, np.eye(d))
+                 + 1j * math.sqrt(p.gamma / p.dt)
+                 * (phase * np.kron(SIGMA_PLUS, a)
+                    - np.conj(phase) * np.kron(SIGMA_MINUS, a.conj().T)))
+        assert np.array_equal(displaced_hamiltonian(n, p, d), built)
+        for op in _displaced_operators(d):
+            assert not op.flags.writeable
 
     def test_vacuum_block_first_order_expansion(self):
         # remainder against 1 - i*delta*dt*Pe + i*(Omega dt/2)*sigma_y
@@ -212,6 +228,20 @@ class TestRunDense:
                 traj.snapshot(step)
 
 
+@pytest.mark.parametrize("frame,qubit", [(LAB, "e"), (DISPLACED, "g")])
+def test_peak_memory_is_at_most_three_states(frame, qubit):
+    # the input copy, the final cone and the cone before it: 2.5 states at d = 2
+    p = SimulationParams(gamma=1.0, dt=1e-2, n_steps=16, omega_q=1.0, omega_rabi=2.0)
+    initial = DenseJointState.product_state(qubit, 16, 2, frame=frame)
+    tracemalloc.start()
+    try:
+        run_dense(p, initial, frame=frame)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 3 * initial.amplitudes.nbytes
+
+
 def full_contraction(params, initial, frame):
     """Reference loop: every collision over the whole state by apply_collision.
 
@@ -267,3 +297,7 @@ def test_light_cone_matches_full_contraction(case):
     assert np.abs(traj.norms - norms).max() <= 1e-12
     for step in (0, params.n_steps):
         assert np.abs(traj.snapshot(step).amplitudes - states[step].amplitudes).max() <= 1e-12
+    final = traj.snapshot(params.n_steps).amplitudes
+    assert final.flags.c_contiguous
+    assert not np.shares_memory(final, initial.amplitudes)
+    assert not np.shares_memory(final, traj.snapshot(0).amplitudes)

@@ -77,7 +77,7 @@ def tier_chains(params, phi0, m_max, offset):
     if offset:
         run = run_displaced_sectors(params, m_max, phi0)
         props, emit = run.powers, run.emission_block
-        fast = _conv.moment_chain(props, emit, phi0, m_max)
+        fast = _conv.moment_chain(props, emit, phi0, m_max, params.gamma * params.dt)
     else:
         props = f0_matrix(params.grid.times(), params)
         emit = -math.sqrt(params.gamma * params.dt) * SIGMA_MINUS
