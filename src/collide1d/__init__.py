@@ -11,34 +11,33 @@ oracle for the reduced qubit.
 
 __version__ = "0.1.0"
 
-from .core import (EXCITED, GROUND, MemoryGuardError, SimulationParams, TimeGrid,
-                   ValidityWarning, Wavepacket, complex_rabi,
-                   make_exponential_wavepacket, make_gaussian_wavepacket,
-                   rabi_from_amplitude)
+from .core import (EXCITED, GROUND, MemoryGuardError, RunRecord, SimulationParams,
+                   TimeGrid, ValidityWarning, Wavepacket, complex_rabi,
+                   make_exponential_wavepacket, make_gaussian_wavepacket)
 from .engine import (CollisionUnitary, DenseJointState, DenseTrajectory,
                      SectorRun, SectorState, SinglePhotonRun, SinglePhotonState,
                      apply_collision, displaced_collision_unitary,
                      lab_collision_unitary, run_dense, run_displaced_sectors,
                      run_single_excitation)
-from .analytic import (assemble_coherent, coherent_qubit_trajectory, f0, f1, f2, fm,
+from .analytic import (assemble_coherent, coherent_qubit_trajectory, f0, fm,
                        single_photon_state, spontaneous_emission_state,
-                       strong_drive_state, xi_tilde)
+                       strong_drive_state, xi_tilde_trajectory)
 from .observables import (entanglement_entropy, io_residual, photon_density,
                           reduced_qubit, state_fidelity)
 from .obe import BlochTrajectory, obe_integrate
 
 __all__ = [
     "__version__",
-    "EXCITED", "GROUND", "MemoryGuardError", "SimulationParams", "TimeGrid",
+    "EXCITED", "GROUND", "MemoryGuardError", "RunRecord", "SimulationParams", "TimeGrid",
     "ValidityWarning", "Wavepacket", "complex_rabi",
-    "make_exponential_wavepacket", "make_gaussian_wavepacket", "rabi_from_amplitude",
+    "make_exponential_wavepacket", "make_gaussian_wavepacket",
     "CollisionUnitary", "DenseJointState", "DenseTrajectory", "SectorRun",
     "SectorState", "SinglePhotonRun", "SinglePhotonState", "apply_collision",
     "displaced_collision_unitary", "lab_collision_unitary", "run_dense",
     "run_displaced_sectors", "run_single_excitation",
     "assemble_coherent", "coherent_qubit_trajectory",
-    "f0", "f1", "f2", "fm", "single_photon_state", "spontaneous_emission_state",
-    "strong_drive_state", "xi_tilde",
+    "f0", "fm", "single_photon_state", "spontaneous_emission_state",
+    "strong_drive_state", "xi_tilde_trajectory",
     "entanglement_entropy", "io_residual", "photon_density",
     "reduced_qubit", "state_fidelity",
     "BlochTrajectory", "obe_integrate",

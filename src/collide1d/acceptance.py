@@ -100,8 +100,7 @@ def criterion_3():
     m_max, t_final = 2, 1.0
     run = run_displaced_sectors(params, m_max, "g")
     pe_sec = run.p_excited()
-    rho_ana, _ = analytic.coherent_qubit_trajectory(params, m_max, "g")
-    pe_ana = rho_ana[:, 1, 1].real
+    pe_ana = analytic.coherent_qubit_trajectory(params, m_max, "g").rho[:, 1, 1].real
     pe_obe = obe_integrate(params, t_final, "g").p_excited()
     pe_err = max(float(np.abs(pe_sec - pe_ana).max()),
                  float(np.abs(pe_sec - pe_obe).max()),
@@ -137,7 +136,7 @@ def criterion_4():
     params = SimulationParams(gamma=gamma, dt=2.5e-4, n_steps=3200,
                               omega_rabi=omega)
     sd = analytic.strong_drive_weights(params)            # (2, N+1, 2)
-    _, full = analytic.coherent_qubit_trajectory(params, 2, "g")
+    full = analytic.coherent_qubit_trajectory(params, 2, "g").weights
     # the Omega' ~ Omega replacement bounds the no-emission amplitudes;
     # the one-photon sector of the simplified form carries its own extra
     # damping and is only reported, not gated

@@ -19,9 +19,9 @@ import warnings
 
 import numpy as np
 
-from . import _conv
-from .core import (SimulationParams, ValidityWarning, Wavepacket, complex_rabi,
-                   qubit_index, qubit_vector)
+from . import _conv, observables
+from .core import (RunRecord, SimulationParams, ValidityWarning, Wavepacket, complex_rabi,
+                   populations, qubit_index, qubit_vector)
 from .engine import (DISPLACED, MAX_SECTOR_AMPLITUDES, SIGMA_MINUS,
                      SectorState, SinglePhotonState)
 
@@ -55,27 +55,6 @@ def f0_matrix(t, params: SimulationParams) -> np.ndarray:
 def f0(eps: str, phi0: str, t: float, params: SimulationParams) -> complex:
     """Amplitude to find the qubit in eps with no photon emitted, starting from phi0."""
     return complex(f0_matrix(t, params)[qubit_index(eps), qubit_index(phi0)])
-
-
-def f1(eps: str, phi0: str, t: float, t1: float, params: SimulationParams) -> complex:
-    """One-photon coefficient density (units 1/sqrt(time)) at emission time t1."""
-    if not 0 <= t1 <= t:
-        raise ValueError(f"need 0 <= t1 <= t, got t1 = {t1}, t = {t}")
-    return (-math.sqrt(params.gamma)
-            * f0(eps, "g", t - t1, params)
-            * complex(np.exp(-1j * params.omega_p * t1))
-            * f0("e", phi0, t1, params))
-
-
-def f2(eps: str, phi0: str, t: float, t1: float, t2: float,
-       params: SimulationParams) -> complex:
-    """Two-photon coefficient density (units 1/time) at ordered emission times."""
-    if not 0 <= t1 <= t2 <= t:
-        raise ValueError(f"need 0 <= t1 <= t2 <= t, got ({t1}, {t2}, {t})")
-    return (params.gamma
-            * f0(eps, "g", t - t2, params) * complex(np.exp(-1j * params.omega_p * t2))
-            * f0("e", "g", t2 - t1, params) * complex(np.exp(-1j * params.omega_p * t1))
-            * f0("e", phi0, t1, params))
 
 
 def fm(eps: str, phi0: str, t: float, times, params: SimulationParams) -> complex:
@@ -119,18 +98,17 @@ def assemble_coherent(params: SimulationParams, t: float, m_max: int, phi0="g",
                        tuples=tuples, values=values)
 
 
-def coherent_qubit_trajectory(params: SimulationParams, m_max: int, phi0="g"):
-    """Reduced-qubit and sector-weight trajectories of the closed-form state.
+def coherent_qubit_trajectory(params: SimulationParams, m_max: int, phi0="g") -> RunRecord:
+    """Record of the closed-form state: reduced-qubit and sector-weight trajectories.
 
-    Returns (rho, weights): rho is (N+1, 2, 2); weights is (m_max+1, N+1, 2)
-    per photon count and qubit label.  The per-sector qubit moments follow a
-    blocked linear recurrence in the one-step map M(dt) instead of an
-    enumeration of tuples: O(N * m_max) time and memory.
+    The per-sector qubit moments follow a blocked linear recurrence in the
+    one-step map M(dt) instead of an enumeration of tuples: O(N * m_max) time
+    and memory.  The record carries no flux; its norm is the trace of rho.
     """
     mats = f0_matrix(params.grid.times(), params)
     rho, weights, _ = _conv.moment_chain(mats, _emission_block(params), qubit_vector(phi0), m_max,
                                          params.gamma * params.dt)
-    return rho, weights
+    return RunRecord(params, rho, weights=weights)
 
 
 # ---------------------------------------------------------------------------
@@ -215,6 +193,18 @@ def spontaneous_emission_state(t: float, params: SimulationParams) -> SinglePhot
                              g=np.sqrt(params.dt) * dens, grid=grid)
 
 
+def spontaneous_emission_record(params: SimulationParams) -> RunRecord:
+    """Populations e^{-gamma t}, the discrete norm ledger and the final flux."""
+    gamma = params.gamma
+    p_e = np.exp(-gamma * params.grid.times())
+    # discrete norm: survival + left-Riemann photon weight over past bins
+    past = np.concatenate(([0.0], np.cumsum(
+        params.dt * gamma * np.exp(-gamma * np.arange(params.n_steps) * params.dt))))
+    norm = p_e + past
+    final = spontaneous_emission_state(params.grid.total_time, params)
+    return RunRecord(params, populations(p_e, norm), norm, observables.photon_density(final))
+
+
 def xi_tilde_trajectory(wavepacket: Wavepacket, params: SimulationParams) -> np.ndarray:
     """Filtered envelope e^{-gamma t/2} int_0^t e^{gamma t'/2 + i w_q t'} xi(t') dt'
     on every grid point (left-Riemann, cumulative, O(N)).
@@ -242,10 +232,6 @@ def xi_tilde_trajectory(wavepacket: Wavepacket, params: SimulationParams) -> np.
     return parts[0] if len(parts) == 1 else np.concatenate(parts)
 
 
-def xi_tilde(wavepacket: Wavepacket, t: float, params: SimulationParams) -> complex:
-    return complex(xi_tilde_trajectory(wavepacket, params)[wavepacket.grid.index_of(t)])
-
-
 def single_photon_state(wavepacket: Wavepacket, t: float,
                         params: SimulationParams) -> SinglePhotonState:
     """Closed-form joint state under single-photon driving at time t.
@@ -268,3 +254,19 @@ def single_photon_state(wavepacket: Wavepacket, t: float,
 def single_photon_p_excited(wavepacket: Wavepacket, params: SimulationParams) -> np.ndarray:
     """P_e(t) = gamma |xi~(t)|^2 over the whole grid."""
     return params.gamma * np.abs(xi_tilde_trajectory(wavepacket, params)) ** 2
+
+
+def single_photon_record(wavepacket: Wavepacket, params: SimulationParams) -> RunRecord:
+    """Populations, the norm ledger and the final flux of the closed-form state."""
+    # photon weight: past bins carry the scattered density, future the input
+    xt = xi_tilde_trajectory(wavepacket, params)
+    tp = np.arange(params.n_steps) * params.dt
+    scattered = np.abs(wavepacket.samples - params.gamma * xt[:params.n_steps]
+                       * np.exp(-1j * params.omega_q * tp)) ** 2 * params.dt
+    incoming = np.abs(wavepacket.samples) ** 2 * params.dt
+    p_e = single_photon_p_excited(wavepacket, params)
+    norm = (p_e
+            + np.concatenate(([0.0], np.cumsum(scattered)))
+            + (np.sum(incoming) - np.concatenate(([0.0], np.cumsum(incoming)))))
+    final = single_photon_state(wavepacket, params.grid.total_time, params)
+    return RunRecord(params, populations(p_e, norm), norm, observables.photon_density(final))

@@ -22,8 +22,9 @@ import numpy as np
 
 from . import __version__
 from . import analytic, observables
-from .core import (MAX_NORM_DEFICIT, VALIDITY_BOUND, MemoryGuardError, SimulationParams,
-                   Wavepacket, make_exponential_wavepacket, make_gaussian_wavepacket)
+from .core import (MAX_NORM_DEFICIT, VALIDITY_BOUND, MemoryGuardError, RunRecord,
+                   SimulationParams, Wavepacket, make_exponential_wavepacket,
+                   make_gaussian_wavepacket)
 from .engine import (DISPLACED, LAB, MAX_SECTOR_AMPLITUDES, DenseJointState,
                      check_dense_size, run_dense, run_displaced_sectors,
                      run_single_excitation)
@@ -32,19 +33,54 @@ CSV_HEADER = "t,p_e,re_coh,im_coh,entropy_bits,norm,photon_flux,io_residual"
 
 
 class _Scenario(NamedTuple):
-    solvers: tuple   # solvers allowed; empty: the scenario picks its own
+    solvers: dict    # solver -> (config, params) -> RunRecord; empty: picks its own
     phi0: str        # initial qubit state when the config sets none
     driven: bool     # takes a coherent drive; otherwise omega_rabi must be 0
     start: str = ""  # the solver or sweep that always starts from phi0, fixing it
 
 
+def _dense_run(params: SimulationParams, phi0, frame: str):
+    """The dense oracle in `frame` from phi0 over the vacuum."""
+    initial = DenseJointState.product_state(phi0, params.n_steps, params.fock_dim,
+                                            frame=frame)
+    return run_dense(params, initial, frame=frame)
+
+
+def _dense_record(traj) -> RunRecord:
+    """A dense run's record, with the photon flux of its final state."""
+    params = traj.params
+    return traj.record(observables.photon_density(traj.snapshot(params.n_steps), dt=params.dt))
+
+
+def _dense(frame: str):
+    return lambda config, params: _dense_record(
+        _dense_run(params, config.resolved_phi0(), frame))
+
+
+def _sectors(config, params) -> RunRecord:
+    # spont is the undriven displaced run from |e>
+    return run_displaced_sectors(params, config.m_max, config.resolved_phi0()).record()
+
+
 SCENARIOS = {
-    "spont": _Scenario(("analytic", "dense", "sectors"), "e", False),
-    "coherent": _Scenario(("analytic", "dense", "sectors"), "g", True),
-    "single-photon": _Scenario(("analytic", "recursion"), "g", False, "recursion"),
-    "oracle-compare": _Scenario((), "g", True),
-    "io-check": _Scenario((), "g", True),
-    "convergence": _Scenario((), "e", False, "sweep"),
+    # the undriven qubit runs in the lab frame, the driven one displaced
+    "spont": _Scenario({
+        "analytic": lambda config, params: analytic.spontaneous_emission_record(params),
+        "dense": _dense(LAB),
+        "sectors": _sectors}, "e", False),
+    "coherent": _Scenario({
+        "analytic": lambda config, params: analytic.coherent_qubit_trajectory(
+            params, config.m_max, config.resolved_phi0()),
+        "dense": _dense(DISPLACED),
+        "sectors": _sectors}, "g", True),
+    "single-photon": _Scenario({
+        "analytic": lambda config, params: analytic.single_photon_record(
+            config.build_wavepacket(params), params),
+        "recursion": lambda config, params: run_single_excitation(
+            params, config.build_wavepacket(params)).record()}, "g", False, "recursion"),
+    "oracle-compare": _Scenario({}, "g", True),
+    "io-check": _Scenario({}, "g", True),
+    "convergence": _Scenario({}, "e", False, "sweep"),
 }
 SOLVERS = ("dense", "sectors", "recursion", "analytic")
 
@@ -250,62 +286,42 @@ def write_manifest(path: str, config: ScenarioConfig, metrics: dict):
             fh.write(f"{key} = {value}\n")
 
 
-def _sample_steps(n_steps: int, stride: int) -> np.ndarray:
-    steps = np.arange(0, n_steps + 1, stride)
-    if steps[-1] != n_steps:
-        steps = np.append(steps, n_steps)
-    return steps
+def _table(record: RunRecord, stride: int, io_residual=None) -> ResultTable:
+    """The CSV rows of every solver: its record sampled every `stride` steps and at N.
 
-
-def _table(params: SimulationParams, steps: np.ndarray, rho: np.ndarray, norm=None,
-           flux=None, io_residual=None) -> ResultTable:
-    """The CSV rows of every solver, from reduced qubit matrices sampled at `steps`.
-
-    norm defaults to the trace of rho; solvers that keep a norm ledger of their
-    own pass it instead.  flux[n] is the final-state flux density of bin n and
+    The norm column is the record's norm ledger, or the trace of rho where it
+    keeps none.  flux[n] is the final-state flux density of bin n and
     io_residual[n] the input-output residual after collision n; both columns
     stay empty where a row has no such bin.
     """
+    params = record.params
     n = params.n_steps
+    steps = np.arange(0, n + 1, stride)
+    if steps[-1] != n:
+        steps = np.append(steps, n)
+    rho = record.rho[steps]
     coh = rho[:, 0, 1]
     return ResultTable(
         t=steps * params.dt, p_e=rho[:, 1, 1].real, re_coh=coh.real, im_coh=coh.imag,
         entropy_bits=observables.entanglement_entropy(rho),
-        norm=np.einsum("naa->n", rho).real if norm is None else norm,
-        photon_flux=(None if flux is None
-                     else [float(flux[s]) if s < n else None for s in steps]),
+        norm=np.einsum("naa->n", rho).real if record.norm is None else record.norm[steps],
+        photon_flux=(None if record.flux is None
+                     else [float(record.flux[s]) if s < n else None for s in steps]),
         io_residual=(None if io_residual is None
                      else [float(io_residual[s - 1]) if s >= 1 else None for s in steps]))
 
 
-def _populations(p_e: np.ndarray, norm: np.ndarray) -> np.ndarray:
-    """Qubit matrices without coherence: P_e in e, the rest of the norm in g."""
-    rho = np.zeros((len(p_e), 2, 2), complex)
-    rho[:, 1, 1] = p_e
-    rho[:, 0, 0] = norm - p_e
-    return rho
-
-
-def _dense_table(traj, stride: int, **columns) -> ResultTable:
-    """Table of a dense trajectory, whose norm is that of the state vector."""
-    steps = _sample_steps(traj.params.n_steps, stride)
-    return _table(traj.params, steps, traj.qubit_matrices[steps],
-                  norm=traj.norms[steps] ** 2, **columns)
-
-
-def _dense_flux(traj) -> np.ndarray:
-    return observables.photon_density(traj.snapshot(traj.params.n_steps), dt=traj.params.dt)
-
-
-def _check_tracked_weight(weights: np.ndarray, weights_at, params: SimulationParams):
+def _check_tracked_weight(record: RunRecord, rerun):
     """Refuse a sector-truncated run whose entropy column cannot be interpreted.
 
-    weights are the run's (m_max+1, N+1, 2) sector weights and weights_at(m)
-    its tier's at m sectors; a weight above 1 + MAX_NORM_DEFICIT, or nan, is
-    refused as well.  A sector's weight does not depend on the sectors above
-    it, so one run at the most sectors the sector memory guard admits (at most
-    N) gives the tracked weight of every smaller m_max.
+    record.weights are the run's (m_max+1, N+1, 2) sector weights and
+    rerun(m) its solver's record at m sectors; a weight above
+    1 + MAX_NORM_DEFICIT, or nan, is refused as well.  A sector's weight does
+    not depend on the sectors above it, so one run at the most sectors the
+    sector memory guard admits (at most N) gives the tracked weight of every
+    smaller m_max.
     """
+    weights, params = record.weights, record.params
     n, m_max, deficit = params.n_steps, len(weights) - 1, MAX_NORM_DEFICIT
     floor, tracked = 1.0 - deficit, weights.sum(axis=(0, 2))
     above = ~(tracked <= 1.0 + deficit)  # nan too
@@ -315,7 +331,7 @@ def _check_tracked_weight(weights: np.ndarray, weights_at, params: SimulationPar
                          f"step {step} (t = {step * params.dt:.6g}): emissions outweigh the state "
                          f"(gamma*dt = {params.gamma * params.dt:.4g}, bound {VALIDITY_BOUND:g})")
     if tracked.min() < floor:
-        wide = weights_at(max(m_max, min(n, MAX_SECTOR_AMPLITUDES // (4 * n + 4) - 1)))
+        wide = rerun(max(m_max, min(n, MAX_SECTOR_AMPLITUDES // (4 * n + 4) - 1))).weights
         reached = np.cumsum(wide.sum(axis=2), axis=0).min(axis=1) >= floor
         hint = (f"m_max = {reached.argmax()} keeps it" if reached.any()
                 else f"no m_max up to {len(wide) - 1} keeps it")
@@ -331,71 +347,19 @@ def _check_tracked_weight(weights: np.ndarray, weights_at, params: SimulationPar
 
 def _solve(config: ScenarioConfig, params: SimulationParams) -> ResultTable:
     """Run a spont, coherent or single-photon config with its solver."""
-    steps = _sample_steps(params.n_steps, config.snapshot_stride)
-    phi0 = config.resolved_phi0()
-    if config.solver == "dense":
-        # the undriven qubit runs in the lab frame, the driven one displaced
-        frame = LAB if config.scenario == "spont" else DISPLACED
-        initial = DenseJointState.product_state(phi0, params.n_steps, params.fock_dim,
-                                                frame=frame)
-        traj = run_dense(params, initial, frame=frame)
-        return _dense_table(traj, config.snapshot_stride, flux=_dense_flux(traj))
-    if config.solver == "sectors":
-        # spont is the undriven displaced run from |e>
-        run = run_displaced_sectors(params, config.m_max, phi0)
-        rho = run.qubit_trajectory()
-        _check_tracked_weight(run.sector_weight_trajectories(), lambda m: run_displaced_sectors(
-            params, m, phi0).sector_weight_trajectories(), params)
-        return _table(params, steps, rho[steps], flux=run.emission_weights() / params.dt)
-    if config.scenario == "coherent":
-        rho, weights = analytic.coherent_qubit_trajectory(params, config.m_max, phi0)
-        _check_tracked_weight(weights, lambda m: analytic.coherent_qubit_trajectory(
-            params, m, phi0)[1], params)
-        return _table(params, steps, rho[steps])
-    if config.scenario == "spont":
-        gamma = params.gamma
-        p_e = np.exp(-gamma * (steps * params.dt))
-        # discrete norm: survival + left-Riemann photon weight over past bins
-        past = np.concatenate(([0.0], np.cumsum(
-            params.dt * gamma * np.exp(-gamma * np.arange(params.n_steps) * params.dt))))
-        norm = p_e + past[steps]
-        final = analytic.spontaneous_emission_state(params.grid.total_time, params)
-        return _table(params, steps, _populations(p_e, norm), norm=norm,
-                      flux=observables.photon_density(final))
-    packet = config.build_wavepacket(params)
-    if config.solver == "recursion":
-        run = run_single_excitation(params, packet)
-        p_e, norm = run.p_excited()[steps], run.norm_trajectory[steps]
-        final = run.final_state()
-    else:
-        # photon weight: past bins carry the scattered density, future the input
-        xt = analytic.xi_tilde_trajectory(packet, params)
-        tp = np.arange(params.n_steps) * params.dt
-        scattered = np.abs(packet.samples - params.gamma * xt[:params.n_steps]
-                           * np.exp(-1j * params.omega_q * tp)) ** 2 * params.dt
-        incoming = np.abs(packet.samples) ** 2 * params.dt
-        pe_all = analytic.single_photon_p_excited(packet, params)
-        norm_all = (pe_all
-                    + np.concatenate(([0.0], np.cumsum(scattered)))
-                    + (np.sum(incoming) - np.concatenate(([0.0], np.cumsum(incoming)))))
-        p_e, norm = pe_all[steps], norm_all[steps]
-        final = analytic.single_photon_state(packet, params.grid.total_time, params)
-    return _table(params, steps, _populations(p_e, norm), norm=norm,
-                  flux=observables.photon_density(final))
+    produce = SCENARIOS[config.scenario].solvers[config.solver]
+    record = produce(config, params)
+    if record.weights is not None:
+        _check_tracked_weight(record, lambda m: produce(replace(config, m_max=m), params))
+    return _table(record, config.snapshot_stride)
 
 
 # -- sweeps: one error per step size, fitted to a power law in dt -------------
 
-def _displaced_dense_run(params: SimulationParams, phi0):
-    initial = DenseJointState.product_state(phi0, params.n_steps, params.fock_dim,
-                                            frame=DISPLACED)
-    return run_dense(params, initial, frame=DISPLACED)
-
-
 def _oracle_amplitude_error(params: SimulationParams, config: ScenarioConfig):
     """Per sector, the largest |dense - closed form| tuple amplitude density; and the run."""
     phi0 = config.resolved_phi0()
-    traj = _displaced_dense_run(params, phi0)
+    traj = _dense_run(params, phi0, DISPLACED)
     psi = traj.snapshot(params.n_steps).amplitudes.reshape(2, -1)
     m_max = min(3, config.m_max, params.n_steps)
     coeffs = analytic.assemble_coherent(params, params.grid.total_time, m_max, phi0)
@@ -411,15 +375,13 @@ def _oracle_amplitude_error(params: SimulationParams, config: ScenarioConfig):
 
 def _io_residuals(params: SimulationParams, config: ScenarioConfig):
     """Input-output residual per collision of the displaced dense run, and the run."""
-    traj = _displaced_dense_run(params, config.resolved_phi0())
+    traj = _dense_run(params, config.resolved_phi0(), DISPLACED)
     return observables.io_residual(traj), traj
 
 
 def _convergence_error(params: SimulationParams, config: ScenarioConfig):
     """|P_e - e^{-gamma t}| per step of the lab-frame dense run from |e>, and the run."""
-    initial = DenseJointState.product_state(config.resolved_phi0(), params.n_steps,
-                                            params.fock_dim)
-    traj = run_dense(params, initial, frame=LAB)
+    traj = _dense_run(params, config.resolved_phi0(), LAB)
     return np.abs(traj.p_excited() - np.exp(-params.gamma * params.grid.times())), traj
 
 
@@ -430,27 +392,27 @@ class _Sweep(NamedTuple):
     fixed_time: bool    # n_steps scales as 1/factor; otherwise it stays fixed
     name: str           # metric prefix: <name>_dt_<dt>
     passes: Callable    # (fit exponent, dts, errors) -> threshold_ok
-    columns: Callable   # (kept trajectory, its errors) -> extra CSV columns
+    columns: Callable   # (kept trajectory, its errors) -> (record, io residuals or None)
 
 
 _SWEEPS = {
     "oracle-compare": _Sweep(
         _oracle_amplitude_error, (4.0, 2.0, 1.0), 1.0, True, "max_amp_error",
-        lambda fit, dts, errors: 0.7 <= fit <= 1.3, lambda traj, errors: {}),
+        lambda fit, dts, errors: 0.7 <= fit <= 1.3, lambda traj, errors: (traj.record(), None)),
     "io-check": _Sweep(
         _io_residuals, (1.0, 0.5, 0.25), 1.0, False, "max_io_residual",
         lambda fit, dts, errors: (abs(fit - 1.0) <= 0.2
                                   and all(e <= 5 * dt for e, dt in zip(errors, dts))),
-        lambda traj, residuals: {"io_residual": residuals}),
+        lambda traj, residuals: (traj.record(), residuals)),
     "convergence": _Sweep(
         _convergence_error, (1.0, 0.5, 0.25), 0.25, True, "max_p_e_error",
         lambda fit, dts, errors: abs(fit - 1.0) <= 0.15 and errors[-1] <= 0.02,
-        lambda traj, errors: {"flux": _dense_flux(traj)}),
+        lambda traj, errors: (_dense_record(traj), None)),
 }
 
 
 def sweep(config: ScenarioConfig, jobs: int = 1, strict: bool = False):
-    """Measure a check scenario's error at every step size, on `jobs` workers.
+    """Measure a check scenario's error at every step size, on up to `jobs` workers.
 
     Every step size's parameters pass the validity and dense memory guards
     before the first run.  Returns the measurement (errors, trajectory) at the
@@ -469,7 +431,9 @@ def sweep(config: ScenarioConfig, jobs: int = 1, strict: bool = False):
         params = replace(config, dt=config.dt * factor, n_steps=n_steps).params(strict)
         check_dense_size(params.n_steps, params.fock_dim)
         runs.append(params)
-    with ProcessPoolExecutor(jobs) if jobs > 1 else contextlib.nullcontext() as pool:
+    # a fork-started pool starts every worker at the first submit: one per step size
+    workers = min(jobs, len(spec.factors))
+    with ProcessPoolExecutor(workers) if workers > 1 else contextlib.nullcontext() as pool:
         results = (pool.map if pool else map)(spec.measure, runs, [config] * len(runs))
         dts, errors = [], []
         for factor in spec.factors:
@@ -491,8 +455,8 @@ def run_scenario(config: ScenarioConfig, out_dir: str = ".", jobs: int = 1,
     """Execute a validated config; returns (table, metrics, csv_path, exit_code)."""
     if config.scenario in _SWEEPS:
         (errors, traj), metrics = sweep(config, jobs, strict)
-        table = _dense_table(traj, config.snapshot_stride,
-                             **_SWEEPS[config.scenario].columns(traj, errors))
+        record, residuals = _SWEEPS[config.scenario].columns(traj, errors)
+        table = _table(record, config.snapshot_stride, residuals)
     else:
         table, metrics = _solve(config, config.params(strict=strict)), {}
     os.makedirs(out_dir, exist_ok=True)
@@ -576,7 +540,7 @@ def main(argv=None) -> int:
     run_p = sub.add_parser("run", help="execute a config file or preset")
     run_p.add_argument("config", help="path to a config file, or a preset name")
     run_p.add_argument("--jobs", type=int, default=1, metavar="K",
-                       help="worker processes for sweep scenarios")
+                       help="worker processes for sweep scenarios (at most one per step size)")
     run_p.add_argument("--strict", action="store_true",
                        help="turn validity-guard warnings into errors")
     run_p.add_argument("--out", default=None, metavar="DIR",
@@ -586,6 +550,8 @@ def main(argv=None) -> int:
     pre_p.add_argument("name", nargs="?", help="preset name for 'show'")
     sub.add_parser("check", help="run the acceptance suite (exit 0/3)")
     args = parser.parse_args(argv)
+    if args.command == "run" and args.jobs < 1:
+        run_p.error(f"argument --jobs: must be >= 1, got {args.jobs}")
 
     if args.command == "presets":
         if args.action == "list":

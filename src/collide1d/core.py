@@ -11,6 +11,7 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -78,11 +79,6 @@ class TimeGrid:
     def times(self) -> np.ndarray:
         """All grid times, including both endpoints (length n_steps + 1)."""
         return np.arange(self.n_steps + 1) * self.dt
-
-    def time_at(self, n: int) -> float:
-        if not 0 <= n <= self.n_steps:
-            raise ValueError(f"step {n} outside grid 0..{self.n_steps}")
-        return n * self.dt
 
     def index_of(self, t: float) -> int:
         """Grid index of a time that lies on the grid (within 1e-9 * dt)."""
@@ -160,13 +156,6 @@ class SimulationParams:
         return TimeGrid(dt=self.dt, n_steps=self.n_steps)
 
 
-def rabi_from_amplitude(beta_p: float, gamma: float) -> float:
-    """Rabi frequency 2*sqrt(gamma)*beta_p of a coherent drive of amplitude beta_p."""
-    if gamma <= 0:
-        raise ValueError(f"gamma must be positive, got {gamma}")
-    return 2.0 * math.sqrt(gamma) * beta_p
-
-
 def complex_rabi(params: SimulationParams) -> complex:
     """Complex Rabi frequency sqrt(Omega^2 + (delta - i*gamma/2)^2), principal branch.
 
@@ -174,6 +163,33 @@ def complex_rabi(params: SimulationParams) -> complex:
     choice is observationally irrelevant.
     """
     return complex(np.sqrt(params.omega_rabi**2 + (params.delta - 0.5j * params.gamma) ** 2 + 0j))
+
+
+class RunRecord(NamedTuple):
+    """What every solver produces over a run of N collisions.
+
+    rho     : (N+1, 2, 2) reduced qubit matrices after each collision
+    norm    : (N+1,) norm ledger, or None when the trace of rho is the norm
+    flux    : (N,) photon flux density per bin of the final state, or None
+    weights : (m_max+1, N+1, 2) sector weights per photon count and qubit label, or None
+    """
+
+    params: SimulationParams
+    rho: np.ndarray
+    norm: np.ndarray | None = None
+    flux: np.ndarray | None = None
+    weights: np.ndarray | None = None
+
+
+def populations(p_e: np.ndarray, norm: np.ndarray) -> np.ndarray:
+    """Qubit matrices without coherence: P_e in e, the rest of the norm in g.
+
+    Real, since there is no coherence to hold: half the memory of complex rows.
+    """
+    rho = np.zeros((len(p_e), 2, 2))
+    rho[:, 1, 1] = p_e
+    np.subtract(norm, p_e, out=rho[:, 0, 0])
+    return rho
 
 
 @dataclass(frozen=True)

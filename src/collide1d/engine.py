@@ -22,8 +22,8 @@ from functools import cached_property, lru_cache
 import numpy as np
 
 from . import _conv
-from .core import (DENSE_SIZE_BITS, MemoryGuardError, SimulationParams,
-                   TimeGrid, Wavepacket, qubit_index, qubit_vector)
+from .core import (DENSE_SIZE_BITS, MemoryGuardError, RunRecord, SimulationParams,
+                   TimeGrid, Wavepacket, populations, qubit_index, qubit_vector)
 
 # Pauli and ladder operators in the (g, e) ordered basis.  sigma_y carries the
 # sign that makes exp{-(i t/2)[(delta - i gamma/2) sigma_z - Omega sigma_y]}
@@ -99,9 +99,6 @@ class DenseJointState:
         amps[0] = v[0]
         amps[stride] = v[1]
         return cls(amplitudes=amps, n_modes=n_modes, fock_dim=fock_dim, frame=frame)
-
-    def tensor(self) -> np.ndarray:
-        return self.amplitudes.reshape((2,) + (self.fock_dim,) * self.n_modes)
 
     @property
     def norm(self) -> float:
@@ -256,6 +253,10 @@ class DenseTrajectory:
         except KeyError:
             raise KeyError(f"no snapshot stored for step {step}") from None
 
+    def record(self, flux: np.ndarray | None = None) -> RunRecord:
+        """The run's record, its norm that of the state vector; `flux` as given."""
+        return RunRecord(self.params, self.qubit_matrices, self.norms ** 2, flux)
+
 
 def run_dense(params: SimulationParams, initial: DenseJointState,
               frame: str = LAB) -> DenseTrajectory:
@@ -361,6 +362,13 @@ class SinglePhotonRun:
 
     def final_state(self) -> SinglePhotonState:
         return self.state_at(self.params.n_steps)
+
+    def record(self) -> RunRecord:
+        """Populations, the norm ledger and the final state's photon flux."""
+        # observables.photon_density of the final state, which engine cannot import
+        flux = np.abs(self._b_final) ** 2 / self.params.dt
+        return RunRecord(self.params, populations(self.p_excited(), self.norm_trajectory),
+                         self.norm_trajectory, flux)
 
 
 def run_single_excitation(params: SimulationParams,
@@ -534,6 +542,12 @@ class SectorRun:
         tuple's qubit vector, and children keep their parent's indices.
         """
         return self._moments[2].copy()
+
+    def record(self) -> RunRecord:
+        """Qubit trajectory, emitted flux per bin and sector weights of the run."""
+        return RunRecord(self.params, self.qubit_trajectory(), None,
+                         self.emission_weights() / self.params.dt,
+                         self.sector_weight_trajectories())
 
     # -- amplitudes --------------------------------------------------------------
 

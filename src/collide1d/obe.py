@@ -34,9 +34,6 @@ class BlochTrajectory:
     def p_excited(self) -> np.ndarray:
         return 0.5 * (1.0 + self.sz)
 
-    def lengths(self) -> np.ndarray:
-        return np.sqrt(self.sx**2 + self.sy**2 + self.sz**2)
-
 
 def bloch_generator(params: SimulationParams):
     """Affine generator (A, b) with ds/dt = A s + b, built from the master equation."""

@@ -7,10 +7,9 @@ import pytest
 from collide1d import (SimulationParams, complex_rabi, make_exponential_wavepacket,
                        make_gaussian_wavepacket, run_displaced_sectors)
 from collide1d import analytic
-from collide1d.analytic import (assemble_coherent, coherent_qubit_trajectory, f0,
-                                f1, f2, fm, single_photon_state,
-                                spontaneous_emission_state, strong_drive_state,
-                                xi_tilde)
+from collide1d.analytic import (assemble_coherent, coherent_qubit_trajectory, f0, fm,
+                                single_photon_state, spontaneous_emission_state,
+                                strong_drive_state, xi_tilde_trajectory)
 from collide1d.core import ValidityWarning
 
 
@@ -107,38 +106,26 @@ class TestPhotonCoefficients:
         p = SimulationParams(gamma=1.0, dt=1e-4, n_steps=10)
         for t1 in (0.0, 0.4, 1.0):
             expected = -math.sqrt(p.gamma) * math.exp(-t1 / 2)
-            assert f1("g", "e", 2.0, t1, p) == pytest.approx(expected, rel=1e-12)
+            assert fm("g", "e", 2.0, [t1], p) == pytest.approx(expected, rel=1e-12)
 
     def test_f1_vanishes_from_ground_at_zero(self):
-        assert f1("g", "g", 1.0, 0.0, self.p) == 0.0
+        assert fm("g", "g", 1.0, [0.0], self.p) == 0.0
 
     def test_f1_ordering_error(self):
         with pytest.raises(ValueError):
-            f1("g", "g", 1.0, 2.0, self.p)
+            fm("g", "g", 1.0, [2.0], self.p)
 
     def test_f2_equal_times_vanish(self):
         for t1 in (0.0, 0.3):
-            assert f2("g", "g", 1.0, t1, t1, self.p) == 0.0
+            assert fm("g", "g", 1.0, [t1, t1], self.p) == 0.0
 
     def test_f2_vanishes_without_drive(self):
         p = SimulationParams(gamma=1.0, dt=1e-4, n_steps=10, delta=0.3)
-        assert f2("g", "g", 1.0, 0.2, 0.7, p) == 0.0
+        assert fm("g", "g", 1.0, [0.2, 0.7], p) == 0.0
 
     def test_f2_ordering_error(self):
         with pytest.raises(ValueError):
-            f2("g", "g", 1.0, 0.7, 0.2, self.p)
-
-    def test_fm_consistency_with_f1_f2(self):
-        rng = np.random.default_rng(11)
-        for _ in range(20):
-            t = 2.0
-            t1, t2 = np.sort(rng.uniform(0, t, size=2))
-            for eps in "ge":
-                for phi0 in "ge":
-                    assert fm(eps, phi0, t, [t1], self.p) == pytest.approx(
-                        f1(eps, phi0, t, t1, self.p), abs=1e-15)
-                    assert fm(eps, phi0, t, [t1, t2], self.p) == pytest.approx(
-                        f2(eps, phi0, t, t1, t2, self.p), abs=1e-15)
+            fm("g", "g", 1.0, [0.7, 0.2], self.p)
 
     def test_fm_repeated_adjacent_time_vanishes(self):
         assert fm("g", "g", 1.0, [0.2, 0.5, 0.5], self.p) == 0.0
@@ -180,17 +167,17 @@ class TestAssembly:
 
     def test_chain_norm_covers_strong_drive(self):
         p = SimulationParams(gamma=1.0, dt=1e-4, n_steps=10000, omega_rabi=20.0)
-        rho, _ = coherent_qubit_trajectory(p, 2, "g")
+        rho = coherent_qubit_trajectory(p, 2, "g").rho
         assert np.einsum("aa->", rho[-1]).real >= 0.95
 
     def test_chain_matches_assembled_weights(self):
         # from |e> the photon emitted in bin 0 reaches the last step at lag N
         p = SimulationParams(gamma=1.0, dt=1e-2, n_steps=30, omega_rabi=3.0)
         for phi0 in "ge":
-            rho, weights = coherent_qubit_trajectory(p, 2, phi0)
+            record = coherent_qubit_trajectory(p, 2, phi0)
             state = assemble_coherent(p, 0.3, 2, phi0)
-            assert np.abs(state.qubit_matrix() - rho[30]).max() < 1e-12
-            assert weights[:, 30, :] == pytest.approx(state.sector_weights(), abs=1e-12)
+            assert np.abs(state.qubit_matrix() - record.rho[30]).max() < 1e-12
+            assert record.weights[:, 30, :] == pytest.approx(state.sector_weights(), abs=1e-12)
 
 
 class TestStrongDrive:
@@ -217,7 +204,7 @@ class TestStrongDrive:
     def test_vacuum_sector_matches_full_assembly(self):
         p = SimulationParams(gamma=1.0, dt=2.5e-4, n_steps=3200, omega_rabi=40.0)
         sd = analytic.strong_drive_weights(p)
-        _, full = coherent_qubit_trajectory(p, 1, "g")
+        full = coherent_qubit_trajectory(p, 1, "g").weights
         assert np.abs(sd[0] - full[0]).max() < 5e-2
 
     def test_one_photon_sector_close_to_full_assembly(self):
@@ -225,7 +212,7 @@ class TestStrongDrive:
         # is qualitative at gamma*t ~ 1
         p = SimulationParams(gamma=1.0, dt=2.5e-4, n_steps=3200, omega_rabi=40.0)
         sd = analytic.strong_drive_weights(p)
-        _, full = coherent_qubit_trajectory(p, 1, "g")
+        full = coherent_qubit_trajectory(p, 1, "g").weights
         assert np.abs(sd[1] - full[1]).max() < 1e-1
 
     @pytest.mark.parametrize("n_steps", [1, 2, 300])
@@ -292,11 +279,11 @@ class TestSinglePhotonClosedForm:
         for t in (0.5, 2.0, 5.0):
             expected = (self.packet.renorm_factor * math.sqrt(gamma) * t
                         * math.exp(-gamma * t / 2))
-            assert xi_tilde(self.packet, t, self.params) == pytest.approx(
-                expected, rel=1e-12)
+            xi_t = xi_tilde_trajectory(self.packet, self.params)[self.params.grid.index_of(t)]
+            assert xi_t == pytest.approx(expected, rel=1e-12)
 
     def test_xi_tilde_zero_at_origin(self):
-        assert xi_tilde(self.packet, 0.0, self.params) == 0.0
+        assert xi_tilde_trajectory(self.packet, self.params)[0] == 0.0
 
     def test_initial_state_unscattered(self):
         state = single_photon_state(self.packet, 0.0, self.params)

@@ -8,7 +8,7 @@ import pytest
 
 from collide1d import cli
 from collide1d.cli import (ConfigError, PRESETS, parse_config, run_scenario)
-from collide1d.core import ValidityWarning
+from collide1d.core import RunRecord, ValidityWarning
 from collide1d.engine import run_dense
 
 
@@ -190,6 +190,27 @@ class TestRunScenario:
         with open(path_a, "rb") as fa, open(path_b, "rb") as fb:
             assert fa.read() == fb.read()
 
+    @pytest.mark.parametrize("jobs,workers", [(2, 2), (3, 3), (64, 3)])
+    def test_sweep_starts_at_most_one_worker_per_step_size(self, jobs, workers, monkeypatch):
+        started = []
+
+        class SerialPool:
+            def __init__(self, max_workers):
+                started.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, *iterables):
+                return map(fn, *iterables)
+        monkeypatch.setattr(cli, "ProcessPoolExecutor", SerialPool)
+        config = parse_config("scenario = convergence\ngamma = 1\ndt = 0.04\nn_steps = 5\n")
+        assert cli.sweep(config, jobs=jobs)[1] == cli.sweep(config)[1]
+        assert started == [workers]
+
 
 class TestMain:
     def test_presets_list(self, capsys):
@@ -201,6 +222,15 @@ class TestMain:
         assert cli.main(["presets", "show", "spont"]) == 0
         shown = capsys.readouterr().out
         assert parse_config(shown).scenario == "spont"
+
+    @pytest.mark.parametrize("jobs", ["0", "-2"])
+    def test_run_rejects_jobs_below_one(self, jobs, tmp_path, capsys):
+        with pytest.raises(SystemExit) as exit_:
+            cli.main(["run", "spont", "--jobs", jobs, "--out", str(tmp_path)])
+        assert exit_.value.code == 2
+        assert capsys.readouterr().err.endswith(
+            f"collide1d run: error: argument --jobs: must be >= 1, got {jobs}\n")
+        assert not os.listdir(tmp_path)
 
     def test_run_rejects_bad_config(self, tmp_path, capsys):
         bad = tmp_path / "bad.cfg"
@@ -309,13 +339,13 @@ class TestMain:
         def never(m):
             raise AssertionError("the ceiling needs no wider run")
         with pytest.raises(ValueError) as grown:
-            cli._check_tracked_weight(weights, never, params)
+            cli._check_tracked_weight(RunRecord(params, None, weights=weights), never)
         assert str(grown.value) == (
             "tracked weight grows to 1.15 above 1.1 at step 2 (t = 0.02): emissions outweigh "
             "the state (gamma*dt = 0.02, bound 0.1)")
         weights[1, 2, 1] = 0.2
         with pytest.raises(ValueError, match=r"grows to nan above 1\.1 at step 3 \(t = 0\.03\)"):
-            cli._check_tracked_weight(weights, never, params)
+            cli._check_tracked_weight(RunRecord(params, None, weights=weights), never)
 
     @pytest.mark.parametrize("n_steps,searched", [(4, 4), (10_000, 51), (600_000, 1)])
     def test_truncation_guard_searches_within_the_memory_guard(self, n_steps, searched):
@@ -326,11 +356,11 @@ class TestMain:
         short[0, :, 0] = [1.0, 0.7, 0.5]
         asked = []
 
-        def weights_at(m):
+        def rerun(m):
             asked.append(m)
-            return np.concatenate((short, np.zeros((m - 1, 3, 2))))
+            return RunRecord(params, None, weights=np.concatenate((short, np.zeros((m - 1, 3, 2)))))
         with pytest.raises(ValueError, match=f"no m_max up to {searched} keeps it"):
-            cli._check_tracked_weight(short, weights_at, params)
+            cli._check_tracked_weight(RunRecord(params, None, weights=short), rerun)
         assert asked == [searched]
 
     def test_run_missing_target(self, tmp_path, capsys):

@@ -58,7 +58,7 @@ def configs(draw, values=valid_values):
     row = SCENARIOS[scenario]
     config = {"scenario": scenario}
     if row.solvers:
-        config["solver"] = draw(st.sampled_from(row.solvers))
+        config["solver"] = draw(st.sampled_from(tuple(row.solvers)))
     for key, declaration in KEYS.items():
         if key in ("scenario", "solver"):
             continue

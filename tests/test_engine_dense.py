@@ -145,7 +145,8 @@ class TestApplyCollision:
         U = displaced_collision_unitary(1, p, d)
         fast = apply_collision(state, 1, U).amplitudes
         U4 = U.matrix.reshape(2, d, 2, d)
-        slow = np.moveaxis(np.tensordot(U4, state.tensor(), axes=[(2, 3), (0, 2)]),
+        psi = state.amplitudes.reshape(2, d, d, d)
+        slow = np.moveaxis(np.tensordot(U4, psi, axes=[(2, 3), (0, 2)]),
                            (0, 1), (0, 2)).reshape(-1)
         assert np.abs(fast - slow).max() < 1e-13
 
@@ -190,7 +191,7 @@ class TestRunDense:
         # undriven lab evolution never leaves the total-excitation-1 sector
         p = SimulationParams(gamma=1.0, dt=1e-2, n_steps=8, omega_q=1.0)
         traj = run_dense(p, DenseJointState.product_state("e", 8, 2), frame="lab")
-        psi = traj.snapshot(8).tensor()
+        psi = traj.snapshot(8).amplitudes.reshape((2,) * 9)
         qubit_exc = np.array([0, 1]).reshape(2, *(1,) * 8)
         photons = sum(np.arange(2).reshape(*(1,) * (1 + ax), 2, *(1,) * (7 - ax))
                       for ax in range(8))

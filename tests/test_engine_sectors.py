@@ -130,7 +130,7 @@ class TestSectorRun:
         phi0 = np.array([1.0, 1.0]) / math.sqrt(2)
         psi = None
         initial = DenseJointState.product_state(phi0, 5, 2, frame="displaced")
-        psi = run_dense(p, initial, frame="displaced").snapshot(5).tensor()
+        psi = run_dense(p, initial, frame="displaced").snapshot(5).amplitudes.reshape((2,) * 6)
         state = run_displaced_sectors(p, 5, phi0).state_at(5)
         vac = psi[(slice(None),) + (0,) * 5]
         assert np.abs(vac - state.values[0][:, 0]).max() < 1e-13

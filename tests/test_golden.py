@@ -18,14 +18,21 @@ of each collision by numpy pairwise sums.  Largest measured differences
 4.4e-16/4.4e-16, oracle-compare 4.4e-16/4.3e-19, spont-dense 2.8e-16/0.
 Regenerate the files only for a change that is meant to alter the numbers,
 and say so where it is recorded.
+
+Each branch also produces one ``RunRecord`` with the fields its CSV needs, and
+each run makes the calls that count collisions (a tier's entry point, read
+through its module) exactly once, twice when the truncation guard reruns.
 """
 
 import os
+import sys
+from collections import defaultdict
+from dataclasses import replace
 
 import pytest
 
-from collide1d import observables
-from collide1d.cli import SCENARIOS, parse_config, run_scenario
+from collide1d import RunRecord, analytic, engine, obe, observables
+from collide1d.cli import _SWEEPS, SCENARIOS, parse_config, run_scenario, sweep
 
 GOLDEN = os.path.join(os.path.dirname(__file__), "golden")
 NAMES = sorted(f[:-4] for f in os.listdir(GOLDEN) if f.endswith(".cfg"))
@@ -96,3 +103,95 @@ def test_io_check_computes_each_residual_once(tmp_path, monkeypatch):
     monkeypatch.setattr(observables, "io_residual", counted)
     run_and_compare("io-check", tmp_path)
     assert calls == [0.01, 0.005, 0.0025]
+
+
+# the fields each (scenario, solver) pair's record sets; the others are None
+RECORD_FIELDS = {
+    ("spont", "analytic"): {"norm", "flux"},
+    ("spont", "dense"): {"norm", "flux"},
+    ("spont", "sectors"): {"flux", "weights"},
+    ("coherent", "analytic"): {"weights"},
+    ("coherent", "dense"): {"norm", "flux"},
+    ("coherent", "sectors"): {"flux", "weights"},
+    ("single-photon", "analytic"): {"norm", "flux"},
+    ("single-photon", "recursion"): {"norm", "flux"},
+    ("oracle-compare", None): {"norm"},
+    ("io-check", None): {"norm"},
+    ("convergence", None): {"norm", "flux"},
+}
+
+
+@pytest.mark.parametrize("name", NAMES)
+def test_every_solver_produces_one_record(name):
+    config = load(name)
+    if config.scenario in SWEEPS:
+        (errors, traj), _ = sweep(config)
+        record, residuals = _SWEEPS[config.scenario].columns(traj, errors)
+        n = traj.params.n_steps
+        assert residuals is None or residuals.shape == (n,)
+    else:
+        record = SCENARIOS[config.scenario].solvers[config.solver](config, config.params())
+        n = config.n_steps
+    assert isinstance(record, RunRecord) and record.params.n_steps == n
+    assert record.rho.shape == (n + 1, 2, 2)
+    shapes = {"norm": (n + 1,), "flux": (n,), "weights": (config.m_max + 1, n + 1, 2)}
+    assert {key for key in shapes if getattr(record, key) is not None} == \
+        RECORD_FIELDS[config.scenario, config.solver]
+    for key, shape in shapes.items():
+        assert getattr(record, key) is None or getattr(record, key).shape == shape
+
+
+#: the calls whose count gives collisions per run, with where each reads params
+COUNTED = {(engine, "run_dense"): 0, (engine, "run_single_excitation"): 0,
+           (analytic, "coherent_qubit_trajectory"): 0, (analytic, "assemble_coherent"): 0,
+           (analytic, "single_photon_p_excited"): 1, (obe, "obe_integrate"): 0}
+
+
+def count_calls(monkeypatch):
+    """n_steps of each counted call, patched wherever a collide1d module binds it."""
+    calls = defaultdict(list)
+    modules = [m for key, m in list(sys.modules.items()) if key.startswith("collide1d")]
+    for (owner, name), at in COUNTED.items():
+        original = getattr(owner, name)
+
+        def counted(*args, _name=name, _at=at, _original=original, **kwargs):
+            calls[_name].append(args[_at].n_steps)
+            return _original(*args, **kwargs)
+        for module in modules:
+            for key, value in list(vars(module).items()):
+                if value is original:
+                    monkeypatch.setattr(module, key, counted)
+    init = engine.SectorRun.__init__
+
+    def counted_init(self, params, *args, **kwargs):
+        calls["SectorRun"].append(params.n_steps)
+        init(self, params, *args, **kwargs)
+    monkeypatch.setattr(engine.SectorRun, "__init__", counted_init)
+    return calls
+
+
+@pytest.mark.parametrize("name,truncated,expected", [
+    ("coherent-analytic", None, {"coherent_qubit_trajectory": 1}),
+    ("coherent-dense", None, {"run_dense": 1}),
+    ("coherent-sectors", None, {"SectorRun": 1}),
+    ("single-photon-analytic-exponential", None, {"single_photon_p_excited": 1}),
+    ("single-photon-analytic-gaussian", None, {"single_photon_p_excited": 1}),
+    ("single-photon-recursion-exponential", None, {"run_single_excitation": 1}),
+    ("single-photon-recursion-gaussian", None, {"run_single_excitation": 1}),
+    ("spont-analytic", None, {}),
+    ("spont-dense", None, {"run_dense": 1}),
+    ("spont-sectors", None, {"SectorRun": 1}),
+    # the vacuum sector alone tracks too little weight: the truncation guard reruns once
+    ("coherent-analytic", dict(m_max=0, phi0="e"), {"coherent_qubit_trajectory": 2}),
+    ("coherent-sectors", dict(m_max=0), {"SectorRun": 2}),
+])
+def test_each_run_makes_the_counted_calls_once(name, truncated, expected, tmp_path,
+                                                monkeypatch):
+    config = load(name)
+    calls = count_calls(monkeypatch)
+    if truncated is None:
+        run_scenario(config, out_dir=str(tmp_path))
+    else:
+        with pytest.raises(ValueError, match="sector truncation"):
+            run_scenario(replace(config, **truncated), out_dir=str(tmp_path))
+    assert calls == {key: [config.n_steps] * count for key, count in expected.items()}

@@ -25,7 +25,7 @@ from test_materializer_properties import drives  # noqa: E402
 
 def expectation(state, op, axis):
     """<psi| op on tensor axis `axis` |psi> by a full-state contraction."""
-    psi = state.tensor()
+    psi = state.amplitudes.reshape((2,) + (state.fock_dim,) * state.n_modes)
     lowered = np.moveaxis(np.tensordot(op, psi, axes=[(1,), (axis,)]), 0, axis)
     return complex(np.vdot(psi.reshape(-1), lowered.reshape(-1)))
 

@@ -73,7 +73,7 @@ def qubit_states(draw):
 def tier_chains(params, phi0, m_max, offset):
     """The sector propagator's (offset 1) or the closed form's (offset 0) moment
     chain, and the FFT reference's at that offset with the bare emission block.
-    The closed form returns (rho, weights) only."""
+    The closed form's record holds rho and weights only."""
     if offset:
         run = run_displaced_sectors(params, m_max, phi0)
         props, emit = run.powers, run.emission_block
@@ -81,7 +81,8 @@ def tier_chains(params, phi0, m_max, offset):
     else:
         props = f0_matrix(params.grid.times(), params)
         emit = -math.sqrt(params.gamma * params.dt) * SIGMA_MINUS
-        fast = coherent_qubit_trajectory(params, m_max, phi0)
+        record = coherent_qubit_trajectory(params, m_max, phi0)
+        fast = record.rho, record.weights
     return fast, fft_moment_chain(props, emit, phi0, m_max, offset)
 
 
@@ -104,7 +105,7 @@ def test_sector_weights_are_probabilities(drive, phi0, m_max):
     assert sectors.max() <= 1.0 + 1e-12
     # the closed form's discrete norm may exceed one by O(gamma*dt), so only
     # its sign is a property
-    _, closed = coherent_qubit_trajectory(params, m_max, phi0)
+    closed = coherent_qubit_trajectory(params, m_max, phi0).weights
     assert closed.min() >= 0.0
 
 

@@ -88,7 +88,8 @@ class TestIntegration:
     def test_bloch_length_bounded(self):
         p = SimulationParams(gamma=1.0, dt=1e-3, n_steps=3000, omega_rabi=10.0)
         traj = obe_integrate(p, 3.0, "g")
-        assert traj.lengths().max() <= 1 + 1e-9
+        lengths = np.sqrt(traj.sx**2 + traj.sy**2 + traj.sz**2)
+        assert lengths.max() <= 1 + 1e-9
 
 
 def sector_obe_error(params, t_final, m_max, phi0="g"):
