@@ -2,8 +2,8 @@
 
 Three tiers share the same per-collision unitaries:
 
-* a dense brute-force oracle over the qubit x (d-level)^N state that stores only
-  the light cone, grown by one vacuum mode per collision (modes past n keep their input),
+* a dense brute-force oracle over the qubit x (d-level)^N state that reads its input
+  once, keeps only the light cone, grown by one vacuum mode per collision, and records <a_n>,
 * a recursion for a single excitation shared between qubit and field,
 * an excitation-sector propagator in the displaced frame, where each temporal
   mode interacts exactly once, so the joint state decomposes into ordered
@@ -70,6 +70,14 @@ def _partial_trace(m: np.ndarray) -> np.ndarray:
     return np.array([[r00, r01], [np.conj(r01), r11]])
 
 
+def _lowering_average(cone: np.ndarray, mode: int, d: int) -> complex:
+    """<a_mode> of a (2, d^live) cone, sum_k sqrt(k+1) sum conj(psi[.., k, ..]) psi[.., k+1, ..],
+    by numpy pairwise sums like _partial_trace."""
+    psi = cone.reshape(2 * d**mode, d, -1)
+    return complex(sum(math.sqrt(k + 1) * np.sum(psi[:, k].conj() * psi[:, k + 1])
+                       for k in range(d - 1)))
+
+
 @dataclass
 class DenseJointState:
     """Full joint state vector over qubit x (d-level)^N.
@@ -107,9 +115,6 @@ class DenseJointState:
     def qubit_matrix(self) -> np.ndarray:
         """Partial trace over all modes (not renormalized)."""
         return _partial_trace(self.amplitudes.reshape(2, -1))
-
-    def copy(self) -> "DenseJointState":
-        return DenseJointState(self.amplitudes.copy(), self.n_modes, self.fock_dim, self.frame)
 
 
 @dataclass(frozen=True)
@@ -236,13 +241,15 @@ def apply_collision(state: DenseJointState, n: int,
 
 @dataclass
 class DenseTrajectory:
-    """Per-step qubit matrices and norms, plus the input and output states."""
+    """Per-step qubit matrices and norms, <a_n> of the input and output, and the final state."""
 
     params: SimulationParams
     frame: str
     qubit_matrices: np.ndarray = field(repr=False)   # (N+1, 2, 2)
     norms: np.ndarray = field(repr=False)            # (N+1,)
-    snapshots: dict[int, DenseJointState] = field(repr=False)  # steps 0 and N
+    a_in: np.ndarray = field(repr=False)             # (N,)
+    a_out: np.ndarray = field(repr=False)            # (N,)
+    snapshots: dict[int, DenseJointState] = field(repr=False)  # step N only
 
     def p_excited(self) -> np.ndarray:
         return self.qubit_matrices[:, 1, 1].real
@@ -254,8 +261,8 @@ class DenseTrajectory:
             raise KeyError(f"no snapshot stored for step {step}") from None
 
     def record(self, flux: np.ndarray | None = None) -> RunRecord:
-        """The run's record, its norm that of the state vector; `flux` as given."""
-        return RunRecord(self.params, self.qubit_matrices, self.norms ** 2, flux)
+        """The run's record, its norm the trace of rho; `flux` as given."""
+        return RunRecord(self.params, self.qubit_matrices, None, flux)
 
 
 def run_dense(params: SimulationParams, initial: DenseJointState,
@@ -268,29 +275,32 @@ def run_dense(params: SimulationParams, initial: DenseJointState,
     (2, d^live) cone over the first live = max(n, reach) modes, the rest in
     vacuum.  Collisions n < reach act on the cone in place; from n = reach on,
     mode n enters in vacuum, so only the columns (g,0) and (e,0) of U act:
-    new[q', x, k'] = sum_q U[(q',k'), (q,0)] cone[q, x].  The qubit matrix and
-    norm are recorded at every step; the full state only as snapshot 0, a copy
-    of the input in the run's frame, and snapshot N, the final cone.
+    new[q', x, k'] = sum_q U[(q',k'), (q,0)] cone[q, x].  The input is read once,
+    for its reach and its cone (which holds its whole norm).  Recorded: the qubit
+    matrix and norm per step, <a_n> on the input cone (a_in, 0 from the reach on)
+    and right after collision n, the only one on mode n (a_out), and snapshot N.
     """
     n = params.n_steps
     if initial.n_modes != n:
         raise ValueError(f"initial state has {initial.n_modes} modes, params want {n}")
-    if abs(initial.norm - 1.0) > 1e-9:
-        raise ValueError(f"initial state not normalized: |psi| = {initial.norm}")
     if frame not in (LAB, DISPLACED):
         raise ValueError(f"frame must be 'lab' or 'displaced', got {frame!r}")
 
     build = lab_collision_unitary if frame == LAB else displaced_collision_unitary
-    start = initial.copy()
-    start.frame = frame
-    d = start.fock_dim
+    d = initial.fock_dim
     # a nonzero at field index r reaches mode n - (trailing zero base-d digits of r)
-    support = np.flatnonzero(start.amplitudes) % d**n
+    support = np.flatnonzero(initial.amplitudes != 0) % d**n
     reach = next(f for f in range(n + 1) if not np.any(support % d ** (n - f)))
-    cone = start.amplitudes.reshape(2, d**reach, -1)[:, :, 0].copy()
-    work = np.empty((2, 2 * d, d**reach // d), dtype=complex) if reach else None
+    cone = initial.amplitudes.reshape(2, d**reach, -1)[:, :, 0].copy()
     qubit = np.empty((n + 1, 2, 2), dtype=complex)
-    qubit[0] = _partial_trace(cone)
+    with np.errstate(over="ignore", invalid="ignore"):  # an inf or huge amplitude: refused below
+        qubit[0] = _partial_trace(cone)
+    norm = math.sqrt(qubit[0, 0, 0].real + qubit[0, 1, 1].real)
+    if not abs(norm - 1.0) <= 1e-9:  # "not within": a nan norm is refused too
+        raise ValueError(f"initial state not normalized: |psi| = {norm}")
+    a_in, a_out = np.zeros(n, dtype=complex), np.empty(n, dtype=complex)
+    a_in[:reach] = [_lowering_average(cone, mode, d) for mode in range(reach)]
+    work = np.empty((2, 2 * d, d**reach // d), dtype=complex) if reach else None
     for step in range(n):
         unitary = build(step, params, d)
         if step < reach:
@@ -302,9 +312,10 @@ def run_dense(params: SimulationParams, initial: DenseJointState,
                 np.matmul(columns[:, k], cone, out=grown[:, :, k])
             cone = grown.reshape(2, -1)
         qubit[step + 1] = _partial_trace(cone)
+        a_out[step] = _lowering_average(cone, step, d)
     norms = np.sqrt(qubit[:, 0, 0].real + qubit[:, 1, 1].real)
-    return DenseTrajectory(params=params, frame=frame, qubit_matrices=qubit, norms=norms,
-                           snapshots={0: start, n: DenseJointState(cone.reshape(-1), n, d, frame)})
+    return DenseTrajectory(params, frame, qubit, norms, a_in, a_out,
+                           {n: DenseJointState(cone.reshape(-1), n, d, frame)})
 
 
 # ---------------------------------------------------------------------------

@@ -80,32 +80,21 @@ def photon_density(state, dt: float | None = None) -> np.ndarray:
     raise TypeError(f"cannot compute photon density of a {type(state).__name__}")
 
 
-def _mode_average(state: DenseJointState, mode: int) -> complex:
-    """<a_mode> = sum_k sqrt(k+1) conj(psi[.., k, ..]) psi[.., k+1, ..], one numpy
-    pairwise sum (no BLAS, so the bits do not depend on its thread count)."""
-    d = state.fock_dim
-    psi = state.amplitudes.reshape(-1, d, d ** (state.n_modes - 1 - mode))
-    lowered = np.sqrt(np.arange(1, d))[:, None] * psi[:, 1:]
-    return complex(np.sum(psi[:, :-1].conj() * lowered))
-
-
 def io_residual(trajectory: DenseTrajectory) -> np.ndarray:
     """|<a_out(t_n)> - <a_in(t_{n-1})> + sqrt(gamma) <sigma_-(t_{n-1})>| per step.
 
     For collision n = 1..N, a_in and a_out are <a_{n-1}>/sqrt(dt) before and
-    after it; only collision n touches mode n - 1, so they are read from the
-    input and output states (snapshots 0 and N).  <sigma_-> is the
-    interaction-picture rho_eg before it, from the recorded qubit matrices.
-    Zero to machine precision for vacuum and spontaneous emission; first order
-    in dt for driven runs (the remainder of the per-collision expansion).
+    after it, which ``run_dense`` records on the light cone (only collision n
+    touches mode n - 1).  <sigma_-> is the interaction-picture rho_eg before
+    it, from the recorded qubit matrices.  O(N) in all.  Zero to machine
+    precision for vacuum and spontaneous emission; first order in dt for driven
+    runs (the remainder of the per-collision expansion).
     """
     params = trajectory.params
     n = params.n_steps
-    before, after = trajectory.snapshot(0), trajectory.snapshot(n)
     omega = params.omega_q if trajectory.frame == "lab" else params.omega_p
     root_dt = np.sqrt(params.dt)
-    field = np.array([_mode_average(after, s) / root_dt - _mode_average(before, s) / root_dt
-                      for s in range(n)])
+    field = trajectory.a_out / root_dt - trajectory.a_in / root_dt
     sigma_minus = (trajectory.qubit_matrices[:n, 1, 0]
                    * np.exp(-1j * omega * np.arange(n) * params.dt))
     return np.abs(field + np.sqrt(params.gamma) * sigma_minus)

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from collide1d import (DenseJointState, MemoryGuardError, SimulationParams,
-                       apply_collision, displaced_collision_unitary,
+                       apply_collision, displaced_collision_unitary, engine,
                        lab_collision_unitary, run_dense)
 from collide1d.engine import (DISPLACED, LAB, PROJ_E, SIGMA_MINUS, SIGMA_PLUS, SIGMA_Y,
                               _displaced_operators, annihilation, displaced_hamiltonian)
@@ -215,23 +215,35 @@ class TestRunDense:
                          frame="displaced")
         assert np.abs(traj.norms - 1.0).max() < 1e-10
 
-    def test_keeps_only_the_input_and_output_snapshots(self):
+    def test_keeps_only_the_output_snapshot(self):
         p = SimulationParams(gamma=1.0, dt=1e-2, n_steps=6, omega_rabi=1.0)
         initial = DenseJointState.product_state("e", 6, 2)
         given_amplitudes = initial.amplitudes.copy()
         traj = run_dense(p, initial, frame=DISPLACED)
-        assert sorted(traj.snapshots) == [0, 6]
-        initial.amplitudes[:] = 0.0
-        assert np.array_equal(traj.snapshot(0).amplitudes, given_amplitudes)
-        assert traj.snapshot(0).frame == traj.snapshot(6).frame == DISPLACED
-        for step in range(1, 6):
+        assert list(traj.snapshots) == [6]
+        assert traj.snapshot(6).frame == DISPLACED
+        assert np.array_equal(initial.amplitudes, given_amplitudes)
+        for step in range(6):
             with pytest.raises(KeyError, match=f"no snapshot stored for step {step}"):
                 traj.snapshot(step)
 
+    @pytest.mark.parametrize("frame", [LAB, DISPLACED])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_input_refused_before_any_collision(self, bad, frame, monkeypatch):
+        built = []
+        for name in ("lab_collision_unitary", "displaced_collision_unitary"):
+            monkeypatch.setattr(engine, name, lambda *args: built.append(args))
+        initial = DenseJointState.product_state("e", 6, 2)
+        initial.amplitudes[5] = bad   # photons in modes 3 and 5, inside the input's cone
+        p = SimulationParams(gamma=1.0, dt=1e-2, n_steps=6)
+        with pytest.raises(ValueError, match="initial state not normalized"):
+            run_dense(p, initial, frame=frame)
+        assert built == []
+
 
 @pytest.mark.parametrize("frame,qubit", [(LAB, "e"), (DISPLACED, "g")])
-def test_peak_memory_is_at_most_three_states(frame, qubit):
-    # the input copy, the final cone and the cone before it: 2.5 states at d = 2
+def test_peak_memory_is_at_most_two_states(frame, qubit):
+    # the final cone and the cone before it: 1.5 states at d = 2
     p = SimulationParams(gamma=1.0, dt=1e-2, n_steps=16, omega_q=1.0, omega_rabi=2.0)
     initial = DenseJointState.product_state(qubit, 16, 2, frame=frame)
     tracemalloc.start()
@@ -240,7 +252,14 @@ def test_peak_memory_is_at_most_three_states(frame, qubit):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= 3 * initial.amplitudes.nbytes
+    assert peak <= 2 * initial.amplitudes.nbytes
+
+
+def expectation(state, op, axis):
+    """<psi| op on tensor axis `axis` |psi> by a full-state contraction."""
+    psi = state.amplitudes.reshape((2,) + (state.fock_dim,) * state.n_modes)
+    lowered = np.moveaxis(np.tensordot(op, psi, axes=[(1,), (axis,)]), 0, axis)
+    return complex(np.vdot(psi.reshape(-1), lowered.reshape(-1)))
 
 
 def full_contraction(params, initial, frame):
@@ -296,9 +315,12 @@ def test_light_cone_matches_full_contraction(case):
     qubit, norms, states = full_contraction(params, initial, frame)
     assert np.abs(traj.qubit_matrices - qubit).max() <= 1e-12
     assert np.abs(traj.norms - norms).max() <= 1e-12
-    for step in (0, params.n_steps):
-        assert np.abs(traj.snapshot(step).amplitudes - states[step].amplitudes).max() <= 1e-12
     final = traj.snapshot(params.n_steps).amplitudes
+    assert np.abs(final - states[-1].amplitudes).max() <= 1e-12
     assert final.flags.c_contiguous
     assert not np.shares_memory(final, initial.amplitudes)
-    assert not np.shares_memory(final, traj.snapshot(0).amplitudes)
+    # <a_n> before and after collision n, the only one acting on mode n (tensor axis n + 1)
+    a = annihilation(initial.fock_dim)
+    for mode in range(params.n_steps):
+        assert abs(traj.a_in[mode] - expectation(states[mode], a, mode + 1)) <= 1e-12
+        assert abs(traj.a_out[mode] - expectation(states[mode + 1], a, mode + 1)) <= 1e-12

@@ -3,9 +3,9 @@
 The reference is the per-step evaluation that ``io_residual`` replaced: it
 contracts sigma_- and a_{n-1} with the full joint state before and after each
 collision, states built one collision at a time by ``apply_collision``.
-``io_residual`` instead reads a_{n-1} from the input and output states alone
-(only collision n touches mode n - 1) and rho_eg from the qubit matrices that
-``run_dense`` records at every step.
+``io_residual`` instead reads <a_{n-1}> before and after collision n, and
+rho_eg before it, from the arrays ``run_dense`` records on its light cone
+(only collision n touches mode n - 1).
 """
 
 import math
@@ -19,15 +19,8 @@ from hypothesis import given, strategies as st  # noqa: E402
 from collide1d import (DenseJointState, SimulationParams, io_residual,  # noqa: E402
                        run_dense)
 from collide1d.engine import DISPLACED, LAB, SIGMA_MINUS, annihilation  # noqa: E402
-from test_engine_dense import full_contraction  # noqa: E402
+from test_engine_dense import expectation, full_contraction  # noqa: E402
 from test_materializer_properties import drives  # noqa: E402
-
-
-def expectation(state, op, axis):
-    """<psi| op on tensor axis `axis` |psi> by a full-state contraction."""
-    psi = state.amplitudes.reshape((2,) + (state.fock_dim,) * state.n_modes)
-    lowered = np.moveaxis(np.tensordot(op, psi, axes=[(1,), (axis,)]), 0, axis)
-    return complex(np.vdot(psi.reshape(-1), lowered.reshape(-1)))
 
 
 def contracted_io_residual(params, frame, states):
