@@ -11,7 +11,7 @@ O(total amplitudes) cost.  Summing |amplitude|^2 over all tuples with the same
 photon count instead collapses each sector into one 2x2 moment matrix per
 step, and one collision maps the moments of every sector by one constant
 linear map (the Kraus map X -> K X K^dag + E X E^dag, split by photon count).
-``linear_recurrence`` evaluates such a recurrence in blocks, which gives
+``linear_recurrence`` evaluates such a recurrence by log-depth doubling, which gives
 reduced-qubit trajectories in O(N * m_max) time and memory instead of O(N^(m+1)).
 """
 
@@ -28,22 +28,30 @@ from .core import MAX_NORM_DEFICIT, VALIDITY_BOUND, MemoryGuardError
 HERMITIAN = np.array([[1, 0, 0, 0], [0, 0, 1, 1j], [0, 0, 1, -1j], [0, 1, 0, 0]])
 
 
-def linear_recurrence(advance, jump, x0: np.ndarray, n: int, block: int) -> np.ndarray:
-    """x[s] for s = 0..n of the linear recurrence x[s+1] = advance(x[s]).
+def _square(power: np.ndarray) -> np.ndarray:
+    """power @ power for a block upper-triangular Toeplitz matrix of 4x4 blocks, built
+    from its first block row power[:4] @ power: 8 D^2 flops, not 2 D^3."""
+    size = len(power) // 4
+    row = np.zeros((4, 2 * size - 1, 4), dtype=power.dtype)
+    row[:, size - 1:] = (power[:4] @ power).reshape(4, size, 4)
+    # block (a, b) of the square is row[:, size - 1 + b - a]: a strides back along row
+    blocks = np.lib.stride_tricks.as_strided(row[:, size - 1:], (size, 4, size, 4),
+                                             (-row.strides[1],) + row.strides)
+    return blocks.reshape(4 * size, 4 * size)
 
-    advance acts on the trailing axes of a stack of states, and jump(y) must
-    equal `block` calls of advance on one state.  A blocked scan (Blelloch
-    1990): the block starts y[k+1] = jump(y[k]) run one after another, then
-    block - 1 calls of advance fill every block at once.  Returns an
-    (n+1, *x0.shape) array.
+
+def linear_recurrence(step: np.ndarray, x: np.ndarray) -> None:
+    """Fill x[1:] in place with x[s] = x[0] @ step^s by log-depth doubling.
+
+    x[b:2b] = x[:b] @ step^b: about 2 log2(len(x)) matrix products and no per-step
+    loop (Blelloch 1990).  Each x[s] is a row vector or a stack of them.  step must
+    be block upper-triangular Toeplitz in 4x4 blocks (one 4x4 block is): ``_square``
+    builds each power from its first block row, so any other step gives wrong powers.
     """
-    x = np.empty((-(-(n + 1) // block), block) + x0.shape, dtype=x0.dtype)
-    x[0, 0] = x0
-    for k in range(1, len(x)):
-        x[k, 0] = jump(x[k - 1, 0])
-    for i in range(1, block):
-        x[:, i] = advance(x[:, i - 1])
-    return x.reshape((-1,) + x0.shape)[:n + 1]
+    b = 1
+    while b < len(x):
+        np.matmul(x[:min(b, len(x) - b)], step, out=x[b:2 * b])
+        step, b = _square(step), 2 * b
 
 
 def moment_chain(props: np.ndarray, emit: np.ndarray, phi0: np.ndarray, m_max: int,
@@ -74,47 +82,49 @@ def moment_chain(props: np.ndarray, emit: np.ndarray, phi0: np.ndarray, m_max: i
     naming gamma_dt before anything is composed.
     """
     n_steps = props.shape[0] - 1
-    q = np.einsum("nab,b->na", props, phi0)
+    q = (props.reshape(-1, 2) @ phi0).reshape(-1, 2)
     gain = np.linalg.eigvalsh(props[1].conj().T @ props[1] + emit.conj().T @ emit)[-1]
     if not gain <= 1.0 + MAX_NORM_DEFICIT and np.any(q[:-1] @ emit.T):  # nan gain too
         raise ValueError(f"one collision multiplies the tracked weight by up to {gain:.4g}, "
                          f"above {1 + MAX_NORM_DEFICIT:g}: emissions outweigh the state "
                          f"(gamma*dt = {gamma_dt:.4g}, bound {VALIDITY_BOUND:g})")
-    # X -> K X K^dag and X -> E X E^dag on row-major vec(X)
-    keep = np.kron(props[1], props[1].conj())
-    birth = np.kron(emit, emit.conj())
-    # S_m[s+1] = K S_m[s] K^dag + E S_{m-1}[s] E^dag.  Both maps keep S_m
-    # Hermitian: act on its real coordinates, as row vectors.
-    keep, feed = (np.linalg.solve(HERMITIAN, a @ HERMITIAN).real.T for a in (keep, birth))
+    # S_m[s+1] = K S_m[s] K^dag + E S_{m-1}[s] E^dag, K = props[1] and E = emit.  Both
+    # maps keep S_m Hermitian: act on its real coordinates, as row vectors.
+    keep, feed = (np.linalg.solve(HERMITIAN, np.kron(a, a.conj()) @ HERMITIAN).real.T.copy()
+                  for a in (props[1], emit))
     size = m_max + 1
-
-    def advance(x):  # one collision of every sector; x[..., m, :] holds S_m
-        flat = x.reshape(-1, 4)
-        out = (flat @ keep).reshape(x.shape)
-        out[..., 1:, :] += (flat @ feed).reshape(x.shape)[..., :-1, :]
-        return out
-
-    def compose(y, t):  # A^b y, for t[:, j] the blocks of A^b from sector m to m + j
-        out = np.zeros_like(y)
-        for j in range(size):
-            out[..., j:, :] += y[..., :size - j, :] @ t[:, j]
-        return out
-
-    # A^B is block-Toeplitz, so its first block column t is all of it.  Doubling
-    # B up to ~sqrt(N * size) gives both loops of linear_recurrence about as many steps.
-    t, block = advance(np.eye(4, 4 * size).reshape(4, size, 4)), 1
-    while 4 * block * block <= (n_steps + 1) * min(size, n_steps + 1):
-        t, block = compose(t, t), 2 * block
-    x0 = np.zeros((size, 4))
-    x0[0] = np.linalg.solve(HERMITIAN, np.outer(phi0, phi0.conj()).ravel()).real
-    x = linear_recurrence(advance, lambda y: compose(y, t), x0, n_steps, block)
-    # tr(E X E^dag) = sum_cd (E^T conj(E))[c, d] X[c, d]
-    emitted = np.einsum("nmd->nd", x[:-1, :-1]) @ (
-        (emit.T @ emit.conj()).ravel() @ HERMITIAN).real
-    rho = (np.einsum("na,nb->nab", q, q.conj())
-           + (np.einsum("nmd->nd", x[:, 1:]) @ HERMITIAN.T).reshape(n_steps + 1, 2, 2))
-    weights = np.concatenate(((np.abs(q) ** 2)[None], np.moveaxis(x[:, 1:, :2], 1, 0)))
-    return rho, weights, emitted
+    # x[k, i, m] holds S_m at step k * block + i: block starts by the doubling scan of the
+    # one-collision map A, then structured steps.  Blocks of about size / 4 steps measured
+    # fastest; one block where A's powers would outweigh half the moments (N < 16 size) or
+    # cost more than the steps they save (N < size^2 / 4).
+    block = 1 << max(size.bit_length() - 3, 0)
+    if n_steps + 1 < max(16 * size, size * size // 4):
+        block = n_steps + 1
+    x = np.zeros((-(-(n_steps + 1) // block), block, size, 4))
+    x[0, 0, 0] = np.linalg.solve(HERMITIAN, np.outer(phi0, phi0.conj()).ravel()).real
+    if len(x) > 1:  # A: keep on the diagonal blocks, feed one sector up; A^block
+        jump = np.kron(np.eye(size), keep) + np.kron(np.eye(size, k=1), feed)
+        for _ in range(block.bit_length() - 1):
+            jump = _square(jump)
+        linear_recurrence(jump, x[:, 0].reshape(len(x), 4 * size))
+        del jump  # freed before the moments are read out
+    for i in range(1, block):
+        np.matmul(x[:, i - 1], keep, out=x[:, i])
+        x[:, i, 1:] += x[:, i - 1, :-1] @ feed
+    x = x.reshape(-1, size, 4)[:n_steps + 1]
+    # per step, in real coordinates, S_1 + .. + S_m_max and the weight S_0..S_(m_max-1)
+    # emit, tr(E X E^dag) = sum_cd (E^T conj(E))[c, d] X[c, d], by one GEMM
+    reduce = np.zeros((size, 4, 5))
+    reduce[1:, :, :4] = np.eye(4)
+    reduce[:-1, :, 4] = ((emit.T @ emit.conj()).ravel() @ HERMITIAN).real
+    sums = x.reshape(-1, 4 * size) @ reduce.reshape(4 * size, 5)
+    weights = np.empty((size, n_steps + 1, 2))
+    weights[0] = np.abs(q) ** 2
+    # the diagonals (X00, X11) of each S_m, copied as one complex number
+    weights.view(complex)[1:, :, 0] = x.view(complex)[:, 1:, 0].T
+    del x  # read out: freed before rho is built
+    rho = q[:, :, None] * q[:, None, :].conj() + (sums[:, :4] @ HERMITIAN.T).reshape(-1, 2, 2)
+    return rho, weights, sums[:-1, 4].copy()
 
 
 def materialize_tuples(props: np.ndarray, emit: np.ndarray, phases: np.ndarray,

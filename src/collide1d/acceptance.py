@@ -181,17 +181,19 @@ def criterion_5():
 
 @_criterion("criterion-6 input-output-relation", gate=5.0)
 def criterion_6():
-    """Input-output residual: exact zero undriven, first order in dt driven."""
-    quiet = 0.0
+    """Input-output residual: exact zero undriven from |g> and |e>, first order in dt
+    driven and undriven from (|g> + |e>)/sqrt(2), where <sigma_-> and <a_n> are not zero."""
     lab = SimulationParams(gamma=1.0, dt=0.01, n_steps=8, omega_q=1.0)
-    for phi0 in ("g", "e"):
-        traj = run_dense(lab, DenseJointState.product_state(phi0, 8, 2), frame=LAB)
-        quiet = max(quiet, float(observables.io_residual(traj).max()))
+    from_g, from_e, coherent = (float(observables.io_residual(run_dense(
+        lab, DenseJointState.product_state(phi0, 8, 2), frame=LAB)).max())
+        for phi0 in ("g", "e", np.array([1.0, 1.0]) / math.sqrt(2)))
+    quiet = max(from_g, from_e)
     config = cli.ScenarioConfig("io-check", gamma=1.0, dt=1e-2, n_steps=8,
                                 omega_rabi=2.0, omega_q=1.0, fock_dim=3)
     _, metrics = cli.sweep(config)
-    return quiet <= 1e-12 and metrics["threshold_ok"], (
-        f"undriven residual {quiet:.1e} <= 1e-12, io-check sweep: driven max "
+    return quiet <= 1e-12 and coherent <= 0.2 * lab.dt and metrics["threshold_ok"], (
+        f"undriven residual {quiet:.1e} <= 1e-12 from g and e, {coherent:.2e} <= "
+        f"{0.2 * lab.dt:g} from (g+e)/sqrt2, io-check sweep: driven max "
         f"{metrics['max_io_residual_dt_0.01']:.2e}, "
         f"fit exponent {metrics['fit_exponent']:.3f}")
 

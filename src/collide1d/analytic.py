@@ -101,9 +101,9 @@ def assemble_coherent(params: SimulationParams, t: float, m_max: int, phi0="g",
 def coherent_qubit_trajectory(params: SimulationParams, m_max: int, phi0="g") -> RunRecord:
     """Record of the closed-form state: reduced-qubit and sector-weight trajectories.
 
-    The per-sector qubit moments follow a blocked linear recurrence in the
-    one-step map M(dt) instead of an enumeration of tuples: O(N * m_max) time
-    and memory.  The record carries no flux; its norm is the trace of rho.
+    The per-sector qubit moments follow a linear recurrence in the one-step map M(dt),
+    run by log-depth doubling (``_conv.moment_chain``), instead of an enumeration of
+    tuples: O(N * m_max) time and memory.  The record carries no flux; its norm is rho's trace.
     """
     mats = f0_matrix(params.grid.times(), params)
     rho, weights, _ = _conv.moment_chain(mats, _emission_block(params), qubit_vector(phi0), m_max,

@@ -191,7 +191,7 @@ def displaced_collision_unitary(n: int, params: SimulationParams,
 
 
 def _collide_in_place(amplitudes: np.ndarray, unitary: CollisionUnitary, n: int,
-                      n_modes: int, work: np.ndarray | None = None) -> None:
+                      n_modes: int) -> None:
     """Contract the collision unitary over the (qubit, mode n) axes, in place.
 
     Rows of U that are exactly identity are skipped: for a unitary, an identity
@@ -199,27 +199,25 @@ def _collide_in_place(amplitudes: np.ndarray, unitary: CollisionUnitary, n: int,
     themselves.  This collapses the lab-frame update to the one excitation
     exchange block instead of a full-state contraction.  ``amplitudes`` is a
     contiguous state over N = n_modes modes (flat, or ``run_dense``'s (2, d^N)
-    cone); ``work`` is an optional (2, 2d, d^(N-1)) buffer so runs avoid reallocating.
+    cone).  The active rows are contracted in eight column blocks, so the
+    buffers hold at most a quarter of the state.
     """
     d = unitary.fock_dim
     U = unitary.matrix
     active = np.flatnonzero(np.abs(U - np.eye(2 * d)).sum(axis=1) != 0)
     if active.size == 0:
         return
-    lead = d**n
-    trail = d ** (n_modes - 1 - n)
+    q, k = np.divmod(active, d)
+    mix = U[np.ix_(active, active)]
+    lead, trail = d**n, d ** (n_modes - 1 - n)
     view = amplitudes.reshape(2, lead, d, trail)
-    if work is None:
-        work = np.empty((2, 2 * d, d ** (n_modes - 1)), dtype=complex)
-    old = work[0, :active.size].reshape(active.size, lead, trail)
-    new = work[1, :active.size]
-    for i, r in enumerate(active):
-        q, k = divmod(int(r), d)
-        old[i] = view[q, :, k, :]
-    np.matmul(U[np.ix_(active, active)], old.reshape(active.size, -1), out=new)
-    for i, r in enumerate(active):
-        q, k = divmod(int(r), d)
-        view[q, :, k, :] = new[i].reshape(lead, trail)
+    cols = max(1, lead * trail // 8)
+    step_lead, step_trail = max(1, cols // trail), min(trail, cols)
+    for i in range(0, lead, step_lead):
+        for j in range(0, trail, step_trail):
+            rows = (q, slice(i, i + step_lead), k, slice(j, j + step_trail))
+            old = view[rows]  # (active, lead block, trail block)
+            view[rows] = (mix @ old.reshape(active.size, -1)).reshape(old.shape)
 
 
 def apply_collision(state: DenseJointState, n: int,
@@ -300,11 +298,10 @@ def run_dense(params: SimulationParams, initial: DenseJointState,
         raise ValueError(f"initial state not normalized: |psi| = {norm}")
     a_in, a_out = np.zeros(n, dtype=complex), np.empty(n, dtype=complex)
     a_in[:reach] = [_lowering_average(cone, mode, d) for mode in range(reach)]
-    work = np.empty((2, 2 * d, d**reach // d), dtype=complex) if reach else None
     for step in range(n):
         unitary = build(step, params, d)
         if step < reach:
-            _collide_in_place(cone, unitary, step, reach, work)
+            _collide_in_place(cone, unitary, step, reach)
         else:
             columns = unitary.matrix[:, ::d].reshape(2, d, 2)  # [q', k', q] of U[(q',k'), (q,0)]
             grown = np.empty((2, cone.shape[1], d), dtype=complex)
@@ -513,11 +510,9 @@ class SectorRun:
         self.emission_block = unit[np.ix_([1, 3], [0, 2])]
         n = params.n_steps
         # K^j for j = 0..N, on row-major vec: vec(K X) = (K x 1) vec(X)
-        step, block = np.kron(self.no_jump_block, np.eye(2)).T, math.isqrt(n + 1)
-        jump = np.linalg.matrix_power(step, block)
-        powers = _conv.linear_recurrence(lambda x: x @ step, lambda y: y @ jump,
-                                         np.eye(2, dtype=complex).ravel(), n, block)
-        self.powers = powers.reshape(n + 1, 2, 2)
+        self.powers = np.broadcast_to(np.eye(2, dtype=complex), (n + 1, 2, 2)).copy()
+        _conv.linear_recurrence(np.kron(self.no_jump_block, np.eye(2)).T,
+                                self.powers.reshape(n + 1, 4))
         self.emission_phases = np.exp(-1j * params.omega_p * params.dt * np.arange(n))
 
     # -- aggregate trajectories ------------------------------------------------

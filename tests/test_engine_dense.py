@@ -241,11 +241,17 @@ class TestRunDense:
         assert built == []
 
 
-@pytest.mark.parametrize("frame,qubit", [(LAB, "e"), (DISPLACED, "g")])
-def test_peak_memory_is_at_most_two_states(frame, qubit):
-    # the final cone and the cone before it: 1.5 states at d = 2
+@pytest.mark.parametrize("frame,qubit,last_photon", [(LAB, "e", False), (DISPLACED, "g", False),
+                                                    (LAB, "e", True), (DISPLACED, "e", True)],
+                         ids=["lab-e", "displaced-g", "lab-reach-N", "displaced-reach-N"])
+def test_peak_memory_is_at_most_two_states(frame, qubit, last_photon):
+    # a product state: the final cone and the cone before it, 1.5 states at d = 2;
+    # (|e, vac> + |g, photon in the last mode>)/sqrt(2) reaches mode N, so its cone
+    # is the whole input, collided in place by column blocks
     p = SimulationParams(gamma=1.0, dt=1e-2, n_steps=16, omega_q=1.0, omega_rabi=2.0)
     initial = DenseJointState.product_state(qubit, 16, 2, frame=frame)
+    if last_photon:
+        initial.amplitudes[[1, 2**16]] = 2 ** -0.5
     tracemalloc.start()
     try:
         run_dense(p, initial, frame=frame)

@@ -1,16 +1,22 @@
-"""Property tests for the blocked moment recurrence and the blocked power table.
+"""Property tests for the doubling scan, the moment chain and the power table.
 
-The reference is an FFT evaluation of the same sector moments: each sector is
-the causal convolution of its births with the lag kernel
+The reference for the chain is an FFT evaluation of the same sector moments:
+each sector is the causal convolution of its births with the lag kernel
 G[j] X = props[j] X props[j]^dag, which never goes through the recurrence.
 Its kernel spans every lag 0..N, so the bin-0 birth reaches the last step at
 lag N in the closed-form (offset 0) convention.  The closed form folds that
 offset into its emission block, M(dt) times the bare one, so its chain is
 compared with the reference at offset 0 on the reduced states and sector
-weights; the emitted weights are compared for the sector propagator.
+weights; the emitted weights are compared for the sector propagator.  The
+chain runs in three ways, chosen from its sector count and length: every step
+a block start of the doubling scan (up to 7 sectors), blocks of structured
+steps after doubled block starts, and one block of structured steps (fewer
+than 16 steps a sector); the cases below reach all three.  The scan itself
+and the power table are compared with sequential products.
 """
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -109,13 +115,15 @@ def test_sector_weights_are_probabilities(drive, phi0, m_max):
     assert closed.min() >= 0.0
 
 
-#: more sectors than steps (the sectors above N stay empty) and wide chains
-#: whose block jump spans many sectors
+#: more sectors than steps (the sectors above N stay empty) and wide chains,
+#: each one block of structured steps
 WIDE = ((3, 9), (30, 40), (200, 24), (500, 60))
+#: blocks of 2 and of 8 structured steps after doubled block starts
+BLOCKED = ((200, 9), (600, 35))
 
 
 @pytest.mark.parametrize("offset", (0, 1))
-@pytest.mark.parametrize("n_steps,m_max", WIDE)
+@pytest.mark.parametrize("n_steps,m_max", WIDE + BLOCKED)
 def test_wide_recurrence_matches_fft_reference(n_steps, m_max, offset):
     params = SimulationParams(gamma=1.0, omega_rabi=30.0, delta=2.0, omega_q=1.0,
                               dt=2e-3, n_steps=n_steps)
@@ -127,13 +135,56 @@ def test_wide_recurrence_matches_fft_reference(n_steps, m_max, offset):
     assert np.all(fast[1][n_steps + 1:] == 0.0)
 
 
-#: 1, 2, 3; N+1 a perfect square (3, 8, 15, 24, 99); N a perfect square
-#: (4, 9, 16, 100); N+1 not divisible by the block size (10, 50, 200)
+def test_wide_chain_peaks_below_twice_its_moments():
+    # the truncation guard reruns N = 1000 at 2^21 / (4N + 4) - 1 sectors; a dense
+    # (4 * 523)^2 one-collision map alone would be 2.1 times the moments
+    params = SimulationParams(gamma=1.0, omega_rabi=30.0, delta=2.0, omega_q=1.0,
+                              dt=2e-3, n_steps=1000)
+    run = run_displaced_sectors(params, 0)
+    args = (run.powers, run.emission_block, np.array([0.6, 0.8j]), 522, 2e-3)
+    tracemalloc.start()
+    try:
+        _conv.moment_chain(*args)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2 * (1000 + 1) * (522 + 1) * 4 * 8
+
+
+#: 0, 1, and each side of the powers of two where the scan starts a new level
+SCAN_LENGTHS = (0, 1, 2, 3, 4, 5, 7, 8, 9, 63, 64, 65, 255, 256, 257)
+
+
+@pytest.mark.parametrize("n", SCAN_LENGTHS)
+@pytest.mark.parametrize("size,dtype", ((1, complex), (3, float), (20, float)))
+def test_linear_recurrence_matches_sequential_products(n, size, dtype):
+    rng = np.random.default_rng(n)
+    # the moment chain's shape of step: keep on the diagonal blocks, feed one up,
+    # squared from its first block row; one complex 4x4 block is the power table's
+    keep = 0.99 * np.linalg.qr(rng.standard_normal((4, 4)))[0].astype(dtype)
+    if dtype is complex:
+        keep = keep * np.exp(0.3j)
+    feed = 0.1 * rng.standard_normal((4, 4))
+    step = np.kron(np.eye(size), keep) + np.kron(np.eye(size, k=1), feed)
+    x = np.empty((n + 1, 2, 4 * size), dtype=dtype)  # a stack of two row vectors
+    x[0] = rng.standard_normal((2, 4 * size))
+    expected = x.copy()
+    for s in range(n):
+        expected[s + 1] = expected[s] @ step
+    _conv.linear_recurrence(step, x)
+    # one rounding per product, each a few eps per block of a row, relative to the
+    # largest entry (the feed lets the upper blocks grow)
+    scale = np.abs(expected).max()
+    assert np.abs(x - expected).max() <= 4 * size * max(n, 1) * np.finfo(float).eps * scale
+
+
+#: 1, 2, 3; each side of a power of two, where the doubling takes a new level
+#: (3, 4; 8, 9; 15, 16); lengths in between (10, 24, 50, 99, 100, 200)
 POWER_STEPS = (1, 2, 3, 4, 8, 9, 10, 15, 16, 24, 50, 99, 100, 200)
 
 
 @given(drive=drives(n_steps=st.sampled_from(POWER_STEPS)))
-def test_blocked_powers_match_sequential_products(drive):
+def test_power_table_matches_sequential_products(drive):
     params = SimulationParams(**drive)
     run = run_displaced_sectors(params, 0)
     n = params.n_steps
