@@ -19,7 +19,7 @@ import warnings
 
 import numpy as np
 
-from . import _conv, observables
+from . import _conv
 from .core import (RunRecord, SimulationParams, ValidityWarning, Wavepacket, complex_rabi,
                    populations, qubit_index, qubit_vector)
 from .engine import (DISPLACED, MAX_SECTOR_AMPLITUDES, SIGMA_MINUS,
@@ -194,15 +194,14 @@ def spontaneous_emission_state(t: float, params: SimulationParams) -> SinglePhot
 
 
 def spontaneous_emission_record(params: SimulationParams) -> RunRecord:
-    """Populations e^{-gamma t}, the discrete norm ledger and the final flux."""
+    """Populations e^{-gamma t} over the discrete norm ledger, and the final flux
+    gamma e^{-gamma t'}."""
     gamma = params.gamma
     p_e = np.exp(-gamma * params.grid.times())
     # discrete norm: survival + left-Riemann photon weight over past bins
     past = np.concatenate(([0.0], np.cumsum(
         params.dt * gamma * np.exp(-gamma * np.arange(params.n_steps) * params.dt))))
-    norm = p_e + past
-    final = spontaneous_emission_state(params.grid.total_time, params)
-    return RunRecord(params, populations(p_e, norm), norm, observables.photon_density(final))
+    return RunRecord(params, populations(p_e, p_e + past), gamma * p_e[:-1])
 
 
 def xi_tilde_trajectory(wavepacket: Wavepacket, params: SimulationParams) -> np.ndarray:
@@ -257,16 +256,16 @@ def single_photon_p_excited(wavepacket: Wavepacket, params: SimulationParams) ->
 
 
 def single_photon_record(wavepacket: Wavepacket, params: SimulationParams) -> RunRecord:
-    """Populations, the norm ledger and the final flux of the closed-form state."""
-    # photon weight: past bins carry the scattered density, future the input
+    """Populations over the norm ledger, and the final flux: the scattered density
+    |xi(t') - gamma xi~(t') e^{-i w_q t'}|^2 of every bin."""
     xt = xi_tilde_trajectory(wavepacket, params)
     tp = np.arange(params.n_steps) * params.dt
-    scattered = np.abs(wavepacket.samples - params.gamma * xt[:params.n_steps]
-                       * np.exp(-1j * params.omega_q * tp)) ** 2 * params.dt
+    flux = np.abs(wavepacket.samples - params.gamma * xt[:params.n_steps]
+                  * np.exp(-1j * params.omega_q * tp)) ** 2
+    # photon weight: past bins carry the scattered density, future the input
     incoming = np.abs(wavepacket.samples) ** 2 * params.dt
     p_e = single_photon_p_excited(wavepacket, params)
     norm = (p_e
-            + np.concatenate(([0.0], np.cumsum(scattered)))
+            + np.concatenate(([0.0], np.cumsum(flux * params.dt)))
             + (np.sum(incoming) - np.concatenate(([0.0], np.cumsum(incoming)))))
-    final = single_photon_state(wavepacket, params.grid.total_time, params)
-    return RunRecord(params, populations(p_e, norm), norm, observables.photon_density(final))
+    return RunRecord(params, populations(p_e, norm), flux)

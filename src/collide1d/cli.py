@@ -289,10 +289,10 @@ def write_manifest(path: str, config: ScenarioConfig, metrics: dict):
 def _table(record: RunRecord, stride: int, io_residual=None) -> ResultTable:
     """The CSV rows of every solver: its record sampled every `stride` steps and at N.
 
-    The norm column is the record's norm ledger, or the trace of rho where it
-    keeps none.  flux[n] is the final-state flux density of bin n and
-    io_residual[n] the input-output residual after collision n; both columns
-    stay empty where a row has no such bin.
+    The norm column is the trace of rho.  flux[n] is the final-state flux
+    density of bin n and io_residual[n] the input-output residual after
+    collision n; both columns stay empty where a row has no such bin: the
+    flux at N, the residual at 0.
     """
     params = record.params
     n = params.n_steps
@@ -304,11 +304,10 @@ def _table(record: RunRecord, stride: int, io_residual=None) -> ResultTable:
     return ResultTable(
         t=steps * params.dt, p_e=rho[:, 1, 1].real, re_coh=coh.real, im_coh=coh.imag,
         entropy_bits=observables.entanglement_entropy(rho),
-        norm=np.einsum("naa->n", rho).real if record.norm is None else record.norm[steps],
-        photon_flux=(None if record.flux is None
-                     else [float(record.flux[s]) if s < n else None for s in steps]),
+        norm=np.einsum("naa->n", rho).real,
+        photon_flux=None if record.flux is None else record.flux[steps[:-1]].tolist() + [None],
         io_residual=(None if io_residual is None
-                     else [float(io_residual[s - 1]) if s >= 1 else None for s in steps]))
+                     else [None] + io_residual[steps[1:] - 1].tolist()))
 
 
 def _check_tracked_weight(record: RunRecord, rerun):
@@ -504,6 +503,7 @@ n_steps = 15000
 wavepacket = exponential
 wavepacket_gamma = 1.0
 snapshot_stride = 15
+output = single-photon-exp
 """,
     "single-photon-gauss": """\
 # gaussian single-photon wavepacket arriving at t0 = 5/gamma
@@ -516,6 +516,7 @@ wavepacket = gaussian
 wavepacket_sigma = 1.0
 wavepacket_t0 = 5.0
 snapshot_stride = 12
+output = single-photon-gauss
 """,
 }
 

@@ -168,15 +168,14 @@ def complex_rabi(params: SimulationParams) -> complex:
 class RunRecord(NamedTuple):
     """What every solver produces over a run of N collisions.
 
-    rho     : (N+1, 2, 2) reduced qubit matrices after each collision
-    norm    : (N+1,) norm ledger, or None when the trace of rho is the norm
+    rho     : (N+1, 2, 2) reduced qubit matrices after each collision; their trace
+              is the norm ledger
     flux    : (N,) photon flux density per bin of the final state, or None
     weights : (m_max+1, N+1, 2) sector weights per photon count and qubit label, or None
     """
 
     params: SimulationParams
     rho: np.ndarray
-    norm: np.ndarray | None = None
     flux: np.ndarray | None = None
     weights: np.ndarray | None = None
 

@@ -259,8 +259,8 @@ class DenseTrajectory:
             raise KeyError(f"no snapshot stored for step {step}") from None
 
     def record(self, flux: np.ndarray | None = None) -> RunRecord:
-        """The run's record, its norm the trace of rho; `flux` as given."""
-        return RunRecord(self.params, self.qubit_matrices, None, flux)
+        """The run's qubit matrices, whose trace is its norm, and `flux` as given."""
+        return RunRecord(self.params, self.qubit_matrices, flux)
 
 
 def run_dense(params: SimulationParams, initial: DenseJointState,
@@ -347,12 +347,10 @@ class SinglePhotonRun:
     the O(N) qubit amplitude history needs storing.
     """
 
-    def __init__(self, params: SimulationParams, wavepacket: Wavepacket | None,
-                 c_e_trajectory: np.ndarray, b_initial: np.ndarray,
-                 b_final: np.ndarray, norm_trajectory: np.ndarray):
+    def __init__(self, params: SimulationParams, c_e_trajectory: np.ndarray,
+                 b_initial: np.ndarray, b_final: np.ndarray, norm_trajectory: np.ndarray):
         self.params = params
         self.grid = params.grid
-        self.wavepacket = wavepacket
         self.c_e_trajectory = c_e_trajectory
         self.norm_trajectory = norm_trajectory
         self._b_initial = b_initial
@@ -372,11 +370,9 @@ class SinglePhotonRun:
         return self.state_at(self.params.n_steps)
 
     def record(self) -> RunRecord:
-        """Populations, the norm ledger and the final state's photon flux."""
-        # observables.photon_density of the final state, which engine cannot import
-        flux = np.abs(self._b_final) ** 2 / self.params.dt
+        """Populations over the norm ledger and the final state's photon flux."""
         return RunRecord(self.params, populations(self.p_excited(), self.norm_trajectory),
-                         self.norm_trajectory, flux)
+                         np.abs(self._b_final) ** 2 / self.params.dt)
 
 
 def run_single_excitation(params: SimulationParams,
@@ -423,7 +419,7 @@ def run_single_excitation(params: SimulationParams,
     p_b0, p_ce = np.abs(b0) ** 2, np.abs(ce_traj) ** 2
     change = (p_ce[1:] + np.abs(b) ** 2) - (p_ce[:-1] + p_b0)
     norm_traj = np.cumsum(np.concatenate(([np.sum(p_b0) + p_ce[0]], change)))
-    return SinglePhotonRun(params, wavepacket, ce_traj, b0, b, norm_traj)
+    return SinglePhotonRun(params, ce_traj, b0, b, norm_traj)
 
 
 # ---------------------------------------------------------------------------
@@ -449,10 +445,6 @@ class SectorState:
     def norm_squared(self) -> float:
         return float(sum(np.sum(np.abs(v) ** 2) for v in self.values))
 
-    def truncation_deficit(self) -> float:
-        """Estimated weight of the sectors beyond m_max (one minus the norm)."""
-        return 1.0 - self.norm_squared()
-
     def sector_weights(self) -> np.ndarray:
         """(m_max+1, 2) weights per photon count and qubit label."""
         return np.array([np.sum(np.abs(v) ** 2, axis=1) for v in self.values])
@@ -470,19 +462,6 @@ class SectorState:
         d^(N-1-k); N is the number of modes on the grid.
         """
         return (fock_dim ** (self.grid.n_steps - 1 - self.tuples[m])).sum(axis=1)
-
-    def amplitude(self, eps: str, modes=()) -> complex:
-        """Amplitude of qubit label eps with photons exactly in `modes` (sorted)."""
-        m = len(modes)
-        if m > self.m_max:
-            raise ValueError(f"state only tracks up to {self.m_max} photons")
-        if m == 0:
-            return complex(self.values[0][qubit_index(eps), 0])
-        key = np.asarray(modes, dtype=int)
-        hits = np.flatnonzero((self.tuples[m] == key).all(axis=1))
-        if hits.size != 1:
-            raise KeyError(f"tuple {tuple(modes)} not found in sector {m}")
-        return complex(self.values[m][qubit_index(eps), hits[0]])
 
 
 class SectorRun:
@@ -551,7 +530,7 @@ class SectorRun:
 
     def record(self) -> RunRecord:
         """Qubit trajectory, emitted flux per bin and sector weights of the run."""
-        return RunRecord(self.params, self.qubit_trajectory(), None,
+        return RunRecord(self.params, self.qubit_trajectory(),
                          self.emission_weights() / self.params.dt,
                          self.sector_weight_trajectories())
 

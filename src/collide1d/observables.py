@@ -16,11 +16,11 @@ def _reject_rows(bad: np.ndarray, message: str, values: np.ndarray):
         raise ValueError(f"{message}{where} = {values[row]}")
 
 
-def reduced_qubit(state, renormalize: bool = True) -> np.ndarray:
+def reduced_qubit(state) -> np.ndarray:
     """2x2 reduced qubit density matrix of any state, or a (..., 2, 2) stack of them.
 
     States with a norm deficit (sector truncation, discretization) are
-    renormalized to unit trace by default; a deficit above 0.1 is rejected.
+    renormalized to unit trace; a deficit above 0.1 is rejected.
     """
     if isinstance(state, np.ndarray) and state.shape[-2:] == (2, 2):
         rho = state.astype(complex)
@@ -37,7 +37,7 @@ def reduced_qubit(state, renormalize: bool = True) -> np.ndarray:
     # written as "not within", so a nan trace is rejected too
     _reject_rows(~(np.abs(trace - 1.0) <= MAX_NORM_DEFICIT),
                  "state norm deficit too large to interpret: trace", trace)
-    return rho / trace[..., None, None] if renormalize else rho
+    return rho / trace[..., None, None]
 
 
 def entanglement_entropy(state):

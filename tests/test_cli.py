@@ -218,6 +218,11 @@ class TestMain:
         out = capsys.readouterr().out.split()
         assert out == list(PRESETS)
 
+    def test_presets_write_distinct_files(self):
+        # every preset can run into one directory without overwriting another
+        stems = [parse_config(text).stem() for text in PRESETS.values()]
+        assert len(set(stems)) == len(PRESETS)
+
     def test_presets_show_round_trips(self, capsys):
         assert cli.main(["presets", "show", "spont"]) == 0
         shown = capsys.readouterr().out

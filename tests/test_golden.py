@@ -2,9 +2,10 @@
 
 ``tests/golden/<name>.cfg`` holds one small config per scenario x solver
 branch; the ``.csv`` and ``.manifest`` beside it were written by
-``collide1d run tests/golden/<name>.cfg --out tests/golden``.  Every branch
-must repeat them byte for byte, except those in ``NUMERIC``, which are compared
-field by field to an absolute ``NUMERIC_TOL``.  Their goldens were written by
+``collide1d run tests/golden/<name>.cfg --out tests/golden``.  A branch must
+repeat them byte for byte unless it is in ``NUMERIC``, as every branch now is;
+those are compared field by field to an absolute ``NUMERIC_TOL``.  Their
+goldens were written by
 code that rounds differently: an FFT convolution chain for the three whose
 sector moments now come from the moment chain (block starts by a log-depth
 doubling scan, then structured steps), a sequential collision loop for the
@@ -14,12 +15,21 @@ now reads rho_eg from the recorded qubit matrices and each <a_n> as
 ``run_dense`` records it on the light cone, and BLAS vdot reductions over the
 whole state for the four dense branches, which now reduce only the light cone
 of each collision by numpy pairwise sums and write the trace of rho as the
-norm column, not the square of its square root.  Largest measured differences
-(.csv/.manifest): coherent-analytic 1.4e-15/2.2e-16, coherent-sectors
-1.05e-14/9.1e-15, spont-sectors 5.6e-16/4.4e-16, recursion-exponential
-1.3e-15/4.4e-16, recursion-gaussian 2.3e-15/2.3e-15, io-check 2.2e-16/0,
-coherent-dense 4.4e-16/0, convergence 4.4e-16/4.4e-16, oracle-compare
-5.6e-16/1.1e-16, spont-dense 2.8e-16/0.
+norm column, not the square of its square root.  The three closed-form
+spont and single-photon branches were written by code that read their flux
+from a rebuilt final state, where it is now the density their norm ledger
+uses; their norm column, like the recursion's, is now the trace of the
+populations, which rounds the ledger once more.  Largest measured
+differences (.csv/.manifest): coherent-analytic 1.4e-15/2.2e-16,
+coherent-sectors 1.05e-14/9.1e-15, spont-sectors 5.6e-16/4.4e-16,
+recursion-exponential 1.3e-15/4.4e-16, recursion-gaussian 2.4e-15/2.3e-15,
+io-check 2.2e-16/0, coherent-dense 4.4e-16/0, convergence 4.4e-16/4.4e-16,
+oracle-compare 5.6e-16/1.1e-16, spont-dense 2.8e-16/0, spont-analytic
+4.4e-16/0, single-photon-analytic-exponential 1.1e-16/0,
+single-photon-analytic-gaussian 1.1e-16/0.
+Byte-identical reruns of one tree stay gated elsewhere: by acceptance
+criterion 9, by ``test_cli.py::TestMain::test_determinism_on_presets`` and by
+the CI step that runs every preset twice and compares the files with ``cmp``.
 Regenerate the files only for a change that is meant to alter the numbers,
 and say so where it is recorded.
 
@@ -42,7 +52,8 @@ GOLDEN = os.path.join(os.path.dirname(__file__), "golden")
 NAMES = sorted(f[:-4] for f in os.listdir(GOLDEN) if f.endswith(".cfg"))
 SWEEPS = ("oracle-compare", "io-check", "convergence")
 NUMERIC = ("coherent-analytic", "coherent-dense", "coherent-sectors", "convergence",
-           "io-check", "oracle-compare", "spont-dense", "spont-sectors",
+           "io-check", "oracle-compare", "spont-analytic", "spont-dense", "spont-sectors",
+           "single-photon-analytic-exponential", "single-photon-analytic-gaussian",
            "single-photon-recursion-exponential", "single-photon-recursion-gaussian")
 NUMERIC_TOL = 1e-12
 SEPARATOR = {".csv": ",", ".manifest": " = "}
@@ -111,14 +122,14 @@ def test_io_check_computes_each_residual_once(tmp_path, monkeypatch):
 
 # the fields each (scenario, solver) pair's record sets; the others are None
 RECORD_FIELDS = {
-    ("spont", "analytic"): {"norm", "flux"},
+    ("spont", "analytic"): {"flux"},
     ("spont", "dense"): {"flux"},
     ("spont", "sectors"): {"flux", "weights"},
     ("coherent", "analytic"): {"weights"},
     ("coherent", "dense"): {"flux"},
     ("coherent", "sectors"): {"flux", "weights"},
-    ("single-photon", "analytic"): {"norm", "flux"},
-    ("single-photon", "recursion"): {"norm", "flux"},
+    ("single-photon", "analytic"): {"flux"},
+    ("single-photon", "recursion"): {"flux"},
     ("oracle-compare", None): set(),
     ("io-check", None): set(),
     ("convergence", None): {"flux"},
@@ -138,7 +149,7 @@ def test_every_solver_produces_one_record(name):
         n = config.n_steps
     assert isinstance(record, RunRecord) and record.params.n_steps == n
     assert record.rho.shape == (n + 1, 2, 2)
-    shapes = {"norm": (n + 1,), "flux": (n,), "weights": (config.m_max + 1, n + 1, 2)}
+    shapes = {"flux": (n,), "weights": (config.m_max + 1, n + 1, 2)}
     assert {key for key in shapes if getattr(record, key) is not None} == \
         RECORD_FIELDS[config.scenario, config.solver]
     for key, shape in shapes.items():
@@ -199,3 +210,18 @@ def test_each_run_makes_the_counted_calls_once(name, truncated, expected, tmp_pa
         with pytest.raises(ValueError, match="sector truncation"):
             run_scenario(replace(config, **truncated), out_dir=str(tmp_path))
     assert calls == {key: [config.n_steps] * count for key, count in expected.items()}
+
+
+def test_closed_form_single_photon_filters_the_packet_twice(tmp_path, monkeypatch):
+    # once for the scattered flux and norm ledger, once inside the counted
+    # single_photon_p_excited; no final state is rebuilt for the flux
+    calls = []
+    xi_tilde_trajectory = analytic.xi_tilde_trajectory
+
+    def counted(wavepacket, params):
+        calls.append(params.n_steps)
+        return xi_tilde_trajectory(wavepacket, params)
+    monkeypatch.setattr(analytic, "xi_tilde_trajectory", counted)
+    config = load("single-photon-analytic-exponential")
+    run_scenario(config, out_dir=str(tmp_path))
+    assert calls == [config.n_steps] * 2
