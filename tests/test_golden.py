@@ -3,33 +3,32 @@
 ``tests/golden/<name>.cfg`` holds one small config per scenario x solver
 branch; the ``.csv`` and ``.manifest`` beside it were written by
 ``collide1d run tests/golden/<name>.cfg --out tests/golden``.  A branch must
-repeat them byte for byte unless it is in ``NUMERIC``, as every branch now is;
-those are compared field by field to an absolute ``NUMERIC_TOL``.  Their
-goldens were written by
-code that rounds differently: an FFT convolution chain for the three whose
-sector moments now come from the moment chain (block starts by a log-depth
-doubling scan, then structured steps), a sequential collision loop for the
-two recursion branches, which now use a doubling scan, a full-state
-<sigma_-> contraction over per-step snapshots for io-check, whose residual
-now reads rho_eg from the recorded qubit matrices and each <a_n> as
-``run_dense`` records it on the light cone, and BLAS vdot reductions over the
-whole state for the four dense branches, which now reduce only the light cone
-of each collision by numpy pairwise sums and write the trace of rho as the
-norm column, not the square of its square root.  The three closed-form
-spont and single-photon branches were written by code that read their flux
-from a rebuilt final state, where it is now the density their norm ledger
-uses; their norm column, like the recursion's, is now the trace of the
-populations, which rounds the ledger once more.  Largest measured
-differences (.csv/.manifest): coherent-analytic 1.4e-15/2.2e-16,
-coherent-sectors 1.05e-14/9.1e-15, spont-sectors 5.6e-16/4.4e-16,
-recursion-exponential 1.3e-15/4.4e-16, recursion-gaussian 2.4e-15/2.3e-15,
-io-check 2.2e-16/0, coherent-dense 4.4e-16/0, convergence 4.4e-16/4.4e-16,
-oracle-compare 5.6e-16/1.1e-16, spont-dense 2.8e-16/0, spont-analytic
-4.4e-16/0, single-photon-analytic-exponential 1.1e-16/0,
-single-photon-analytic-gaussian 1.1e-16/0.
-Byte-identical reruns of one tree stay gated elsewhere: by acceptance
-criterion 9, by ``test_cli.py::TestMain::test_determinism_on_presets`` and by
-the CI step that runs every preset twice and compares the files with ``cmp``.
+repeat them byte for byte unless it is in ``NUMERIC``, as every branch now
+is; those are compared field by field to an absolute ``NUMERIC_TOL``.  Their
+goldens were written by code that rounds differently: an FFT convolution
+chain for the three whose sector moments now come from the moment chain
+(block starts by a log-depth doubling scan, then structured steps), a
+sequential collision loop for the two recursion branches, which now use a
+doubling scan, a full-state <sigma_-> contraction over per-step snapshots for
+io-check, whose residual now reads rho_eg from the recorded qubit matrices
+and each <a_n> as ``run_dense`` records it on the light cone, and BLAS vdot
+reductions over the whole state for the four dense branches, which now reduce
+only the light cone of each collision by numpy pairwise sums and write the
+trace of rho as the norm column, not the square of its square root.  The three
+closed-form spont and single-photon branches were written by code that read
+their flux from a rebuilt final state, where it is now the density their norm
+ledger sums; their norm column, like the recursion's, is now the trace of the
+populations, which rounds the ledger once more.  Largest measured differences
+(.csv/.manifest): coherent-analytic 1.4e-15/2.2e-16, coherent-sectors
+1.05e-14/9.1e-15, spont-sectors 5.6e-16/4.4e-16, recursion-exponential
+1.3e-15/4.4e-16, recursion-gaussian 2.4e-15/2.3e-15, io-check 2.2e-16/0,
+coherent-dense 4.4e-16/0, convergence 4.4e-16/4.4e-16, oracle-compare
+5.6e-16/1.1e-16, spont-dense 2.8e-16/0, spont-analytic 4.4e-16/0,
+single-photon-analytic-exponential 1.1e-16/0, single-photon-analytic-gaussian
+1.1e-16/0.  Byte-identical reruns of one tree stay gated elsewhere: by
+acceptance criterion 9, by
+``test_cli.py::TestMain::test_determinism_on_presets`` and by the CI step
+that runs every preset twice and compares its files with ``cmp``.
 Regenerate the files only for a change that is meant to alter the numbers,
 and say so where it is recorded.
 
