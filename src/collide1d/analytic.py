@@ -79,8 +79,7 @@ def _emission_block(params: SimulationParams) -> np.ndarray:
     return f0_matrix(params.dt, params) @ (-math.sqrt(params.gamma * params.dt) * SIGMA_MINUS)
 
 
-def assemble_coherent(params: SimulationParams, t: float, m_max: int, phi0="g",
-                      max_amplitudes: int = MAX_SECTOR_AMPLITUDES) -> SectorState:
+def assemble_coherent(params: SimulationParams, t: float, m_max: int, phi0="g") -> SectorState:
     """Evaluate the closed-form coefficients over all ordered tuples up to m_max.
 
     The result has the sector-state layout; its discrete amplitudes are
@@ -93,7 +92,8 @@ def assemble_coherent(params: SimulationParams, t: float, m_max: int, phi0="g",
     mats = f0_matrix(np.arange(step + 1) * params.dt, params)  # M(t_j) for lags j
     phases = np.exp(-1j * params.omega_p * params.dt * np.arange(step))
     tuples, values = _conv.materialize_tuples(mats, _emission_block(params), phases,
-                                              qubit_vector(phi0), step, m_max, max_amplitudes)
+                                              qubit_vector(phi0), step, m_max,
+                                              MAX_SECTOR_AMPLITUDES)
     return SectorState(step=step, m_max=m_max, grid=grid, frame=DISPLACED,
                        tuples=tuples, values=values)
 

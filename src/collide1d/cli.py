@@ -10,11 +10,9 @@ identical configs produce byte-identical output.
 from __future__ import annotations
 
 import argparse
-import contextlib
 import math
 import os
 import sys
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import KW_ONLY, MISSING, dataclass, field, fields, replace
 from typing import Callable, NamedTuple
 
@@ -410,8 +408,8 @@ _SWEEPS = {
 }
 
 
-def sweep(config: ScenarioConfig, jobs: int = 1, strict: bool = False):
-    """Measure a check scenario's error at every step size, on up to `jobs` workers.
+def sweep(config: ScenarioConfig, strict: bool = False):
+    """Measure a check scenario's error at every step size, in run order.
 
     Every step size's parameters pass the validity and dense memory guards
     before the first run.  Returns the measurement (errors, trajectory) at the
@@ -430,18 +428,14 @@ def sweep(config: ScenarioConfig, jobs: int = 1, strict: bool = False):
         params = replace(config, dt=config.dt * factor, n_steps=n_steps).params(strict)
         check_dense_size(params.n_steps, params.fock_dim)
         runs.append(params)
-    # a fork-started pool starts every worker at the first submit: one per step size
-    workers = min(jobs, len(spec.factors))
-    with ProcessPoolExecutor(workers) if workers > 1 else contextlib.nullcontext() as pool:
-        results = (pool.map if pool else map)(spec.measure, runs, [config] * len(runs))
-        dts, errors = [], []
-        for factor in spec.factors:
-            run_errors, traj = next(results)
-            dts.append(traj.params.dt)
-            errors.append(float(run_errors.max()))
-            if factor == spec.keep:
-                kept = run_errors, traj
-            del traj  # free each other trajectory before the next step size runs
+    dts, errors = [], []
+    for factor, params in zip(spec.factors, runs):
+        run_errors, traj = spec.measure(params, config)
+        dts.append(params.dt)
+        errors.append(float(run_errors.max()))
+        if factor == spec.keep:
+            kept = run_errors, traj
+        del traj  # free each other trajectory before the next step size runs
     fit = observables.power_law_exponent(dts, errors)
     metrics = {"fit_exponent": fit}
     metrics.update((f"{spec.name}_dt_{_fmt(dt)}", err) for dt, err in zip(dts, errors))
@@ -449,11 +443,10 @@ def sweep(config: ScenarioConfig, jobs: int = 1, strict: bool = False):
     return kept, metrics
 
 
-def run_scenario(config: ScenarioConfig, out_dir: str = ".", jobs: int = 1,
-                 strict: bool = False):
+def run_scenario(config: ScenarioConfig, out_dir: str = ".", strict: bool = False):
     """Execute a validated config; returns (table, metrics, csv_path, exit_code)."""
     if config.scenario in _SWEEPS:
-        (errors, traj), metrics = sweep(config, jobs, strict)
+        (errors, traj), metrics = sweep(config, strict)
         record, residuals = _SWEEPS[config.scenario].columns(traj, errors)
         table = _table(record, config.snapshot_stride, residuals)
     else:
@@ -540,8 +533,6 @@ def main(argv=None) -> int:
     sub = parser.add_subparsers(dest="command", required=True)
     run_p = sub.add_parser("run", help="execute a config file or preset")
     run_p.add_argument("config", help="path to a config file, or a preset name")
-    run_p.add_argument("--jobs", type=int, default=1, metavar="K",
-                       help="worker processes for sweep scenarios (at most one per step size)")
     run_p.add_argument("--strict", action="store_true",
                        help="turn validity-guard warnings into errors")
     run_p.add_argument("--out", default=None, metavar="DIR",
@@ -551,8 +542,6 @@ def main(argv=None) -> int:
     pre_p.add_argument("name", nargs="?", help="preset name for 'show'")
     sub.add_parser("check", help="run the acceptance suite (exit 0/3)")
     args = parser.parse_args(argv)
-    if args.command == "run" and args.jobs < 1:
-        run_p.error(f"argument --jobs: must be >= 1, got {args.jobs}")
 
     if args.command == "presets":
         if args.action == "list":
@@ -582,8 +571,7 @@ def main(argv=None) -> int:
             print(f"config error: {line}", file=sys.stderr)
         return EXIT_INVALID
     try:
-        _, metrics, csv_path, code = run_scenario(config, out_dir=out_dir,
-                                                  jobs=args.jobs, strict=args.strict)
+        _, metrics, csv_path, code = run_scenario(config, out_dir=out_dir, strict=args.strict)
     except (ValueError, MemoryGuardError, OSError) as exc:  # OSError: output not writable
         print(f"invalid run: {exc}", file=sys.stderr)
         return EXIT_INVALID

@@ -131,8 +131,7 @@ class CollisionUnitary:
         return float(np.abs(self.matrix.conj().T @ self.matrix - np.eye(d2)).max())
 
 
-def lab_collision_unitary(n: int, params: SimulationParams,
-                          fock_dim: int | None = None) -> CollisionUnitary:
+def lab_collision_unitary(n: int, params: SimulationParams, fock_dim: int) -> CollisionUnitary:
     """Exact exponential of the bare qubit-mode coupling at collision n.
 
     The generator sqrt(gamma*dt)*(e^{i w_q t_n} sigma_+ a - h.c.) splits into
@@ -140,22 +139,21 @@ def lab_collision_unitary(n: int, params: SimulationParams,
     rotates by sqrt(k+1)*sqrt(gamma*dt), and the truncation-frozen top level
     |e,d-1> is left alone so the matrix stays exactly unitary.
     """
-    d = params.fock_dim if fock_dim is None else fock_dim
-    if d < 2:
+    if fock_dim < 2:
         raise ValueError("fock_dim must be >= 2")
-    U = np.eye(2 * d, dtype=complex)
+    U = np.eye(2 * fock_dim, dtype=complex)
     theta0 = math.sqrt(params.gamma * params.dt)
     phase = np.exp(1j * params.omega_q * n * params.dt)
-    for k in range(d - 1):
+    for k in range(fock_dim - 1):
         theta = math.sqrt(k + 1) * theta0
-        ie = d + k        # |e, k>
-        ig = k + 1        # |g, k+1>
+        ie = fock_dim + k  # |e, k>
+        ig = k + 1         # |g, k+1>
         c, s = math.cos(theta), math.sin(theta)
         U[ie, ie] = c
         U[ig, ig] = c
         U[ie, ig] = phase * s
         U[ig, ie] = -np.conj(phase) * s
-    return CollisionUnitary(matrix=U, frame=LAB, step=n, fock_dim=d)
+    return CollisionUnitary(matrix=U, frame=LAB, step=n, fock_dim=fock_dim)
 
 
 @lru_cache
@@ -179,15 +177,14 @@ def displaced_hamiltonian(n: int, params: SimulationParams, fock_dim: int) -> np
 
 
 def displaced_collision_unitary(n: int, params: SimulationParams,
-                                fock_dim: int | None = None) -> CollisionUnitary:
+                                fock_dim: int) -> CollisionUnitary:
     """exp(-i*dt*H_n) with the drive and detuning included, via eigendecomposition."""
-    d = params.fock_dim if fock_dim is None else fock_dim
-    if d < 2:
+    if fock_dim < 2:
         raise ValueError("fock_dim must be >= 2")
-    H = displaced_hamiltonian(n, params, d)
+    H = displaced_hamiltonian(n, params, fock_dim)
     w, V = np.linalg.eigh(H)
     U = (V * np.exp(-1j * params.dt * w)) @ V.conj().T
-    return CollisionUnitary(matrix=U, frame=DISPLACED, step=n, fock_dim=d)
+    return CollisionUnitary(matrix=U, frame=DISPLACED, step=n, fock_dim=fock_dim)
 
 
 def _collide_in_place(amplitudes: np.ndarray, unitary: CollisionUnitary, n: int,
@@ -239,12 +236,11 @@ def apply_collision(state: DenseJointState, n: int,
 
 @dataclass
 class DenseTrajectory:
-    """Per-step qubit matrices and norms, <a_n> of the input and output, and the final state."""
+    """Per-step qubit matrices, whose trace is the norm; <a_n> in and out; the final state."""
 
     params: SimulationParams
     frame: str
     qubit_matrices: np.ndarray = field(repr=False)   # (N+1, 2, 2)
-    norms: np.ndarray = field(repr=False)            # (N+1,)
     a_in: np.ndarray = field(repr=False)             # (N,)
     a_out: np.ndarray = field(repr=False)            # (N,)
     snapshots: dict[int, DenseJointState] = field(repr=False)  # step N only
@@ -275,7 +271,7 @@ def run_dense(params: SimulationParams, initial: DenseJointState,
     mode n enters in vacuum, so only the columns (g,0) and (e,0) of U act:
     new[q', x, k'] = sum_q U[(q',k'), (q,0)] cone[q, x].  The input is read once,
     for its reach and its cone (which holds its whole norm).  Recorded: the qubit
-    matrix and norm per step, <a_n> on the input cone (a_in, 0 from the reach on)
+    matrix per step, <a_n> on the input cone (a_in, 0 from the reach on)
     and right after collision n, the only one on mode n (a_out), and snapshot N.
     """
     n = params.n_steps
@@ -310,8 +306,7 @@ def run_dense(params: SimulationParams, initial: DenseJointState,
             cone = grown.reshape(2, -1)
         qubit[step + 1] = _partial_trace(cone)
         a_out[step] = _lowering_average(cone, step, d)
-    norms = np.sqrt(qubit[:, 0, 0].real + qubit[:, 1, 1].real)
-    return DenseTrajectory(params, frame, qubit, norms, a_in, a_out,
+    return DenseTrajectory(params, frame, qubit, a_in, a_out,
                            {n: DenseJointState(cone.reshape(-1), n, d, frame)})
 
 
@@ -541,8 +536,8 @@ class SectorRun:
         modes = tuple(int(m) for m in modes)
         if any(b <= a for a, b in zip(modes, modes[1:])):
             raise ValueError("mode tuple must be strictly increasing")
-        if modes and modes[-1] >= step:
-            raise ValueError("only past modes carry photons")
+        if modes and not 0 <= modes[0] <= modes[-1] < step:
+            raise ValueError(f"modes must lie in 0..{step - 1}: only past modes carry photons")
         v = self.phi0
         prev = None
         for n in modes:
@@ -553,13 +548,13 @@ class SectorRun:
         v = self.powers[lag] @ v
         return complex(v[qubit_index(eps)])
 
-    def state_at(self, step: int, max_amplitudes: int = MAX_SECTOR_AMPLITUDES) -> SectorState:
+    def state_at(self, step: int) -> SectorState:
         """Materialize every tracked tuple amplitude after `step` collisions."""
         if not 0 <= step <= self.params.n_steps:
             raise ValueError(f"step {step} outside grid")
         tuples, values = _conv.materialize_tuples(self.powers, self.emission_block,
                                                   self.emission_phases, self.phi0, step,
-                                                  self.m_max, max_amplitudes)
+                                                  self.m_max, MAX_SECTOR_AMPLITUDES)
         return SectorState(step=step, m_max=self.m_max, grid=self.grid,
                            frame=DISPLACED, tuples=tuples, values=values)
 

@@ -1,5 +1,7 @@
 import os
 import re
+import subprocess
+import sys
 import warnings
 from dataclasses import fields
 
@@ -19,6 +21,8 @@ def read_csv(path):
     cols = {name: [row[i] for row in rows] for i, name in enumerate(header)}
     return cols
 
+
+GOLDEN = os.path.join(os.path.dirname(__file__), "golden")
 
 MINIMAL_SPONT = """
 scenario = spont
@@ -178,39 +182,6 @@ class TestRunScenario:
         assert code == 0
         assert 0.7 <= metrics["fit_exponent"] <= 1.3
 
-    def test_convergence_scenario_parallel_matches_serial(self, tmp_path):
-        text = "scenario = convergence\ngamma = 1\ndt = 0.04\nn_steps = 5\n"
-        _, serial, path_a, code_a = run_scenario(parse_config(text),
-                                                 out_dir=str(tmp_path / "a"))
-        _, parallel, path_b, code_b = run_scenario(parse_config(text),
-                                                   out_dir=str(tmp_path / "b"),
-                                                   jobs=3)
-        assert code_a == code_b == 0
-        assert serial == parallel
-        with open(path_a, "rb") as fa, open(path_b, "rb") as fb:
-            assert fa.read() == fb.read()
-
-    @pytest.mark.parametrize("jobs,workers", [(2, 2), (3, 3), (64, 3)])
-    def test_sweep_starts_at_most_one_worker_per_step_size(self, jobs, workers, monkeypatch):
-        started = []
-
-        class SerialPool:
-            def __init__(self, max_workers):
-                started.append(max_workers)
-
-            def __enter__(self):
-                return self
-
-            def __exit__(self, *exc):
-                return False
-
-            def map(self, fn, *iterables):
-                return map(fn, *iterables)
-        monkeypatch.setattr(cli, "ProcessPoolExecutor", SerialPool)
-        config = parse_config("scenario = convergence\ngamma = 1\ndt = 0.04\nn_steps = 5\n")
-        assert cli.sweep(config, jobs=jobs)[1] == cli.sweep(config)[1]
-        assert started == [workers]
-
 
 class TestMain:
     def test_presets_list(self, capsys):
@@ -227,15 +198,6 @@ class TestMain:
         assert cli.main(["presets", "show", "spont"]) == 0
         shown = capsys.readouterr().out
         assert parse_config(shown).scenario == "spont"
-
-    @pytest.mark.parametrize("jobs", ["0", "-2"])
-    def test_run_rejects_jobs_below_one(self, jobs, tmp_path, capsys):
-        with pytest.raises(SystemExit) as exit_:
-            cli.main(["run", "spont", "--jobs", jobs, "--out", str(tmp_path)])
-        assert exit_.value.code == 2
-        assert capsys.readouterr().err.endswith(
-            f"collide1d run: error: argument --jobs: must be >= 1, got {jobs}\n")
-        assert not os.listdir(tmp_path)
 
     def test_run_rejects_bad_config(self, tmp_path, capsys):
         bad = tmp_path / "bad.cfg"
@@ -415,13 +377,28 @@ class TestMain:
         assert (tmp_path / "env-out" / "spont.csv").exists()
 
     def test_determinism_on_presets(self, tmp_path):
-        for name in PRESETS:
-            stem = parse_config(PRESETS[name]).stem()
+        # every preset, and the sweeps' golden configs
+        sweeps = [os.path.join(GOLDEN, f"{name}.cfg")
+                  for name in ("convergence", "io-check", "oracle-compare")]
+        for target in [*PRESETS, *sweeps]:
+            stem = parse_config(cli._load_config_text(target)).stem()
             blobs = []
             for attempt in ("x", "y"):
-                out = tmp_path / f"{name}-{attempt}"
-                assert cli.main(["run", name, "--out", str(out)]) == 0
+                out = tmp_path / f"{stem}-{attempt}"
+                assert cli.main(["run", target, "--out", str(out)]) == 0
                 blobs.append((out / f"{stem}.csv").read_bytes())
                 blobs.append((out / f"{stem}.manifest").read_bytes())
             assert blobs[0] == blobs[2]
             assert blobs[1] == blobs[3]
+
+    def test_import_loads_no_process_pool(self):
+        # no command starts worker processes, so none pays to import their machinery
+        src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+        path = [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]
+        probe = ("import sys, collide1d.cli, collide1d.acceptance; "
+                 "print(sorted(m for m in sys.modules "
+                 "if m.startswith(('concurrent', 'multiprocessing'))))")
+        result = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
+                                env=dict(os.environ, PYTHONPATH=os.pathsep.join(path)))
+        assert result.returncode == 0, result.stderr
+        assert result.stdout == "[]\n"

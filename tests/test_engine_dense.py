@@ -213,7 +213,8 @@ class TestRunDense:
         traj = run_dense(p, DenseJointState.product_state("g", 12, 3,
                                                           frame="displaced"),
                          frame="displaced")
-        assert np.abs(traj.norms - 1.0).max() < 1e-10
+        trace = np.einsum("naa->n", traj.qubit_matrices).real
+        assert np.abs(trace - 1.0).max() < 1e-10
 
     def test_keeps_only_the_output_snapshot(self):
         p = SimulationParams(gamma=1.0, dt=1e-2, n_steps=6, omega_rabi=1.0)
@@ -320,7 +321,8 @@ def test_light_cone_matches_full_contraction(case):
     traj = run_dense(params, initial, frame=frame)
     qubit, norms, states = full_contraction(params, initial, frame)
     assert np.abs(traj.qubit_matrices - qubit).max() <= 1e-12
-    assert np.abs(traj.norms - norms).max() <= 1e-12
+    # the trace is the squared norm; full_contraction's norms are |psi|
+    assert np.abs(np.einsum("naa->n", traj.qubit_matrices).real - norms**2).max() <= 1e-12
     final = traj.snapshot(params.n_steps).amplitudes
     assert np.abs(final - states[-1].amplitudes).max() <= 1e-12
     assert final.flags.c_contiguous

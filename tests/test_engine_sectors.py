@@ -84,6 +84,14 @@ class TestSectorRun:
         with pytest.raises(ValueError):
             run.amplitude("g", (4,), 3)
 
+    def test_negative_modes_rejected(self):
+        # mode -1 would wrap to the last row of the power and phase tables
+        p = SimulationParams(gamma=1.0, dt=1e-2, n_steps=8, omega_rabi=2.0)
+        run = run_displaced_sectors(p, 2, "g")
+        for modes in [(-1,), (-1, 2)]:
+            with pytest.raises(ValueError, match="only past modes"):
+                run.amplitude("e", modes, 4)
+
     def test_materialization_guard(self):
         # the sector and closed-form tuples meet one guard, before any is built
         p = SimulationParams(gamma=1.0, dt=1e-4, n_steps=5000, omega_rabi=2.0)

@@ -75,8 +75,8 @@ def largest_field_difference(fresh: str, golden: str, sep: str) -> float:
     return worst
 
 
-def run_and_compare(name, out_dir, jobs=1):
-    _, _, csv_path, code = run_scenario(load(name), out_dir=str(out_dir), jobs=jobs)
+def run_and_compare(name, out_dir):
+    _, _, csv_path, code = run_scenario(load(name), out_dir=str(out_dir))
     assert code == 0
     for ext in (".csv", ".manifest"):
         with open(csv_path[:-4] + ext, "rb") as fresh, \
@@ -99,11 +99,6 @@ def test_every_solver_branch_has_a_golden_config():
 @pytest.mark.parametrize("name", NAMES)
 def test_matches_golden(name, tmp_path):
     run_and_compare(name, tmp_path)
-
-
-@pytest.mark.parametrize("name", SWEEPS)
-def test_sweep_with_workers_matches_golden(name, tmp_path):
-    run_and_compare(name, tmp_path, jobs=2)
 
 
 def test_io_check_computes_each_residual_once(tmp_path, monkeypatch):
