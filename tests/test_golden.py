@@ -32,16 +32,27 @@ that runs every preset twice and compares its files with ``cmp``.
 Regenerate the files only for a change that is meant to alter the numbers,
 and say so where it is recorded.
 
+Over these anchors sits a byte layer, ``tests/golden/bytes.sha256``: one
+SHA-256 digest of today's output per golden file, with the Python and numpy
+versions that wrote it in its header.  A change that moves any byte fails
+``test_matches_byte_layer``, which names the file and its largest field
+difference from the anchor; a change meant to move bytes rewrites the layer
+(``PYTHONPATH=src python tests/test_golden.py``) in a commit of its own and records every
+moved file with that difference.
+
 Each branch also produces one ``RunRecord`` with the fields its CSV needs, and
 each run makes the calls that count collisions (a tier's entry point, read
 through its module) exactly once, twice when the truncation guard reruns.
 """
 
+import hashlib
 import os
+import platform
 import sys
 from collections import defaultdict
 from dataclasses import replace
 
+import numpy as np
 import pytest
 
 from collide1d import RunRecord, analytic, engine, obe, observables
@@ -56,6 +67,7 @@ NUMERIC = ("coherent-analytic", "coherent-dense", "coherent-sectors", "convergen
            "single-photon-recursion-exponential", "single-photon-recursion-gaussian")
 NUMERIC_TOL = 1e-12
 SEPARATOR = {".csv": ",", ".manifest": " = "}
+BYTE_LAYER = os.path.join(GOLDEN, "bytes.sha256")
 
 
 def load(name):
@@ -75,19 +87,64 @@ def largest_field_difference(fresh: str, golden: str, sep: str) -> float:
     return worst
 
 
-def run_and_compare(name, out_dir):
+def read_golden(name, ext) -> bytes:
+    with open(os.path.join(GOLDEN, name + ext), "rb") as fh:
+        return fh.read()
+
+
+def run_golden(name, out_dir) -> dict:
+    """The fresh .csv and .manifest bytes of one golden config."""
     _, _, csv_path, code = run_scenario(load(name), out_dir=str(out_dir))
     assert code == 0
+    output = {}
     for ext in (".csv", ".manifest"):
-        with open(csv_path[:-4] + ext, "rb") as fresh, \
-                open(os.path.join(GOLDEN, name + ext), "rb") as golden:
-            fresh_bytes, golden_bytes = fresh.read(), golden.read()
+        with open(csv_path[:-4] + ext, "rb") as fh:
+            output[ext] = fh.read()
+    return output
+
+
+def compare_with_anchor(name, output):
+    for ext, fresh_bytes in output.items():
+        golden_bytes = read_golden(name, ext)
         if name in NUMERIC:
             worst = largest_field_difference(fresh_bytes.decode(), golden_bytes.decode(),
                                              SEPARATOR[ext])
             assert worst <= NUMERIC_TOL, f"{name}{ext} differs from golden by {worst:.2e}"
         else:
             assert fresh_bytes == golden_bytes, f"{name}{ext} differs from golden"
+
+
+def run_and_compare(name, out_dir):
+    compare_with_anchor(name, run_golden(name, out_dir))
+
+
+@pytest.fixture(scope="module")
+def golden_output(tmp_path_factory):
+    """name -> fresh output; each golden config runs once for the anchor and byte tests."""
+    cache = {}
+
+    def output(name):
+        if name not in cache:
+            cache[name] = run_golden(name, tmp_path_factory.mktemp(name))
+        return cache[name]
+    return output
+
+
+def versions() -> str:
+    return f"python {platform.python_version()}, numpy {np.__version__}"
+
+
+def read_byte_layer():
+    """(header lines, {file name: sha256 hex digest}) of the byte layer."""
+    header, digests = [], {}
+    with open(BYTE_LAYER, encoding="utf-8") as fh:
+        for line in fh.read().splitlines():
+            if line.startswith("#"):
+                header.append(line)
+            else:
+                digest, file_name = line.split()
+                digests[file_name] = digest
+    return header, digests
 
 
 def test_every_solver_branch_has_a_golden_config():
@@ -97,8 +154,29 @@ def test_every_solver_branch_has_a_golden_config():
 
 
 @pytest.mark.parametrize("name", NAMES)
-def test_matches_golden(name, tmp_path):
-    run_and_compare(name, tmp_path)
+def test_matches_golden(name, golden_output):
+    compare_with_anchor(name, golden_output(name))
+
+
+def test_byte_layer_covers_every_golden_file():
+    header, digests = read_byte_layer()
+    assert sorted(digests) == sorted(name + ext for name in NAMES
+                                     for ext in (".csv", ".manifest"))
+    assert any(line.startswith("# python ") for line in header)
+    assert any(line.startswith("# numpy ") for line in header)
+
+
+@pytest.mark.parametrize("name", NAMES)
+def test_matches_byte_layer(name, golden_output):
+    header, digests = read_byte_layer()
+    for ext, fresh in golden_output(name).items():
+        if hashlib.sha256(fresh).hexdigest() != digests[name + ext]:
+            worst = largest_field_difference(fresh.decode(), read_golden(name, ext).decode(),
+                                             SEPARATOR[ext])
+            written_by = ", ".join(line[2:] for line in header[1:])
+            pytest.fail(f"{name}{ext}: bytes differ from the byte layer (written by "
+                        f"{written_by}; running {versions()}); largest field difference "
+                        f"from its anchor {worst:.2e}")
 
 
 def test_io_check_computes_each_residual_once(tmp_path, monkeypatch):
@@ -219,3 +297,20 @@ def test_closed_form_single_photon_filters_the_packet_twice(tmp_path, monkeypatc
     config = load("single-photon-analytic-exponential")
     run_scenario(config, out_dir=str(tmp_path))
     assert calls == [config.n_steps] * 2
+
+
+def write_byte_layer(out_dir):
+    """Rewrite the byte layer from the golden configs' output under this tree."""
+    lines = ["# sha256 of `collide1d run tests/golden/<name>.cfg`, one line per golden file",
+             f"# python {platform.python_version()}", f"# numpy {np.__version__}"]
+    for name in NAMES:
+        for ext, output in run_golden(name, os.path.join(out_dir, name)).items():
+            lines.append(f"{hashlib.sha256(output).hexdigest()}  {name}{ext}")
+    with open(BYTE_LAYER, "w", encoding="utf-8", newline="\n") as fh:
+        fh.write("\n".join(lines) + "\n")
+
+
+if __name__ == "__main__":
+    import tempfile
+    with tempfile.TemporaryDirectory() as scratch:
+        write_byte_layer(scratch)
