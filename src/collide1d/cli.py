@@ -4,12 +4,17 @@ Configs are flat ``key = value`` text with ``#`` comments.  Every run writes
 one CSV with the fixed header ``t,p_e,re_coh,im_coh,entropy_bits,norm,
 photon_flux,io_residual`` (absent quantities left empty) plus a sidecar
 manifest in the same key-value format; neither file contains timestamps, so
-identical configs produce byte-identical output.
+identical configs produce byte-identical output.  Every number is the text of
+``format(x, ".17g")``; the CSV writer computes those digits exactly with numpy
+array operations for a block of rows at a time, and calls format() only for
+the cells it cannot decide that way and for small blocks.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
+import itertools
 import math
 import os
 import sys
@@ -241,6 +246,141 @@ def _fmt(x) -> str:
     return format(float(x), ".17g")
 
 
+# -- %.17g in numpy: exact digits from a double-double product ----------------
+#
+# For 1e-250 < |x| < 1e250 with k = floor(log10|x|), the 17 significant digits
+# are D = round(|x| * 10^(16-k)).  The product is hi + lo: a Dekker two-product
+# of |x| with the double nearest 10^(16-k), plus |x| times that double's
+# remainder, within 1e-14 of a unit.  A cell keeps D only when its fraction
+# is more than 1e-6 from a tie and 10^16 <= floor < 10^17 - 1 (which also
+# catches a log10 one off and a carry to 10^17); zero is written directly and
+# every other cell (inf, nan, the extremes, near-ties) goes through format().
+#
+# A cell is five words, NUL where it has no character, and the NULs are
+# dropped.  Words 0-3 hold the text: the sign and any "0.000" prefix ending
+# at byte 6, the `lead` digits before the dot from byte 7 (digit i at 7 + i),
+# the dot, the digits after it without trailing zeros (digit i at 8 + i, up
+# to byte 24) and any exponent from byte 25.  Word 4 holds the separators.
+
+_K_LOW = -260           # lowest decimal exponent of the tables; they reach -_K_LOW
+_BLOCK_CELLS = 4096     # cells laid out per pass, which bounds the layout's memory
+_NUMPY_CELLS = 256      # below this many cells format() per cell is faster
+_DIGIT_BYTES = np.frombuffer(b"\0" * 7 + b"0" * 17 + b"\0" * 8, np.uint64)
+
+
+def _words(texts, width=8) -> np.ndarray:
+    """Each latin-1 text NUL-padded into `width` bytes, as width/8 words."""
+    words = np.frombuffer(b"".join(t.encode("latin-1").ljust(width, b"\0") for t in texts),
+                          np.uint64)
+    return words if width == 8 else words.reshape(-1, width // 8)
+
+
+@functools.cache
+def _format_tables():
+    """By exponent k: the powers 10^(16-k) as double pairs, the sign and
+    prefix word, the masks of the digits before and after the dot, the
+    exponent word, the count of digits before the dot and the dot; and the
+    4-digit ASCII words of 0-9999 without, then with, their trailing zeros."""
+    split, tens, powers = 134217729.0, [1], []
+    while len(tens) <= 16 - _K_LOW:
+        tens.append(tens[-1] * 10)
+    for k in range(_K_LOW, -_K_LOW + 1):
+        j = 16 - k
+        if j >= 0:
+            p = float(tens[j])
+            rest = float(tens[j] - int(p))
+        else:
+            p = 1 / tens[-j]
+            num, den = p.as_integer_ratio()
+            rest = (den - num * tens[-j]) / (den * tens[-j])
+        big = p * split
+        high = big - (big - p)  # p = high + (p - high), each half 26 bits
+        powers.append((p, high, p - high, rest))
+    k = np.arange(_K_LOW, -_K_LOW + 1)
+    small = (k >= -4) & (k < 0)
+    lead = np.where(small, 0, np.where((k >= 0) & (k <= 16), k + 1, 1))[:, None]
+    # "", "-", "0.", "-0.", ..., "-0.000", ending at byte 6
+    prefix = _words((sign + "0." + "0" * (zeros - 1) if zeros else sign).rjust(7, "\0")
+                    for zeros in range(5) for sign in ("", "-")).reshape(5, 2)
+    byte = np.arange(32)
+    digits = np.indices((10,) * 4, np.uint8).reshape(4, -1).T.copy()
+    significant = np.logical_or.accumulate(digits[:, ::-1] != 0, axis=1)[:, ::-1]
+    digits = digits + np.uint8(ord("0"))
+    exponent = _words("" if -4 <= e <= 16 else f"\0e{e:+03d}" for e in k.tolist())
+    tables = (*np.array(powers).T, prefix[np.where(small, -k, 0)].ravel(),
+              (((byte >= 7) & (byte < 7 + lead)) * np.uint8(255)).view(np.uint64),
+              (((byte >= 8 + lead) & (byte < 25)) * np.uint8(255)).view(np.uint64),
+              exponent, lead[:, 0], np.where(small, 0, ord(".")).astype(np.uint8),
+              np.concatenate([digits * significant, digits]).view(np.uint32)[:, 0])
+    for table in tables:
+        table.flags.writeable = False
+    return tables
+
+
+def _csv_block(x: np.ndarray, absent: np.ndarray, separators: list) -> bytes:
+    """The %.17g CSV text of whole rows of cells x, row by row: absent cells
+    empty, and each cell followed by its column's separators (a comma per
+    column up to the next present one, or the newline)."""
+    if len(x) < _NUMPY_CELLS:
+        return "".join(("" if gap else format(value, ".17g")) + separator
+                       for value, gap, separator in zip(x.tolist(), absent.tolist(),
+                                                        itertools.cycle(separators))).encode()
+    p, p_high, p_low, rest, prefix, before, after, exponent, leads, dots, four = _format_tables()
+    n = len(x)
+    size = np.abs(x)
+    exact = (size > 1e-250) & (size < 1e250)
+    size[~exact] = 3.0  # whose log10 is 0 even a few ulps off
+    k = np.floor(np.log10(size)).astype(np.intp) - _K_LOW  # table row of the exponent
+    p, p_high, p_low, rest = p[k], p_high[k], p_low[k], rest[k]
+    # Dekker: size * p = hi + err exactly
+    hi = size * p
+    big = size * 134217729.0
+    s_high = big - (big - size)
+    s_low = size - s_high
+    err = ((s_high * p_high - hi) + s_high * p_low + s_low * p_high) + s_low * p_low
+    lo = err + size * rest
+    whole = np.floor(lo)
+    frac = lo - whole
+    digits = hi.astype(np.int64) + whole.astype(np.int64)
+    exact &= (digits >= 10**16) & (digits < 10**17 - 1) & (np.abs(frac - 0.5) > 1e-6)
+    digits += frac > 0.5
+    zero = x == 0
+    digits[zero] = 0  # with k = 0: one digit, "0"
+    # the digits as 1 + 4 x 4 ASCII digits ending at byte 23, trailing zeros NUL
+    chunks = np.empty((5, n), np.uint32)
+    top, bottom = np.divmod(digits, 10**8)
+    lead, chunks[2] = np.divmod(top.astype(np.uint32), 10**4)
+    chunks[0], chunks[1] = np.divmod(lead, 10**4)
+    chunks[3], chunks[4] = np.divmod(bottom.astype(np.uint32), 10**4)
+    later = np.zeros((5, n), dtype=bool)  # a nonzero chunk follows
+    for j in range(3, -1, -1):
+        later[j] = later[j + 1] | (chunks[j + 1] != 0)
+    stripped = np.zeros((n, 8), np.uint32)
+    stripped[:, 1:6] = four[chunks + 10000 * later].T
+    # the digits after the dot come from the same text one byte on
+    shifted = np.zeros((n, 32), np.uint8)
+    shifted[:, 1:] = stripped.view(np.uint8)[:, :31]
+    stripped, shifted = stripped.view(np.uint64), shifted.view(np.uint64)
+    # before the dot every digit is written: a NUL there reads "0"
+    text = (stripped | _DIGIT_BYTES) & np.take(before, k, axis=0)
+    text |= shifted & np.take(after, k, axis=0)
+    text[:, 0] |= prefix[2 * k + np.signbit(x)]
+    text[:, 3] |= exponent[k]
+    # the dot, where a digit follows it
+    at = np.arange(7, 32 * n, 32) + leads[k]
+    text.view(np.uint8).ravel()[at] = dots[k] * (stripped.view(np.uint8).ravel()[at] != 0)
+    cells = np.empty((n, 5), np.uint64)
+    cells[:, :4] = text
+    cells[:, 4] = np.tile(_words(separators), n // len(separators))
+    raw = cells.view(np.uint8)
+    for cell in np.flatnonzero(~exact & ~zero & ~absent):
+        formatted = format(float(x[cell]), ".17g").encode()
+        raw[cell, :32] = 0
+        raw[cell, :len(formatted)] = np.frombuffer(formatted, np.uint8)
+    raw[absent, :32] = 0
+    return raw.tobytes().translate(None, b"\0")
+
+
 @dataclass
 class ResultTable:
     """Columnar records with the fixed CSV schema; None marks an absent column."""
@@ -255,18 +395,29 @@ class ResultTable:
     io_residual: list | None = None
 
     def write_csv(self, path: str):
-        """One %.17g template per table, absent columns left empty; None cells
-        (edge bins) may sit only in the first and last rows, which go through _fmt."""
+        """Write the rows as %.17g text, a block of rows per write: each block
+        formatted in numpy (format() per cell for a small block); absent
+        columns and None cells (edge bins) are left empty."""
         cols = [getattr(self, f.name) for f in fields(self)]
-        tmpl = ",".join("" if c is None else "%.17g" for c in cols) + "\n"
-        rows = list(zip(*(c.tolist() if isinstance(c, np.ndarray) else c
-                          for c in cols if c is not None)))
-        edge = tmpl.replace("%.17g", "%s")
-        with open(path, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(CSV_HEADER + "\n")
-            fh.writelines([edge % tuple(map(_fmt, rows[0]))]
-                          + [tmpl % row for row in rows[1:-1]]
-                          + [edge % tuple(map(_fmt, row)) for row in rows[1:][-1:]])
+        present = [i for i, c in enumerate(cols) if c is not None]
+        values = np.empty((len(self.t), len(present)))
+        absent = np.zeros(values.shape, dtype=bool)
+        for j, i in enumerate(present):
+            values[:, j] = cols[i]  # a None cell reads nan
+            if not isinstance(cols[i], np.ndarray):
+                gaps = np.flatnonzero(np.isnan(values[:, j]))
+                absent[gaps, j] = [cols[i][gap] is None for gap in gaps]
+        # after each present column, a comma per column up to the next present
+        # one; the row's last comma is its newline
+        separators = ["," * (end - i) for i, end in zip(present, present[1:] + [len(cols)])]
+        separators[-1] = separators[-1][:-1] + "\n"
+        values, absent = values.ravel(), absent.ravel()
+        step = max(1, _BLOCK_CELLS // len(present)) * len(present)
+        with open(path, "wb") as fh:
+            fh.write(CSV_HEADER.encode() + b"\n")
+            for start in range(0, len(values), step):
+                block = slice(start, start + step)
+                fh.write(_csv_block(values[block], absent[block], separators))
 
 
 def write_manifest(path: str, config: ScenarioConfig, metrics: dict):

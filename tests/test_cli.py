@@ -391,14 +391,22 @@ class TestMain:
             assert blobs[0] == blobs[2]
             assert blobs[1] == blobs[3]
 
-    def test_import_loads_no_process_pool(self):
-        # no command starts worker processes, so none pays to import their machinery
+    def test_import_loads_no_process_pool(self, tmp_path):
+        # no command starts worker processes, so none pays to import their
+        # machinery; and a run, CSV writer included, never imports numpy.ma
+        # (np.unique does, at about 20 ms a fresh process)
         src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
         path = [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]
+        dense = os.path.join(GOLDEN, "spont-dense.cfg")
         probe = ("import sys, collide1d.cli, collide1d.acceptance; "
+                 f"[collide1d.cli.main(['run', target, '--out', {str(tmp_path)!r}]) "
+                 f"for target in ('spont', {dense!r})]; "
                  "print(sorted(m for m in sys.modules "
-                 "if m.startswith(('concurrent', 'multiprocessing'))))")
+                 "if m == 'numpy.ma' "
+                 "or m.startswith(('concurrent', 'multiprocessing', 'numpy.ma.'))))")
         result = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
                                 env=dict(os.environ, PYTHONPATH=os.pathsep.join(path)))
         assert result.returncode == 0, result.stderr
-        assert result.stdout == "[]\n"
+        assert sorted(os.listdir(tmp_path)) == ["spont-dense.csv", "spont-dense.manifest",
+                                                "spont.csv", "spont.manifest"]
+        assert result.stdout.splitlines()[-1] == "[]"
