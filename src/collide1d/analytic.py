@@ -199,8 +199,7 @@ def spontaneous_emission_record(params: SimulationParams) -> RunRecord:
     gamma = params.gamma
     p_e = np.exp(-gamma * params.grid.times())
     # discrete norm: survival + left-Riemann photon weight over past bins
-    past = np.concatenate(([0.0], np.cumsum(
-        params.dt * gamma * np.exp(-gamma * np.arange(params.n_steps) * params.dt))))
+    past = np.concatenate(([0.0], np.cumsum(params.dt * gamma * p_e[:-1])))
     return RunRecord(params, populations(p_e, p_e + past), gamma * p_e[:-1])
 
 
