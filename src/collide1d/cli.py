@@ -268,11 +268,9 @@ _NUMPY_CELLS = 256      # below this many cells format() per cell is faster
 _DIGIT_BYTES = np.frombuffer(b"\0" * 7 + b"0" * 17 + b"\0" * 8, np.uint64)
 
 
-def _words(texts, width=8) -> np.ndarray:
-    """Each latin-1 text NUL-padded into `width` bytes, as width/8 words."""
-    words = np.frombuffer(b"".join(t.encode("latin-1").ljust(width, b"\0") for t in texts),
-                          np.uint64)
-    return words if width == 8 else words.reshape(-1, width // 8)
+def _words(texts) -> np.ndarray:
+    """Each ASCII text of at most 8 characters as one NUL-padded word."""
+    return np.frombuffer(b"".join(t.encode().ljust(8, b"\0") for t in texts), np.uint64)
 
 
 @functools.cache
@@ -349,8 +347,8 @@ def _csv_block(x: np.ndarray, absent: np.ndarray, separators: list) -> bytes:
     # the digits as 1 + 4 x 4 ASCII digits ending at byte 23, trailing zeros NUL
     chunks = np.empty((5, n), np.uint32)
     top, bottom = np.divmod(digits, 10**8)
-    lead, chunks[2] = np.divmod(top.astype(np.uint32), 10**4)
-    chunks[0], chunks[1] = np.divmod(lead, 10**4)
+    upper, chunks[2] = np.divmod(top.astype(np.uint32), 10**4)
+    chunks[0], chunks[1] = np.divmod(upper, 10**4)
     chunks[3], chunks[4] = np.divmod(bottom.astype(np.uint32), 10**4)
     later = np.zeros((5, n), dtype=bool)  # a nonzero chunk follows
     for j in range(3, -1, -1):

@@ -36,9 +36,9 @@ Over these anchors sits a byte layer, ``tests/golden/bytes.sha256``: one
 SHA-256 digest of today's output per golden file, with the Python and numpy
 versions that wrote it in its header.  A change that moves any byte fails
 ``test_matches_byte_layer``, which names the file and its largest field
-difference from the anchor; a change meant to move bytes rewrites the layer
-(``PYTHONPATH=src python tests/test_golden.py``) in a commit of its own and records every
-moved file with that difference.
+difference from the anchor.  A change meant to move bytes rewrites the layer
+(``PYTHONPATH=src python tests/test_golden.py``) in a commit of its own and
+records every moved file with that difference.
 
 Each branch also produces one ``RunRecord`` with the fields its CSV needs, and
 each run makes the calls that count collisions (a tier's entry point, read
@@ -130,10 +130,6 @@ def golden_output(tmp_path_factory):
     return output
 
 
-def versions() -> str:
-    return f"python {platform.python_version()}, numpy {np.__version__}"
-
-
 def read_byte_layer():
     """(header lines, {file name: sha256 hex digest}) of the byte layer."""
     header, digests = [], {}
@@ -173,10 +169,12 @@ def test_matches_byte_layer(name, golden_output):
         if hashlib.sha256(fresh).hexdigest() != digests[name + ext]:
             worst = largest_field_difference(fresh.decode(), read_golden(name, ext).decode(),
                                              SEPARATOR[ext])
-            written_by = ", ".join(line[2:] for line in header[1:])
+            written_by = ", ".join(line[2:] for line in header
+                                   if line.startswith(("# python ", "# numpy ")))
             pytest.fail(f"{name}{ext}: bytes differ from the byte layer (written by "
-                        f"{written_by}; running {versions()}); largest field difference "
-                        f"from its anchor {worst:.2e}")
+                        f"{written_by}; running python {platform.python_version()}, "
+                        f"numpy {np.__version__}); largest field difference from its "
+                        f"anchor {worst:.2e}")
 
 
 def test_io_check_computes_each_residual_once(tmp_path, monkeypatch):
