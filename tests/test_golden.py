@@ -114,10 +114,6 @@ def compare_with_anchor(name, output):
             assert fresh_bytes == golden_bytes, f"{name}{ext} differs from golden"
 
 
-def run_and_compare(name, out_dir):
-    compare_with_anchor(name, run_golden(name, out_dir))
-
-
 @pytest.fixture(scope="module")
 def golden_output(tmp_path_factory):
     """name -> fresh output; each golden config runs once for the anchor and byte tests."""
@@ -186,7 +182,7 @@ def test_io_check_computes_each_residual_once(tmp_path, monkeypatch):
         calls.append(traj.params.dt)
         return io_residual(traj)
     monkeypatch.setattr(observables, "io_residual", counted)
-    run_and_compare("io-check", tmp_path)
+    compare_with_anchor("io-check", run_golden("io-check", tmp_path))
     assert calls == [0.01, 0.005, 0.0025]
 
 
@@ -310,5 +306,5 @@ def write_byte_layer(out_dir):
 
 if __name__ == "__main__":
     import tempfile
-    with tempfile.TemporaryDirectory() as scratch:
-        write_byte_layer(scratch)
+    with tempfile.TemporaryDirectory() as out_dir:
+        write_byte_layer(out_dir)
