@@ -16,9 +16,8 @@ from .core import (EXCITED, GROUND, MemoryGuardError, RunRecord, SimulationParam
                    make_exponential_wavepacket, make_gaussian_wavepacket)
 from .engine import (CollisionUnitary, DenseJointState, DenseTrajectory,
                      SectorRun, SectorState, SinglePhotonRun, SinglePhotonState,
-                     apply_collision, displaced_collision_unitary,
-                     lab_collision_unitary, run_dense, run_displaced_sectors,
-                     run_single_excitation)
+                     displaced_collision_unitary, lab_collision_unitary, run_dense,
+                     run_displaced_sectors, run_single_excitation)
 from .analytic import (assemble_coherent, coherent_qubit_trajectory, f0, fm,
                        single_photon_state, spontaneous_emission_state,
                        strong_drive_state, xi_tilde_trajectory)
@@ -32,9 +31,8 @@ __all__ = [
     "ValidityWarning", "Wavepacket", "complex_rabi",
     "make_exponential_wavepacket", "make_gaussian_wavepacket",
     "CollisionUnitary", "DenseJointState", "DenseTrajectory", "SectorRun",
-    "SectorState", "SinglePhotonRun", "SinglePhotonState", "apply_collision",
-    "displaced_collision_unitary", "lab_collision_unitary", "run_dense",
-    "run_displaced_sectors", "run_single_excitation",
+    "SectorState", "SinglePhotonRun", "SinglePhotonState", "displaced_collision_unitary",
+    "lab_collision_unitary", "run_dense", "run_displaced_sectors", "run_single_excitation",
     "assemble_coherent", "coherent_qubit_trajectory",
     "f0", "fm", "single_photon_state", "spontaneous_emission_state",
     "strong_drive_state", "xi_tilde_trajectory",

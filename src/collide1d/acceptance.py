@@ -17,8 +17,7 @@ import numpy as np
 
 from . import analytic, cli, observables
 from .core import SimulationParams, make_exponential_wavepacket
-from .engine import (DISPLACED, LAB, DenseJointState, run_dense,
-                     run_displaced_sectors, run_single_excitation)
+from .engine import DISPLACED, LAB, run_displaced_sectors, run_single_excitation
 from .obe import obe_integrate
 
 
@@ -84,8 +83,7 @@ def criterion_2():
                            omega_q=1.0, fock_dim=3)
     worst_dense = 0.0
     for p, phi0, frame in ((lab, "e", LAB), (drv, "g", DISPLACED)):
-        initial = DenseJointState.product_state(phi0, p.n_steps, p.fock_dim, frame=frame)
-        trace = np.einsum("naa->n", run_dense(p, initial, frame=frame).qubit_matrices).real
+        trace = np.einsum("naa->n", cli._dense_run(p, phi0, frame).qubit_matrices).real
         worst_dense = max(worst_dense, float(np.abs(trace - 1.0).max()))
     ok = worst_analytic <= gamma * dt and worst_sum <= 1e-12 and worst_dense <= 1e-10
     return ok, (f"analytic deficit {worst_analytic:.2e} <= {gamma * dt:.0e}, "
@@ -106,24 +104,13 @@ def criterion_3():
                  float(np.abs(pe_sec - pe_obe).max()),
                  float(np.abs(pe_ana - pe_obe).max()))
 
-    # amplitude comparison at t = 1 on subsampled tuples, density level
-    n = params.n_steps
-    mats = analytic.f0_matrix(params.grid.times(), params)
-    phi = np.array([1.0, 0.0], complex)
-    amp_err = float(np.abs(run.powers[n] @ phi - mats[n] @ phi).max())
-    root_g, root_dt = math.sqrt(params.gamma), math.sqrt(params.dt)
-    for n1 in range(0, n, 379):
-        sec = np.array([run.amplitude(eps, (n1,), n) for eps in "ge"]) / root_dt
-        ana = (-root_g * mats[n - n1][:, 0]
-               * np.exp(-1j * params.omega_p * n1 * params.dt) * mats[n1][1, 0])
-        amp_err = max(amp_err, float(np.abs(sec - ana).max()))
-    for n1 in range(0, n, 1531):
-        for n2 in range(n1 + 211, n, 1373):
-            sec = np.array([run.amplitude(eps, (n1, n2), n) for eps in "ge"]) / params.dt
-            ana = (params.gamma * mats[n - n2][:, 0]
-                   * np.exp(-1j * params.omega_p * n2 * params.dt) * mats[n2 - n1][1, 0]
-                   * np.exp(-1j * params.omega_p * n1 * params.dt) * mats[n1][1, 0])
-            amp_err = max(amp_err, float(np.abs(sec - ana).max()))
+    # amplitude densities at t = 1 on subsampled vacuum, one- and two-photon tuples
+    n, dt = params.n_steps, params.dt
+    tuples = [()] + [(n1,) for n1 in range(0, n, 379)] + [
+        (n1, n2) for n1 in range(0, n, 1531) for n2 in range(n1 + 211, n, 1373)]
+    amp_err = max(abs(run.amplitude(eps, modes, n) / math.sqrt(dt) ** len(modes)
+                      - analytic.fm(eps, "g", n * dt, [m * dt for m in modes], params))
+                  for modes in tuples for eps in "ge")
     ok = pe_err <= 1e-2 and amp_err <= 2e-3
     return ok, (f"max pairwise P_e error {pe_err:.2e} <= 1e-2, "
                 f"max amplitude error {amp_err:.2e} <= 2e-3")
@@ -184,9 +171,8 @@ def criterion_6():
     """Input-output residual: exact zero undriven from |g> and |e>, first order in dt
     driven and undriven from (|g> + |e>)/sqrt(2), where <sigma_-> and <a_n> are not zero."""
     lab = SimulationParams(gamma=1.0, dt=0.01, n_steps=8, omega_q=1.0)
-    from_g, from_e, coherent = (float(observables.io_residual(run_dense(
-        lab, DenseJointState.product_state(phi0, 8, 2), frame=LAB)).max())
-        for phi0 in ("g", "e", np.array([1.0, 1.0]) / math.sqrt(2)))
+    from_g, from_e, coherent = (float(observables.io_residual(cli._dense_run(
+        lab, phi0, LAB)).max()) for phi0 in ("g", "e", np.array([1.0, 1.0]) / math.sqrt(2)))
     quiet = max(from_g, from_e)
     config = cli.ScenarioConfig("io-check", gamma=1.0, dt=1e-2, n_steps=8,
                                 omega_rabi=2.0, omega_q=1.0, fock_dim=3)
@@ -205,9 +191,7 @@ def criterion_7():
                               delta=0.5, omega_rabi=2.0, fock_dim=2)
     worst = 0.0
     for phi0 in ("g", "e"):
-        initial = DenseJointState.product_state(phi0, 8, 2, frame=DISPLACED)
-        dense = run_dense(params, initial, frame=DISPLACED).snapshot(8)
-        psi = dense.amplitudes.reshape(2, -1)
+        psi = cli._dense_run(params, phi0, DISPLACED).snapshot(8).amplitudes.reshape(2, -1)
         state = run_displaced_sectors(params, 8, phi0).state_at(8)
         for m in range(9):
             diff = psi[:, state.dense_index(m)] - state.values[m]
@@ -226,10 +210,9 @@ def criterion_8():
         observables.entanglement_entropy(
             run_displaced_sectors(params, 1, "g").qubit_trajectory()[0]),
     ]
-    packet = make_exponential_wavepacket(1.0, 0.0, SimulationParams(
-        gamma=1.0, dt=1e-3, n_steps=16000).grid)
-    run = run_single_excitation(SimulationParams(gamma=1.0, dt=1e-3, n_steps=16000),
-                                packet)
+    packet_params = SimulationParams(gamma=1.0, dt=1e-3, n_steps=16000)
+    packet = make_exponential_wavepacket(1.0, 0.0, packet_params.grid)
+    run = run_single_excitation(packet_params, packet)
     at_zero.append(observables.entanglement_entropy(run.state_at(0)))
     half_life = analytic.spontaneous_emission_state(693 * dt, params)
     bit = observables.entanglement_entropy(half_life)

@@ -241,7 +241,7 @@ def single_photon_state(wavepacket: Wavepacket, t: float,
     step = grid.index_of(t)
     xt = xi_tilde_trajectory(wavepacket, params)
     tp = np.arange(grid.n_steps) * grid.dt
-    dens = wavepacket.samples.astype(complex).copy()
+    dens = wavepacket.samples.astype(complex)
     past = np.arange(grid.n_steps) < step
     dens[past] -= (params.gamma * xt[:grid.n_steps]
                    * np.exp(-1j * params.omega_q * tp))[past]

@@ -122,8 +122,6 @@ class CollisionUnitary:
     """Unitary on the (qubit x mode-n) factor; index (q, k) -> q*d + k."""
 
     matrix: np.ndarray = field(repr=False)
-    frame: str
-    step: int
     fock_dim: int
 
     def unitarity_defect(self) -> float:
@@ -153,7 +151,7 @@ def lab_collision_unitary(n: int, params: SimulationParams, fock_dim: int) -> Co
         U[ig, ig] = c
         U[ie, ig] = phase * s
         U[ig, ie] = -np.conj(phase) * s
-    return CollisionUnitary(matrix=U, frame=LAB, step=n, fock_dim=fock_dim)
+    return CollisionUnitary(matrix=U, fock_dim=fock_dim)
 
 
 @lru_cache
@@ -184,7 +182,7 @@ def displaced_collision_unitary(n: int, params: SimulationParams,
     H = displaced_hamiltonian(n, params, fock_dim)
     w, V = np.linalg.eigh(H)
     U = (V * np.exp(-1j * params.dt * w)) @ V.conj().T
-    return CollisionUnitary(matrix=U, frame=DISPLACED, step=n, fock_dim=fock_dim)
+    return CollisionUnitary(matrix=U, fock_dim=fock_dim)
 
 
 def _collide_in_place(amplitudes: np.ndarray, unitary: CollisionUnitary, n: int,
@@ -215,23 +213,6 @@ def _collide_in_place(amplitudes: np.ndarray, unitary: CollisionUnitary, n: int,
             rows = (q, slice(i, i + step_lead), k, slice(j, j + step_trail))
             old = view[rows]  # (active, lead block, trail block)
             view[rows] = (mix @ old.reshape(active.size, -1)).reshape(old.shape)
-
-
-def apply_collision(state: DenseJointState, n: int,
-                    unitary: CollisionUnitary) -> DenseJointState:
-    """Contract the collision unitary over the (qubit, mode n) axes.
-
-    All other mode axes are untouched; the input state is not modified.
-    """
-    if unitary.step != n:
-        raise ValueError(f"unitary built for step {unitary.step}, applied at step {n}")
-    if unitary.fock_dim != state.fock_dim:
-        raise ValueError("fock dimension mismatch between state and unitary")
-    if not 0 <= n < state.n_modes:
-        raise ValueError(f"mode index {n} outside 0..{state.n_modes - 1}")
-    out = state.amplitudes.copy()
-    _collide_in_place(out, unitary, n, state.n_modes)
-    return DenseJointState(out, state.n_modes, state.fock_dim, state.frame)
 
 
 @dataclass

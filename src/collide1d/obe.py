@@ -4,9 +4,9 @@ Integrates d(rho)/dt = -i[H, rho] + gamma*(sm rho sp - {sp sm, rho}/2) with
 H = delta*|e><e| - (Omega/2)*sigma_y, i.e. exactly the qubit part of the
 displaced-frame collision generator, by classic fourth-order Runge-Kutta on
 the Bloch vector.  The RK4 step is one fixed affine map, so the samples on the
-collision grid come from a doubling scan of its powers, not a step-by-step
-loop.  The collision-model reduced dynamics must reproduce this for coherent
-and vacuum inputs (acceptance criterion 3).
+collision grid come from a doubling scan of its powers, O(N) in all, not a
+step-by-step loop.  The collision-model reduced dynamics must reproduce this
+for coherent and vacuum inputs (acceptance criterion 3).
 """
 
 from __future__ import annotations
@@ -99,15 +99,20 @@ def obe_integrate(params: SimulationParams, t_final: float, phi0="g",
     n_sub = max(1, math.ceil(params.dt / (dt_rk if dt_rk is not None else limit)))
     h = params.dt / n_sub
     A, b = bloch_generator(params)
-    jump = np.linalg.matrix_power(_rk4_step_matrix(A, b, h), n_sub)
-    # with J, c the top 3x4 block of jump, s[n+1] = J s[n] + c, so s[n] =
-    # sum_k J^(n-k) v[k] with v = (s0, c, c, ...): log2(last) doubling passes
+    # rows (s[n], 1) obey (s[n+1], 1) = (s[n], 1) @ J^T for the per-collision map J;
+    # with s[:k] known, (s[k:2k], 1) = (s[:k], 1) @ (J^T)^k: log2(last) passes,
+    # O(last) rows.  Row 3 of (J^T)^k is (its translation, 1).
+    power = np.linalg.matrix_power(_rk4_step_matrix(A, b, h), n_sub).T
     out = np.empty((last + 1, 3))
-    out[0], out[1:] = _initial_bloch(phi0), jump[:3, 3]
-    power = jump[:3, :3].T
-    for lag in (1 << k for k in range(last.bit_length())):  # 1, 2, 4, ... <= last
-        out[lag:] += out[:-lag] @ power
+    out[0] = _initial_bloch(phi0)
+    done = 1
+    while done <= last:
+        take = min(done, last + 1 - done)
+        block = out[done:done + take]
+        np.matmul(out[:take], power[:3, :3], out=block)
+        block += power[3, :3]
         power = power @ power
+        done += take
     return BlochTrajectory(times=grid.times()[:last + 1],
                            sx=out[:, 0], sy=out[:, 1], sz=out[:, 2])
 

@@ -5,7 +5,7 @@ from __future__ import annotations
 import numpy as np
 
 from .core import MAX_NORM_DEFICIT
-from .engine import DenseJointState, DenseTrajectory, SectorState, SinglePhotonState
+from .engine import LAB, DenseJointState, DenseTrajectory, SectorState, SinglePhotonState
 
 
 def _reject_rows(bad: np.ndarray, message: str, values: np.ndarray):
@@ -24,9 +24,7 @@ def reduced_qubit(state) -> np.ndarray:
     """
     if isinstance(state, np.ndarray) and state.shape[-2:] == (2, 2):
         rho = state.astype(complex)
-    elif isinstance(state, DenseJointState):
-        rho = state.qubit_matrix()
-    elif isinstance(state, SectorState):
+    elif isinstance(state, (DenseJointState, SectorState)):
         rho = state.qubit_matrix()
     elif isinstance(state, SinglePhotonState):
         rho = np.diag([float(np.sum(np.abs(state.g) ** 2)),
@@ -92,7 +90,7 @@ def io_residual(trajectory: DenseTrajectory) -> np.ndarray:
     """
     params = trajectory.params
     n = params.n_steps
-    omega = params.omega_q if trajectory.frame == "lab" else params.omega_p
+    omega = params.omega_q if trajectory.frame == LAB else params.omega_p
     root_dt = np.sqrt(params.dt)
     field = trajectory.a_out / root_dt - trajectory.a_in / root_dt
     sigma_minus = (trajectory.qubit_matrices[:n, 1, 0]

@@ -5,8 +5,8 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from collide1d import (DenseJointState, MemoryGuardError, SimulationParams,
-                       apply_collision, displaced_collision_unitary, engine,
+from collide1d import (CollisionUnitary, DenseJointState, MemoryGuardError,
+                       SimulationParams, displaced_collision_unitary, engine,
                        lab_collision_unitary, run_dense)
 from collide1d.engine import (DISPLACED, LAB, PROJ_E, SIGMA_MINUS, SIGMA_PLUS, SIGMA_Y,
                               _displaced_operators, annihilation, displaced_hamiltonian)
@@ -103,23 +103,32 @@ class TestDisplacedUnitary:
         assert remainders[0] / remainders[1] == pytest.approx(4.0, rel=0.1)
 
 
+def tensordot_collision(amplitudes, matrix, n, n_modes, d):
+    """One collision over the whole state: np.tensordot of U on (qubit, mode n)."""
+    psi = amplitudes.reshape((2,) + (d,) * n_modes)
+    out = np.tensordot(matrix.reshape(2, d, 2, d), psi, axes=[(2, 3), (0, n + 1)])
+    return np.moveaxis(out, (0, 1), (0, n + 1)).reshape(-1)
+
+
 class TestApplyCollision:
-    def _state(self, n_modes=4, d=2, qubit="e"):
-        return DenseJointState.product_state(qubit, n_modes, d)
+    """One collision by ``engine._collide_in_place`` on a copy of the state."""
+
+    @staticmethod
+    def _collide(state, n, unitary):
+        out = state.amplitudes.copy()
+        engine._collide_in_place(out, unitary, n, state.n_modes)
+        return out
 
     def test_identity_leaves_state_unchanged(self):
-        from collide1d.engine import CollisionUnitary
-        state = self._state()
-        ident = CollisionUnitary(matrix=np.eye(4, dtype=complex), frame="lab",
-                                 step=1, fock_dim=2)
-        out = apply_collision(state, 1, ident)
-        assert np.array_equal(out.amplitudes, state.amplitudes)
+        state = DenseJointState.product_state("e", 4, 2)
+        ident = CollisionUnitary(matrix=np.eye(4, dtype=complex), fock_dim=2)
+        assert np.array_equal(self._collide(state, 1, ident), state.amplitudes)
 
     def test_norm_preserved_per_collision(self):
         p = SimulationParams(gamma=1.0, dt=1e-3, n_steps=4)
-        state = self._state()
-        out = apply_collision(state, 0, lab_collision_unitary(0, p, 2))
-        assert abs(out.norm - 1.0) < 1e-12
+        state = DenseJointState.product_state("e", 4, 2)
+        out = self._collide(state, 0, lab_collision_unitary(0, p, 2))
+        assert abs(np.linalg.norm(out) - 1.0) < 1e-12
 
     def test_inverse_restores_state(self):
         rng = np.random.default_rng(7)
@@ -128,11 +137,9 @@ class TestApplyCollision:
         amps /= np.linalg.norm(amps)
         state = DenseJointState(amps, n_modes=4, fock_dim=2)
         U = lab_collision_unitary(2, p, 2)
-        from collide1d.engine import CollisionUnitary
-        U_inv = CollisionUnitary(matrix=U.matrix.conj().T, frame="lab", step=2,
-                                 fock_dim=2)
-        back = apply_collision(apply_collision(state, 2, U), 2, U_inv)
-        assert np.abs(back.amplitudes - state.amplitudes).max() < 1e-12
+        U_inv = CollisionUnitary(matrix=U.matrix.conj().T, fock_dim=2)
+        forth = DenseJointState(self._collide(state, 2, U), n_modes=4, fock_dim=2)
+        assert np.abs(self._collide(forth, 2, U_inv) - state.amplitudes).max() < 1e-12
 
     def test_matches_full_tensordot(self):
         rng = np.random.default_rng(3)
@@ -143,22 +150,8 @@ class TestApplyCollision:
         amps /= np.linalg.norm(amps)
         state = DenseJointState(amps, n_modes=3, fock_dim=d, frame="displaced")
         U = displaced_collision_unitary(1, p, d)
-        fast = apply_collision(state, 1, U).amplitudes
-        U4 = U.matrix.reshape(2, d, 2, d)
-        psi = state.amplitudes.reshape(2, d, d, d)
-        slow = np.moveaxis(np.tensordot(U4, psi, axes=[(2, 3), (0, 2)]),
-                           (0, 1), (0, 2)).reshape(-1)
-        assert np.abs(fast - slow).max() < 1e-13
-
-    def test_dimension_mismatch_rejected(self):
-        p = SimulationParams(gamma=1.0, dt=1e-3, n_steps=4)
-        with pytest.raises(ValueError):
-            apply_collision(self._state(d=2), 0, lab_collision_unitary(0, p, 3))
-
-    def test_wrong_step_rejected(self):
-        p = SimulationParams(gamma=1.0, dt=1e-3, n_steps=4)
-        with pytest.raises(ValueError):
-            apply_collision(self._state(), 1, lab_collision_unitary(0, p, 2))
+        slow = tensordot_collision(amps, U.matrix, 1, 3, d)
+        assert np.abs(self._collide(state, 1, U) - slow).max() < 1e-13
 
 
 class TestRunDense:
@@ -270,15 +263,17 @@ def expectation(state, op, axis):
 
 
 def full_contraction(params, initial, frame):
-    """Reference loop: every collision over the whole state by apply_collision.
+    """Reference loop: every collision over the whole state by tensordot_collision.
 
     Returns the qubit matrices and norms after each step, and the N+1 states.
     """
     build = lab_collision_unitary if frame == LAB else displaced_collision_unitary
-    states = [DenseJointState(initial.amplitudes.copy(), initial.n_modes, initial.fock_dim,
-                              frame)]
+    n_modes, d = initial.n_modes, initial.fock_dim
+    states = [DenseJointState(initial.amplitudes.copy(), n_modes, d, frame)]
     for step in range(params.n_steps):
-        states.append(apply_collision(states[-1], step, build(step, params, initial.fock_dim)))
+        amps = tensordot_collision(states[-1].amplitudes, build(step, params, d).matrix,
+                                   step, n_modes, d)
+        states.append(DenseJointState(amps, n_modes, d, frame))
     rows = [s.amplitudes.reshape(2, -1) for s in states]
     qubit = np.array([m @ m.conj().T for m in rows])
     norms = np.array([np.linalg.norm(s.amplitudes) for s in states])

@@ -1,9 +1,11 @@
+import ast
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from collide1d import SimulationParams, obe_integrate, run_displaced_sectors
+from collide1d import SimulationParams, obe, obe_integrate, run_displaced_sectors
 from collide1d.obe import (_initial_bloch, _rk4_step_matrix, bloch_generator,
                            bloch_steady_state, obe_steady_state_p_excited,
                            rk_step_limit)
@@ -24,6 +26,31 @@ def loop_obe(params, t_final, phi0="g", dt_rk=None):
             x = step @ x
         out[n + 1] = x[:3]
     return out
+
+
+@pytest.mark.parametrize("last", [0, 1, 2, 3, 4, 7, 8, 9])
+def test_scan_edges_match_rk4_loop(last):
+    # the doubling passes cover 1, 2, 4, 8 rows: none, whole passes and a short last one;
+    # dt is three RK4 substeps, so the per-collision map is a matrix power too
+    p = SimulationParams(gamma=1.0, dt=1e-3, n_steps=9, omega_rabi=3.0, delta=-0.5)
+    traj = obe_integrate(p, last * p.dt, "e")
+    scan = np.stack([traj.sx, traj.sy, traj.sz], axis=1)
+    assert np.abs(scan - loop_obe(p, last * p.dt, "e")).max() <= 1e-12
+
+
+def test_obe_shares_no_code_with_the_other_scans():
+    # the Bloch oracle is criterion 3's independent leg: the sector and
+    # closed-form tiers run on _conv's scans, so obe.py imports neither
+    imported = set()
+    for node in ast.walk(ast.parse(Path(obe.__file__).read_text())):
+        if isinstance(node, ast.Import):
+            imported.update(alias.name for alias in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            module = ".".join(filter(None, ("collide1d" if node.level else "", node.module)))
+            imported.update(f"{module}.{alias.name}" for alias in node.names)
+    assert "collide1d.core.SimulationParams" in imported
+    for name in imported:
+        assert not name.startswith(("collide1d._conv", "collide1d.analytic")), name
 
 
 class TestIntegration:
