@@ -22,8 +22,7 @@ import numpy as np
 from . import _conv
 from .core import (RunRecord, SimulationParams, ValidityWarning, Wavepacket, complex_rabi,
                    populations, qubit_index, qubit_vector)
-from .engine import (DISPLACED, MAX_SECTOR_AMPLITUDES, SIGMA_MINUS,
-                     SectorState, SinglePhotonState)
+from .engine import MAX_SECTOR_AMPLITUDES, SIGMA_MINUS, SectorState, SinglePhotonState
 
 
 def f0_matrix(t, params: SimulationParams) -> np.ndarray:
@@ -94,8 +93,7 @@ def assemble_coherent(params: SimulationParams, t: float, m_max: int, phi0="g") 
     tuples, values = _conv.materialize_tuples(mats, _emission_block(params), phases,
                                               qubit_vector(phi0), step, m_max,
                                               MAX_SECTOR_AMPLITUDES)
-    return SectorState(step=step, m_max=m_max, grid=grid, frame=DISPLACED,
-                       tuples=tuples, values=values)
+    return SectorState(step=step, m_max=m_max, grid=grid, tuples=tuples, values=values)
 
 
 def coherent_qubit_trajectory(params: SimulationParams, m_max: int, phi0="g") -> RunRecord:
@@ -144,7 +142,7 @@ def strong_drive_state(t: float, params: SimulationParams) -> SectorState:
     one[0] = np.cos(0.5 * omega * (t - tp)) * common
     one[1] = np.sin(0.5 * omega * (t - tp)) * common
     one *= math.sqrt(params.dt)  # discrete amplitude = sqrt(dt) * density
-    return SectorState(step=step, m_max=1, grid=grid, frame=DISPLACED,
+    return SectorState(step=step, m_max=1, grid=grid,
                        tuples=[np.zeros((1, 0), dtype=int),
                                np.arange(step, dtype=int).reshape(step, 1)],
                        values=[vac, one])

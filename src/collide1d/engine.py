@@ -2,8 +2,8 @@
 
 Three tiers share the same per-collision unitaries:
 
-* a dense brute-force oracle over the qubit x (d-level)^N state that reads its input
-  once, keeps only the light cone, grown by one vacuum mode per collision, and records <a_n>,
+* a dense brute-force oracle over the qubit x (d-level)^N state from a qubit state over
+  the vacuum field, on a light cone grown by one vacuum mode per collision, recording <a_n>,
 * a recursion for a single excitation shared between qubit and field,
 * an excitation-sector propagator in the displaced frame, where each temporal
   mode interacts exactly once, so the joint state decomposes into ordered
@@ -122,7 +122,6 @@ class CollisionUnitary:
     """Unitary on the (qubit x mode-n) factor; index (q, k) -> q*d + k."""
 
     matrix: np.ndarray = field(repr=False)
-    fock_dim: int
 
     def unitarity_defect(self) -> float:
         d2 = self.matrix.shape[0]
@@ -151,7 +150,7 @@ def lab_collision_unitary(n: int, params: SimulationParams, fock_dim: int) -> Co
         U[ig, ig] = c
         U[ie, ig] = phase * s
         U[ig, ie] = -np.conj(phase) * s
-    return CollisionUnitary(matrix=U, fock_dim=fock_dim)
+    return CollisionUnitary(matrix=U)
 
 
 @lru_cache
@@ -182,47 +181,16 @@ def displaced_collision_unitary(n: int, params: SimulationParams,
     H = displaced_hamiltonian(n, params, fock_dim)
     w, V = np.linalg.eigh(H)
     U = (V * np.exp(-1j * params.dt * w)) @ V.conj().T
-    return CollisionUnitary(matrix=U, fock_dim=fock_dim)
-
-
-def _collide_in_place(amplitudes: np.ndarray, unitary: CollisionUnitary, n: int,
-                      n_modes: int) -> None:
-    """Contract the collision unitary over the (qubit, mode n) axes, in place.
-
-    Rows of U that are exactly identity are skipped: for a unitary, an identity
-    row implies an identity column, so the remaining rows mix only among
-    themselves.  This collapses the lab-frame update to the one excitation
-    exchange block instead of a full-state contraction.  ``amplitudes`` is a
-    contiguous state over N = n_modes modes (flat, or ``run_dense``'s (2, d^N)
-    cone).  The active rows are contracted in eight column blocks, so the
-    buffers hold at most a quarter of the state.
-    """
-    d = unitary.fock_dim
-    U = unitary.matrix
-    active = np.flatnonzero(np.abs(U - np.eye(2 * d)).sum(axis=1) != 0)
-    if active.size == 0:
-        return
-    q, k = np.divmod(active, d)
-    mix = U[np.ix_(active, active)]
-    lead, trail = d**n, d ** (n_modes - 1 - n)
-    view = amplitudes.reshape(2, lead, d, trail)
-    cols = max(1, lead * trail // 8)
-    step_lead, step_trail = max(1, cols // trail), min(trail, cols)
-    for i in range(0, lead, step_lead):
-        for j in range(0, trail, step_trail):
-            rows = (q, slice(i, i + step_lead), k, slice(j, j + step_trail))
-            old = view[rows]  # (active, lead block, trail block)
-            view[rows] = (mix @ old.reshape(active.size, -1)).reshape(old.shape)
+    return CollisionUnitary(matrix=U)
 
 
 @dataclass
 class DenseTrajectory:
-    """Per-step qubit matrices, whose trace is the norm; <a_n> in and out; the final state."""
+    """Per-step qubit matrices, whose trace is the norm; <a_n> out; the final state."""
 
     params: SimulationParams
     frame: str
     qubit_matrices: np.ndarray = field(repr=False)   # (N+1, 2, 2)
-    a_in: np.ndarray = field(repr=False)             # (N,)
     a_out: np.ndarray = field(repr=False)            # (N,)
     snapshots: dict[int, DenseJointState] = field(repr=False)  # step N only
 
@@ -242,52 +210,50 @@ class DenseTrajectory:
 
 def run_dense(params: SimulationParams, initial: DenseJointState,
               frame: str = LAB) -> DenseTrajectory:
-    """Apply collisions n = 0..N-1 in order to the full joint state.
+    """Apply collisions n = 0..N-1 in order to a qubit state over the vacuum field.
 
-    Light cone: collision n mixes only (qubit, mode n), so modes past n keep
-    their input.  With ``reach`` the smallest f such that no input amplitude
-    has a photon in a mode >= f, the state before collision n is a contiguous
-    (2, d^live) cone over the first live = max(n, reach) modes, the rest in
-    vacuum.  Collisions n < reach act on the cone in place; from n = reach on,
-    mode n enters in vacuum, so only the columns (g,0) and (e,0) of U act:
-    new[q', x, k'] = sum_q U[(q',k'), (q,0)] cone[q, x].  The input is read once,
-    for its reach and its cone (which holds its whole norm).  Recorded: the qubit
-    matrix per step, <a_n> on the input cone (a_in, 0 from the reach on)
-    and right after collision n, the only one on mode n (a_out), and snapshot N.
+    The input must be (c_g|g> + c_e|e>) x |vacuum> at params.fock_dim, labelled
+    `frame`; an input with any photon amplitude, nan included, is refused before a
+    unitary is built.  Light cone: collision n mixes only (qubit, mode n), so the
+    state before it is a contiguous (2, d^n) cone over modes < n, the rest in
+    vacuum.  Mode n enters in vacuum, so only the columns (g,0) and (e,0) of U act:
+    new[q', x, k'] = sum_q U[(q',k'), (q,0)] cone[q, x].  Recorded: the qubit
+    matrix per step, <a_n> right after collision n, the only one on mode n
+    (a_out), and snapshot N.
     """
     n = params.n_steps
     if initial.n_modes != n:
         raise ValueError(f"initial state has {initial.n_modes} modes, params want {n}")
     if frame not in (LAB, DISPLACED):
         raise ValueError(f"frame must be 'lab' or 'displaced', got {frame!r}")
+    if (initial.fock_dim, initial.frame) != (params.fock_dim, frame):
+        raise ValueError(f"initial state is at fock_dim {initial.fock_dim} in the {initial.frame} "
+                         f"frame, the run at {params.fock_dim} in the {frame} frame")
+    amps = initial.amplitudes.reshape(2, -1)  # column 0: the field in vacuum
+    if np.count_nonzero(amps[:, 1:]):  # nan counts as nonzero
+        raise ValueError("initial state has photon amplitudes: run_dense starts from a "
+                         "qubit state over the vacuum field")
 
     build = lab_collision_unitary if frame == LAB else displaced_collision_unitary
-    d = initial.fock_dim
-    # a nonzero at field index r reaches mode n - (trailing zero base-d digits of r)
-    support = np.flatnonzero(initial.amplitudes != 0) % d**n
-    reach = next(f for f in range(n + 1) if not np.any(support % d ** (n - f)))
-    cone = initial.amplitudes.reshape(2, d**reach, -1)[:, :, 0].copy()
+    d = params.fock_dim
+    cone = amps[:, :1].copy()
     qubit = np.empty((n + 1, 2, 2), dtype=complex)
     with np.errstate(over="ignore", invalid="ignore"):  # an inf or huge amplitude: refused below
         qubit[0] = _partial_trace(cone)
     norm = math.sqrt(qubit[0, 0, 0].real + qubit[0, 1, 1].real)
     if not abs(norm - 1.0) <= 1e-9:  # "not within": a nan norm is refused too
         raise ValueError(f"initial state not normalized: |psi| = {norm}")
-    a_in, a_out = np.zeros(n, dtype=complex), np.empty(n, dtype=complex)
-    a_in[:reach] = [_lowering_average(cone, mode, d) for mode in range(reach)]
+    a_out = np.empty(n, dtype=complex)
     for step in range(n):
-        unitary = build(step, params, d)
-        if step < reach:
-            _collide_in_place(cone, unitary, step, reach)
-        else:
-            columns = unitary.matrix[:, ::d].reshape(2, d, 2)  # [q', k', q] of U[(q',k'), (q,0)]
-            grown = np.empty((2, cone.shape[1], d), dtype=complex)
-            for k in range(d):
-                np.matmul(columns[:, k], cone, out=grown[:, :, k])
-            cone = grown.reshape(2, -1)
+        unitary = build(step, params, d).matrix
+        columns = unitary[:, ::d].reshape(2, d, 2)  # [q', k', q] of U[(q',k'), (q,0)]
+        grown = np.empty((2, cone.shape[1], d), dtype=complex)
+        for k in range(d):
+            np.matmul(columns[:, k], cone, out=grown[:, :, k])
+        cone = grown.reshape(2, -1)
         qubit[step + 1] = _partial_trace(cone)
         a_out[step] = _lowering_average(cone, step, d)
-    return DenseTrajectory(params, frame, qubit, a_in, a_out,
+    return DenseTrajectory(params, frame, qubit, a_out,
                            {n: DenseJointState(cone.reshape(-1), n, d, frame)})
 
 
@@ -306,7 +272,6 @@ class SinglePhotonState:
     c_e: complex
     g: np.ndarray = field(repr=False)
     grid: TimeGrid
-    frame: str = LAB
 
     def norm_squared(self) -> float:
         return abs(self.c_e) ** 2 + float(np.sum(np.abs(self.g) ** 2))
@@ -414,7 +379,6 @@ class SectorState:
     step: int
     m_max: int
     grid: TimeGrid
-    frame: str
     tuples: list = field(repr=False)
     values: list = field(repr=False)
 
@@ -536,8 +500,8 @@ class SectorRun:
         tuples, values = _conv.materialize_tuples(self.powers, self.emission_block,
                                                   self.emission_phases, self.phi0, step,
                                                   self.m_max, MAX_SECTOR_AMPLITUDES)
-        return SectorState(step=step, m_max=self.m_max, grid=self.grid,
-                           frame=DISPLACED, tuples=tuples, values=values)
+        return SectorState(step=step, m_max=self.m_max, grid=self.grid, tuples=tuples,
+                           values=values)
 
 
 def run_displaced_sectors(params: SimulationParams, m_max: int,

@@ -79,20 +79,21 @@ def photon_density(state, dt: float | None = None) -> np.ndarray:
 
 
 def io_residual(trajectory: DenseTrajectory) -> np.ndarray:
-    """|<a_out(t_n)> - <a_in(t_{n-1})> + sqrt(gamma) <sigma_-(t_{n-1})>| per step.
+    """|<a_out(t_n)> + sqrt(gamma) <sigma_-(t_{n-1})>| per step.
 
-    For collision n = 1..N, a_in and a_out are <a_{n-1}>/sqrt(dt) before and
-    after it, which ``run_dense`` records on the light cone (only collision n
-    touches mode n - 1).  <sigma_-> is the interaction-picture rho_eg before
-    it, from the recorded qubit matrices.  O(N) in all.  Zero to machine
-    precision for vacuum and spontaneous emission; first order in dt for driven
-    runs (the remainder of the per-collision expansion).
+    a_out is <a_{n-1}>/sqrt(dt) right after collision n = 1..N, the only one on
+    mode n - 1, which ``run_dense`` records on the light cone.  a_in, the same
+    before it, is 0: ``run_dense`` starts from the vacuum field.  <sigma_-> is the
+    interaction-picture rho_eg before it, from the recorded qubit matrices.
+    O(N) in all.  Zero to machine precision for vacuum and spontaneous
+    emission; first order in dt for driven runs (the remainder of the
+    per-collision expansion).
     """
     params = trajectory.params
     n = params.n_steps
     omega = params.omega_q if trajectory.frame == LAB else params.omega_p
     root_dt = np.sqrt(params.dt)
-    field = trajectory.a_out / root_dt - trajectory.a_in / root_dt
+    field = trajectory.a_out / root_dt
     sigma_minus = (trajectory.qubit_matrices[:n, 1, 0]
                    * np.exp(-1j * omega * np.arange(n) * params.dt))
     return np.abs(field + np.sqrt(params.gamma) * sigma_minus)
@@ -103,13 +104,13 @@ def state_fidelity(a, b) -> float:
     if type(a) is not type(b):
         raise TypeError(f"cannot compare {type(a).__name__} with {type(b).__name__}")
     if isinstance(a, SinglePhotonState):
-        if a.grid != b.grid or a.frame != b.frame:
-            raise ValueError("states live on different grids or frames")
+        if a.grid != b.grid:
+            raise ValueError("states live on different grids")
         overlap = np.conj(a.c_e) * b.c_e + np.vdot(a.g, b.g)
         na, nb = a.norm_squared(), b.norm_squared()
     elif isinstance(a, SectorState):
-        if a.grid != b.grid or a.frame != b.frame or a.step != b.step:
-            raise ValueError("states live on different grids, frames or times")
+        if a.grid != b.grid or a.step != b.step:
+            raise ValueError("states live on different grids or times")
         shared = min(a.m_max, b.m_max)
         overlap = sum(np.vdot(a.values[m], b.values[m]) for m in range(shared + 1))
         na, nb = a.norm_squared(), b.norm_squared()

@@ -3,9 +3,10 @@
 The reference is the per-step evaluation that ``io_residual`` replaced: it
 contracts sigma_- and a_{n-1} with the full joint state before and after each
 collision, states built one collision at a time by ``np.tensordot``.
-``io_residual`` instead reads <a_{n-1}> before and after collision n, and
-rho_eg before it, from the arrays ``run_dense`` records on its light cone
-(only collision n touches mode n - 1).
+``io_residual`` instead reads <a_{n-1}> after collision n, and rho_eg before
+it, from the arrays ``run_dense`` records on its light cone (only collision n
+touches mode n - 1), and takes <a_{n-1}> before it to be 0, as it is for the
+vacuum field that ``run_dense`` starts from.
 """
 
 import math
