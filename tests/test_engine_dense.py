@@ -195,7 +195,7 @@ class TestRunDense:
                                          "initial state not normalized")
 
     @pytest.mark.parametrize("frame", [LAB, DISPLACED])
-    @pytest.mark.parametrize("index,value", [(5, 0.6), (1, 0.6), (5, np.nan)],
+    @pytest.mark.parametrize("index,value", [(5, 0.6j), (1, 0.6), (5, np.nan)],
                              ids=["photon", "last-mode", "nan-photon"])
     def test_photon_input_refused_before_any_unitary(self, index, value, frame, monkeypatch):
         # index 5 holds photons in modes 3 and 5, index 1 one in the last mode; the

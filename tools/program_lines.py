@@ -40,8 +40,8 @@ def code_lines(code):
 def spans(lines):
     """Sorted line numbers as 'a-b' runs."""
     out, lines = [], sorted(lines)
-    for first, line in zip([None] + lines, lines):
-        if out and first == line - 1:
+    for prev, line in zip([None] + lines, lines):
+        if out and prev == line - 1:
             out[-1][1] = line
         else:
             out.append([line, line])
