@@ -37,17 +37,6 @@ def code_lines(code):
     return lines
 
 
-def spans(lines):
-    """Sorted line numbers as 'a-b' runs."""
-    out, lines = [], sorted(lines)
-    for prev, line in zip([None] + lines, lines):
-        if out and prev == line - 1:
-            out[-1][1] = line
-        else:
-            out.append([line, line])
-    return ", ".join(str(a) if a == b else f"{a}-{b}" for a, b in out)
-
-
 sys.path.insert(0, str(ROOT / "src"))
 sys.settrace(_call)  # before the import, so module-level lines count too
 from collide1d import cli  # noqa: E402
@@ -70,7 +59,7 @@ for path in sorted(PACKAGE.glob("*.py")):
     print(f"{path.name}: {len(unrun[path.name])} of {len(lines)} code lines never ran")
 for name, lines in unrun.items():
     if lines:
-        print(f"\n{name}: {spans(lines)}")
+        print(f"\n{name}: {', '.join(map(str, sorted(lines)))}")
 for line in failed:
     print(f"run failed: {line}", file=sys.stderr)
 sys.exit(1 if failed else 0)
