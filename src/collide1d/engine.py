@@ -229,7 +229,7 @@ def run_dense(params: SimulationParams, initial: DenseJointState,
     if (initial.fock_dim, initial.frame) != (params.fock_dim, frame):
         raise ValueError(f"initial state is at fock_dim {initial.fock_dim} in the {initial.frame} "
                          f"frame, the run at {params.fock_dim} in the {frame} frame")
-    amps = np.ascontiguousarray(initial.amplitudes).reshape(2, -1)  # column 0: field in vacuum
+    amps = np.ascontiguousarray(initial.amplitudes, complex).reshape(2, -1)  # column 0: vacuum
     if amps.view(float)[:, 2:].any():  # re and im of every photon amplitude; nan is nonzero
         raise ValueError("initial state has photon amplitudes: run_dense starts from a "
                          "qubit state over the vacuum field")
