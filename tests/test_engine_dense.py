@@ -207,6 +207,14 @@ class TestRunDense:
         self._refused_before_any_unitary(monkeypatch, p, initial, frame,
                                          "initial state has photon amplitudes")
 
+    def test_real_photon_amplitude_refused(self, monkeypatch):
+        # a float array has no imaginary parts: column 1, the last mode, is still checked
+        amps = np.zeros(2 * 2**6)
+        amps[[1, 2**6]] = 0.6, 0.8
+        p = SimulationParams(gamma=1.0, dt=1e-2, n_steps=6)
+        self._refused_before_any_unitary(monkeypatch, p, DenseJointState(amps, 6, 2), LAB,
+                                         "initial state has photon amplitudes")
+
     @pytest.mark.parametrize("fock_dim,label", [(3, LAB), (2, DISPLACED)],
                              ids=["fock-dim", "frame"])
     def test_input_of_another_space_refused(self, fock_dim, label, monkeypatch):
