@@ -249,16 +249,13 @@ ALL_CRITERIA = (criterion_1, criterion_2, criterion_3, criterion_4, criterion_5,
                 criterion_6, criterion_7, criterion_8, criterion_9)
 
 
-def run_all(stream=None) -> int:
-    """Run every criterion, print one line each; exit code 0 or 3."""
-    import sys
-    stream = stream or sys.stdout
+def run_all() -> int:
+    """Run every criterion, print one line each to stdout; exit code 0 or 3."""
     failures = 0
     for fn in ALL_CRITERIA:
         result = fn()
-        print(result.line(), file=stream)
+        print(result.line())
         if not result.passed:
             failures += 1
-    print(f"{len(ALL_CRITERIA) - failures}/{len(ALL_CRITERIA)} acceptance criteria passed",
-          file=stream)
+    print(f"{len(ALL_CRITERIA) - failures}/{len(ALL_CRITERIA)} acceptance criteria passed")
     return 0 if failures == 0 else 3

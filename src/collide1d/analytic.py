@@ -203,12 +203,14 @@ def spontaneous_emission_record(params: SimulationParams) -> RunRecord:
 
 def xi_tilde_trajectory(wavepacket: Wavepacket, params: SimulationParams) -> np.ndarray:
     """Filtered envelope e^{-gamma t/2} int_0^t e^{gamma t'/2 + i w_q t'} xi(t') dt'
-    on every grid point (left-Riemann, cumulative, O(N)).
+    on every point of params.grid, the packet's grid (left-Riemann, cumulative, O(N)).
 
     The growing exponent restarts every block of gamma*t/2 <= 300, and the
     damped running sum is carried from block to block, so no factor overflows
     however long the run; a run that fits in one block is a single pass.
     """
+    if wavepacket.grid != params.grid:
+        raise ValueError(f"wavepacket grid {wavepacket.grid} is not the run's {params.grid}")
     grid = wavepacket.grid
     n, t = grid.n_steps, grid.times()
     half_rate = 0.5 * params.gamma * grid.dt

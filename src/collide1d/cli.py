@@ -668,7 +668,7 @@ output = single-photon-gauss
 # ---------------------------------------------------------------------------
 
 def _load_config_text(target: str) -> str:
-    if os.path.exists(target):
+    if os.path.isfile(target):  # a directory named like a preset is not a config
         with open(target, "r", encoding="utf-8") as fh:
             return fh.read()
     if target in PRESETS:
@@ -712,6 +712,9 @@ def main(argv=None) -> int:
         text = _load_config_text(args.config)
     except FileNotFoundError as exc:
         print(str(exc), file=sys.stderr)
+        return EXIT_INVALID
+    except (OSError, UnicodeDecodeError) as exc:
+        print(f"invalid config file: {exc}", file=sys.stderr)
         return EXIT_INVALID
     try:
         config = parse_config(text)

@@ -230,21 +230,19 @@ def _normalized(raw: np.ndarray, grid: TimeGrid) -> Wavepacket:
     return pkt
 
 
-def make_exponential_wavepacket(big_gamma: float, omega: float, grid: TimeGrid,
-                                renormalize: bool = False) -> Wavepacket:
+def make_exponential_wavepacket(big_gamma: float, omega: float, grid: TimeGrid) -> Wavepacket:
     """Decaying exponential envelope sqrt(G)*exp(-G*t/2)*exp(-i*omega*t).
 
-    The grid must hold essentially all of the packet (exp(-G*T) < 1e-6) unless
-    ``renormalize`` is set, in which case the truncated tail is absorbed into
-    the recorded renormalization factor.
+    The grid must hold essentially all of the packet: a grid with
+    exp(-G*T) >= 1e-6 is refused.
     """
     if big_gamma <= 0:
         raise ValueError(f"envelope decay rate must be positive, got {big_gamma}")
     tail = math.exp(-big_gamma * grid.total_time)
-    if tail >= 1e-6 and not renormalize:
+    if tail >= 1e-6:
         raise ValueError(
             f"grid too short for the exponential packet: exp(-G*T) = {tail:.3g} >= 1e-6; "
-            f"extend the grid or pass renormalize=True")
+            f"extend the grid")
     t = np.arange(grid.n_steps) * grid.dt
     raw = math.sqrt(big_gamma) * np.exp(-0.5 * big_gamma * t) * np.exp(-1j * omega * t)
     return _normalized(raw, grid)

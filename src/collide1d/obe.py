@@ -88,15 +88,12 @@ def _initial_bloch(phi0) -> np.ndarray:
     return np.array([np.trace(p @ rho).real for p in _PAULIS])
 
 
-def obe_integrate(params: SimulationParams, t_final: float, phi0="g",
-                  dt_rk: float | None = None) -> BlochTrajectory:
-    """RK4 integration sampled on the collision grid up to t_final."""
+def obe_integrate(params: SimulationParams, t_final: float, phi0="g") -> BlochTrajectory:
+    """RK4 integration sampled on the collision grid up to t_final, with
+    ceil(dt / rk_step_limit) equal substeps (at least one) per collision."""
     grid = params.grid
     last = grid.index_of(t_final)
-    limit = rk_step_limit(params)
-    if dt_rk is not None and dt_rk > limit:
-        raise ValueError(f"dt_rk = {dt_rk} exceeds the step-size guard {limit:.3g}")
-    n_sub = max(1, math.ceil(params.dt / (dt_rk if dt_rk is not None else limit)))
+    n_sub = max(1, math.ceil(params.dt / rk_step_limit(params)))
     h = params.dt / n_sub
     A, b = bloch_generator(params)
     # rows (s[n], 1) obey (s[n+1], 1) = (s[n], 1) @ J^T for the per-collision map J;

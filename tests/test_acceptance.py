@@ -1,6 +1,7 @@
 """Acceptance gate: every criterion runs at its stated tolerance and prints
 one pass/fail line (run with -s to see them as they complete)."""
 
+import contextlib
 import io
 
 import pytest
@@ -45,12 +46,12 @@ def test_run_all_reports_failures_and_exit_code(monkeypatch):
     failing = acceptance._criterion("broken")(lambda: (False, "off by one"))
     good = acceptance._criterion("fine")(passing)
     monkeypatch.setattr(acceptance, "ALL_CRITERIA", (good, failing))
-    out = io.StringIO()
-    assert acceptance.run_all(out) == 3
+    with contextlib.redirect_stdout(io.StringIO()) as out:
+        assert acceptance.run_all() == 3
     lines = out.getvalue().splitlines()
     assert lines[1].startswith("FAIL broken [") and lines[1].endswith("] off by one")
     assert lines[-1] == "1/2 acceptance criteria passed"
     monkeypatch.setattr(acceptance, "ALL_CRITERIA", (good, good))
-    out = io.StringIO()
-    assert acceptance.run_all(out) == 0
+    with contextlib.redirect_stdout(io.StringIO()) as out:
+        assert acceptance.run_all() == 0
     assert out.getvalue().splitlines()[-1] == "2/2 acceptance criteria passed"

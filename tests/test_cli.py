@@ -333,6 +333,30 @@ class TestMain:
     def test_run_missing_target(self, tmp_path, capsys):
         assert cli.main(["run", "no-such-preset", "--out", str(tmp_path)]) == 2
 
+    def test_preset_runs_again_beside_its_output_directory(self, tmp_path, monkeypatch):
+        # the first run makes a directory named like the preset; the second
+        # still reads the preset and does not try to open that directory
+        monkeypatch.chdir(tmp_path)
+        for _ in range(2):
+            assert cli.main(["run", "spont", "--out", "spont"]) == 0
+        assert (tmp_path / "spont" / "spont.csv").is_file()
+
+    def test_run_refuses_a_config_that_is_not_utf8(self, tmp_path, capsys):
+        cfg = tmp_path / "latin1.cfg"
+        cfg.write_bytes("# Gr\u00fc\u00dfe\n".encode("latin-1") + spont_config().encode())
+        assert cli.main(["run", str(cfg), "--out", str(tmp_path)]) == 2
+        assert capsys.readouterr().err.startswith("invalid config file: ")
+
+    def test_short_grid_for_the_exponential_packet_exits_2(self, tmp_path, capsys):
+        # exp(-G*T) = exp(-1) = 0.368: the grid holds too little of the packet
+        cfg = tmp_path / "short.cfg"
+        cfg.write_text("scenario = single-photon\nsolver = recursion\ngamma = 1.0\n"
+                       "dt = 1e-3\nn_steps = 1000\nwavepacket = exponential\n")
+        assert cli.main(["run", str(cfg), "--out", str(tmp_path)]) == 2
+        err = capsys.readouterr().err
+        assert "extend the grid" in err and "renormalize" not in err
+        assert not list(tmp_path.glob("*.csv"))
+
     def test_strict_flag_turns_warning_into_exit_2(self, tmp_path, capsys):
         risky = tmp_path / "risky.cfg"
         risky.write_text("scenario = spont\nsolver = analytic\ngamma = 1\n"

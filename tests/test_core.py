@@ -110,13 +110,10 @@ class TestWavepackets:
         spun = make_exponential_wavepacket(2.0, 5.0, grid)
         assert np.allclose(np.abs(flat.samples), np.abs(spun.samples))
 
-    def test_exponential_short_grid_needs_flag(self):
+    def test_exponential_short_grid_refused(self):
         grid = TimeGrid(dt=1e-3, n_steps=1000)  # exp(-1) tail
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="extend the grid$"):
             make_exponential_wavepacket(1.0, 0.0, grid)
-        pkt = make_exponential_wavepacket(1.0, 0.0, grid, renormalize=True)
-        assert pkt.discrete_norm() == pytest.approx(1.0, abs=1e-9)
-        assert pkt.renorm_factor != 1.0
 
     def test_gaussian_norm_and_peak(self):
         grid = TimeGrid(dt=1e-3, n_steps=10000)

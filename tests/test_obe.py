@@ -12,11 +12,10 @@ from collide1d.obe import (_initial_bloch, _rk4_step_matrix, bloch_generator,
 from collide1d.observables import dominant_angular_frequency
 
 
-def loop_obe(params, t_final, phi0="g", dt_rk=None):
+def loop_obe(params, t_final, phi0="g"):
     """(last + 1, 3) Bloch vectors by the sequential RK4 loop, step by step."""
     last = params.grid.index_of(t_final)
-    limit = rk_step_limit(params)
-    n_sub = max(1, math.ceil(params.dt / (dt_rk if dt_rk is not None else limit)))
+    n_sub = max(1, math.ceil(params.dt / rk_step_limit(params)))
     step = _rk4_step_matrix(*bloch_generator(params), params.dt / n_sub)
     x = np.append(_initial_bloch(phi0), 1.0)
     out = np.empty((last + 1, 3))
@@ -79,11 +78,6 @@ class TestIntegration:
         est = dominant_angular_frequency(traj.p_excited(), p.dt)
         assert abs(est - 20.0) / 20.0 < 1e-2
 
-    def test_step_guard_rejects_coarse_rk(self):
-        p = SimulationParams(gamma=1.0, dt=1e-2, n_steps=10, omega_rabi=5.0)
-        with pytest.raises(ValueError):
-            obe_integrate(p, 0.1, "g", dt_rk=1e-2)
-
     def test_rk4_self_convergence_order(self):
         p = SimulationParams(gamma=1.0, dt=1e-2, n_steps=10, omega_rabi=3.0,
                              delta=1.0)
@@ -137,7 +131,7 @@ class TestCompareWithCm:
         p = SimulationParams(gamma=1.0, dt=1e-4, n_steps=10000, omega_rabi=20.0)
         error, run = sector_obe_error(p, 1.0, m_max=2)
         assert error <= 1e-2
-        assert run.truncation_deficit(p.grid.index_of(1.0)) < 0.05
+        assert run.truncation_deficit() < 0.05
 
     def test_off_resonant_drive(self):
         p = SimulationParams(gamma=1.0, dt=1e-4, n_steps=10000, omega_rabi=2.0,

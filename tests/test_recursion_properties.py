@@ -41,9 +41,9 @@ def single_excitation_runs(draw):
                                                        3000)))
     omega = draw(st.floats(-5.0, 5.0))
     total = params.grid.total_time
-    if kind == "exponential":
-        return params, make_exponential_wavepacket(draw(st.floats(0.1, 10.0)), omega,
-                                                   params.grid, renormalize=True)
+    if kind == "exponential":  # exp(-G*T) <= e^-14: the grid holds the whole packet
+        return params, make_exponential_wavepacket(draw(st.floats(14.0, 60.0)) / total,
+                                                   omega, params.grid)
     if kind == "gaussian":
         sigma = draw(st.floats(0.1, 1.0)) * total / 10
         return params, make_gaussian_wavepacket(sigma, total / 2, omega, params.grid)
@@ -54,7 +54,7 @@ def single_excitation_runs(draw):
 def test_scan_matches_collision_loop(case):
     params, packet = case
     if packet is None:
-        run = run_single_excitation(params, None, excited_amplitude=1.0)
+        run = run_single_excitation(params, None)
         b0, ce0 = np.zeros(params.n_steps, complex), 1.0 + 0j
     else:
         run = run_single_excitation(params, packet)

@@ -69,6 +69,16 @@ class TestRecursion:
         with pytest.raises(ValueError):
             run_single_excitation(params, packet)
 
+    def test_longer_packet_grid_refused_by_both_tiers(self):
+        # the closed forms and the recursion share one rule: the packet lies on
+        # params.grid, so neither cuts a longer packet nor broadcasts against it
+        params = SimulationParams(gamma=1.0, dt=1e-3, n_steps=15000)
+        packet = make_exponential_wavepacket(1.0, 0.0, TimeGrid(1e-3, 16000))
+        for solve in (analytic.single_photon_record, analytic.single_photon_p_excited,
+                      lambda packet, params: run_single_excitation(params, packet)):
+            with pytest.raises(ValueError, match=r"n_steps=16000\).*n_steps=15000\)"):
+                solve(packet, params)
+
     def test_detuned_packet_excites_less(self):
         params = SimulationParams(gamma=1.0, dt=1e-3, n_steps=16000)
         resonant = make_exponential_wavepacket(1.0, 0.0, params.grid)
@@ -83,7 +93,7 @@ class TestMapFromExcitedQubit:
         # the same per-collision map, started from |e> over vacuum, recovers
         # the Wigner-Weisskopf state
         params = SimulationParams(gamma=1.0, dt=1e-3, n_steps=4000, omega_q=2.0)
-        run = run_single_excitation(params, None, excited_amplitude=1.0)
+        run = run_single_excitation(params, None)
         times = params.grid.times()
         assert np.abs(run.c_e_trajectory
                       - np.exp(-0.5 * params.gamma * times)).max() < 1e-12
@@ -92,14 +102,3 @@ class TestMapFromExcitedQubit:
         fid = state_fidelity(run.state_at(2000),
                              spontaneous_emission_state(2.0, params))
         assert fid >= 1 - 5 * params.gamma * params.dt
-
-    def test_vacuum_input_needs_unit_amplitude(self):
-        params = SimulationParams(gamma=1.0, dt=1e-3, n_steps=100)
-        with pytest.raises(ValueError):
-            run_single_excitation(params, None, excited_amplitude=0.5)
-
-    def test_wavepacket_excludes_excited_start(self):
-        params = SimulationParams(gamma=1.0, dt=1e-3, n_steps=16000)
-        packet = make_exponential_wavepacket(1.0, 0.0, params.grid)
-        with pytest.raises(ValueError):
-            run_single_excitation(params, packet, excited_amplitude=1.0)

@@ -1,9 +1,10 @@
-"""Code lines of src/collide1d that no program input runs.
+"""Code lines of src/collide1d that no program input or benchmark smoke unit runs.
 
-Runs every preset, every tests/golden/*.cfg and `collide1d check` in one
-process under sys.settrace.  Prints, per module, how many of its code lines
-(the lines of its code objects' co_lines) never ran, then lists them.  A
-report, not a gate: it exits 1 only if a run fails.
+Runs every preset, every tests/golden/*.cfg, `collide1d check` and one smoke
+unit of each in-process perfbench workload in one process under sys.settrace.
+Prints, per module, how many of its code lines (the lines of its code
+objects' co_lines) never ran, then lists them.  A report, not a gate: it
+exits 1 only if a run fails or a smoke unit's own check reports a problem.
 
     python tools/program_lines.py
 """
@@ -38,8 +39,10 @@ def code_lines(code):
 
 
 sys.path.insert(0, str(ROOT / "src"))
+sys.path.insert(0, str(ROOT))
 sys.settrace(_call)  # before the import, so module-level lines count too
 from collide1d import cli  # noqa: E402
+from perfbench import workloads  # noqa: E402
 
 failed = []
 with tempfile.TemporaryDirectory() as out:
@@ -50,6 +53,12 @@ with tempfile.TemporaryDirectory() as out:
             code = cli.main(argv)
         if code:
             failed.append(f"{' '.join(argv[:2])} exited {code}")
+    # a fresh_process workload runs `collide1d check`, which ran above
+    for name, workload in workloads.WORKLOADS.items():
+        if not workload.fresh_process:
+            unit = workload(seed=1, smoke=True)
+            failed += [f"{name}: {problem}"
+                       for problem in unit.check(workloads.run_checked(unit, out))]
 sys.settrace(None)
 
 unrun = {}
