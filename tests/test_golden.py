@@ -2,9 +2,14 @@
 
 ``tests/golden/<name>.cfg`` holds one small config per scenario x solver
 branch; the ``.csv`` and ``.manifest`` beside it were written by
-``collide1d run tests/golden/<name>.cfg --out tests/golden``.  A branch must
-repeat them byte for byte unless it is in ``NUMERIC``, as every branch now
-is; those are compared field by field to an absolute ``NUMERIC_TOL``.  Their
+``collide1d run tests/golden/<name>.cfg --out tests/golden``.  A config must
+repeat them byte for byte unless it is in ``NUMERIC``; those are compared
+field by field to an absolute ``NUMERIC_TOL``.  The configs outside it cover
+regimes that a valid config selects and no other golden reaches: the moment
+chain at nine sectors, with blocks of structured steps (``*-m8-n200``) and
+as one block (``*-m8-n100``), for both the sector and closed-form solvers,
+and the closed-form single-photon filter restarting its exponent once
+gamma*T/2 > 300 (``single-photon-analytic-restart``).  The ``NUMERIC``
 goldens were written by code that rounds differently: an FFT convolution
 chain for the three whose sector moments now come from the moment chain
 (block starts by a log-depth doubling scan, then structured steps), a
