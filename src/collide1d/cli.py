@@ -18,6 +18,7 @@ import itertools
 import math
 import os
 import sys
+import warnings
 from dataclasses import KW_ONLY, MISSING, dataclass, field, fields, replace
 from typing import Callable, NamedTuple
 
@@ -26,8 +27,8 @@ import numpy as np
 from . import __version__
 from . import analytic, observables
 from .core import (MAX_NORM_DEFICIT, VALIDITY_BOUND, MemoryGuardError, RunRecord,
-                   SimulationParams, Wavepacket, make_exponential_wavepacket,
-                   make_gaussian_wavepacket)
+                   SimulationParams, ValidityWarning, Wavepacket,
+                   make_exponential_wavepacket, make_gaussian_wavepacket)
 from .engine import (DISPLACED, LAB, MAX_SECTOR_AMPLITUDES, DenseJointState,
                      check_dense_size, run_dense, run_displaced_sectors,
                      run_single_excitation)
@@ -134,11 +135,10 @@ class ScenarioConfig:
     def resolved_phi0(self) -> str:
         return self.phi0 if self.phi0 is not None else SCENARIOS[self.scenario].phi0
 
-    def params(self, strict: bool = False) -> SimulationParams:
+    def params(self) -> SimulationParams:
         return SimulationParams(gamma=self.gamma, dt=self.dt, n_steps=self.n_steps,
                                 omega_q=self.omega_q, delta=self.delta,
-                                omega_rabi=self.omega_rabi, fock_dim=self.fock_dim,
-                                strict=strict)
+                                omega_rabi=self.omega_rabi, fock_dim=self.fock_dim)
 
     def build_wavepacket(self, params: SimulationParams) -> Wavepacket:
         omega = self.wavepacket_omega if self.wavepacket_omega is not None else self.omega_q
@@ -557,7 +557,7 @@ _SWEEPS = {
 }
 
 
-def sweep(config: ScenarioConfig, strict: bool = False):
+def sweep(config: ScenarioConfig):
     """Measure a check scenario's error at every step size, in run order.
 
     Every step size's parameters pass the validity and dense memory guards
@@ -574,7 +574,7 @@ def sweep(config: ScenarioConfig, strict: bool = False):
     runs = []
     for factor in spec.factors:
         n_steps = int(config.n_steps / factor) if spec.fixed_time else config.n_steps
-        params = replace(config, dt=config.dt * factor, n_steps=n_steps).params(strict)
+        params = replace(config, dt=config.dt * factor, n_steps=n_steps).params()
         check_dense_size(params.n_steps, params.fock_dim)
         runs.append(params)
     dts, errors = [], []
@@ -592,14 +592,14 @@ def sweep(config: ScenarioConfig, strict: bool = False):
     return kept, metrics
 
 
-def run_scenario(config: ScenarioConfig, out_dir: str = ".", strict: bool = False):
+def run_scenario(config: ScenarioConfig, out_dir: str = "."):
     """Execute a validated config; returns (table, metrics, csv_path, exit_code)."""
     if config.scenario in _SWEEPS:
-        (errors, traj), metrics = sweep(config, strict)
+        (errors, traj), metrics = sweep(config)
         record, residuals = _SWEEPS[config.scenario].columns(traj, errors)
         table = _table(record, config.snapshot_stride, residuals)
     else:
-        table, metrics = _solve(config, config.params(strict=strict)), {}
+        table, metrics = _solve(config, config.params()), {}
     os.makedirs(out_dir, exist_ok=True)
     stem = os.path.join(out_dir, config.stem())
     csv_path = stem + ".csv"
@@ -723,8 +723,12 @@ def main(argv=None) -> int:
             print(f"config error: {line}", file=sys.stderr)
         return EXIT_INVALID
     try:
-        _, metrics, csv_path, code = run_scenario(config, out_dir=out_dir, strict=args.strict)
-    except (ValueError, MemoryGuardError, OSError) as exc:  # OSError: output not writable
+        with warnings.catch_warnings():
+            if args.strict:
+                warnings.simplefilter("error", ValidityWarning)
+            _, metrics, csv_path, code = run_scenario(config, out_dir=out_dir)
+    # OSError: output not writable
+    except (ValueError, ValidityWarning, MemoryGuardError, OSError) as exc:
         print(f"invalid run: {exc}", file=sys.stderr)
         return EXIT_INVALID
     print(csv_path)

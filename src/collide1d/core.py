@@ -99,7 +99,8 @@ class SimulationParams:
     dt         : collision duration
     n_steps    : number of collisions
     fock_dim   : per-mode Fock truncation of the dense oracle (>= 2)
-    strict     : turn first-order validity warnings into errors
+    A rate times dt >= VALIDITY_BOUND issues a ValidityWarning; a caller refuses
+    such a run with warnings.simplefilter("error", ValidityWarning).
     """
 
     gamma: float
@@ -109,7 +110,6 @@ class SimulationParams:
     delta: float = 0.0
     omega_rabi: float = 0.0
     fock_dim: int = 2
-    strict: bool = False
 
     def __post_init__(self):
         for name in ("gamma", "dt", "omega_q", "delta", "omega_rabi"):
@@ -141,8 +141,6 @@ class SimulationParams:
             if value >= VALIDITY_BOUND:
                 msg = (f"{name} = {value:.3g} >= {VALIDITY_BOUND}; the collision picture "
                        f"is only first order in dt")
-                if self.strict:
-                    raise ValueError(msg)
                 # past __post_init__ and the generated __init__ to the caller
                 warnings.warn(msg, ValidityWarning, stacklevel=4)
 
@@ -196,13 +194,11 @@ class Wavepacket:
     """Sampled complex envelope xi(t_n), one sample per temporal mode.
 
     samples[n] is the envelope at the left endpoint of bin n, n = 0..n_steps-1,
-    normalized so that sum_n dt*|samples[n]|^2 = 1.  renorm_factor records the
-    scale applied to the raw closed-form envelope to reach unit discrete norm.
+    normalized so that sum_n dt*|samples[n]|^2 = 1.
     """
 
     samples: np.ndarray = field(repr=False)
     grid: TimeGrid
-    renorm_factor: float = 1.0
 
     def __post_init__(self):
         if len(self.samples) != self.grid.n_steps:
@@ -223,7 +219,7 @@ def _normalized(raw: np.ndarray, grid: TimeGrid) -> Wavepacket:
     if norm == 0:
         raise ValueError("wavepacket envelope is identically zero")
     factor = 1.0 / norm
-    pkt = Wavepacket(samples=raw * factor, grid=grid, renorm_factor=factor)
+    pkt = Wavepacket(samples=raw * factor, grid=grid)
     if not abs(pkt.discrete_norm() - 1.0) < 1e-9:
         raise ValueError(f"wavepacket envelope cannot be normalized: discrete norm "
                          f"{pkt.discrete_norm()} after rescaling")

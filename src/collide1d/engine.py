@@ -437,16 +437,9 @@ class SectorRun:
     def p_excited(self) -> np.ndarray:
         return self.qubit_trajectory()[:, 1, 1].real
 
-    def norm_trajectory(self) -> np.ndarray:
-        return np.einsum("naa->n", self.qubit_trajectory()).real
-
-    def sector_weight_trajectories(self) -> np.ndarray:
-        """(m_max+1, N+1, 2) sector weights per qubit label over the run."""
-        return self._moments[1].copy()
-
     def truncation_deficit(self) -> float:
         """Weight outside the tracked sectors at the end of the run."""
-        return float(1.0 - self.norm_trajectory()[-1])
+        return float(1.0 - np.trace(self._moments[0][-1]).real)
 
     def emission_weights(self) -> np.ndarray:
         """Weight emitted into each time bin, summed over tracked sectors.
@@ -460,8 +453,7 @@ class SectorRun:
     def record(self) -> RunRecord:
         """Qubit trajectory, emitted flux per bin and sector weights of the run."""
         return RunRecord(self.params, self.qubit_trajectory(),
-                         self.emission_weights() / self.params.dt,
-                         self.sector_weight_trajectories())
+                         self.emission_weights() / self.params.dt, self._moments[1].copy())
 
     # -- amplitudes --------------------------------------------------------------
 

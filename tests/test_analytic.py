@@ -272,13 +272,12 @@ class TestSinglePhotonClosedForm:
         self.packet = make_exponential_wavepacket(1.0, 0.0, self.params.grid)
 
     def test_xi_tilde_resonant_closed_form(self):
-        # the integrand is the constant sqrt(gamma), so the left-Riemann sum
-        # is exact: xi~(t) = sqrt(gamma) * t * e^{-gamma t/2} (times the
-        # packet's recorded normalization factor)
+        # the integrand is the constant samples[0], the normalized sqrt(gamma)
+        # since the packet's rate is gamma, so the left-Riemann sum is exact:
+        # xi~(t) = samples[0] * t * e^{-gamma t/2}
         gamma = self.params.gamma
         for t in (0.5, 2.0, 5.0):
-            expected = (self.packet.renorm_factor * math.sqrt(gamma) * t
-                        * math.exp(-gamma * t / 2))
+            expected = self.packet.samples[0] * t * math.exp(-gamma * t / 2)
             xi_t = xi_tilde_trajectory(self.packet, self.params)[self.params.grid.index_of(t)]
             assert xi_t == pytest.approx(expected, rel=1e-12)
 

@@ -366,6 +366,18 @@ class TestMain:
         assert cli.main(["run", str(risky), "--out", str(tmp_path),
                          "--strict"]) == 2
 
+    def test_strict_refusal_writes_nothing_and_restores_the_filters(self, tmp_path, capsys):
+        risky = tmp_path / "risky.cfg"
+        risky.write_text(spont_config(dt="0.2"))
+        out = tmp_path / "out"
+        filters = list(warnings.filters)
+        assert cli.main(["run", str(risky), "--out", str(out), "--strict"]) == 2
+        assert capsys.readouterr().err == (
+            "invalid run: gamma*dt = 0.2 >= 0.1; the collision picture is only first "
+            "order in dt\n")
+        assert not out.exists()
+        assert warnings.filters == filters
+
     @pytest.mark.parametrize("text,flags", [
         # 6, 12 and 24 modes at fixed final time: 24 exceed the dense memory guard
         ("scenario = convergence\ndt = 0.01\nn_steps = 6\n", []),

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -58,9 +59,10 @@ class TestSimulationParams:
         assert record[0].filename == __file__
 
     def test_validity_guard_raises_when_strict(self):
-        with pytest.raises(ValueError):
-            SimulationParams(gamma=1.0, dt=1e-3, n_steps=5, omega_rabi=200.0,
-                             strict=True)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", ValidityWarning)
+            with pytest.raises(ValidityWarning, match="omega_rabi\\*dt = 0.2 >= 0.1"):
+                SimulationParams(gamma=1.0, dt=1e-3, n_steps=5, omega_rabi=200.0)
 
     def test_detuning_guard(self):
         with pytest.warns(ValidityWarning):
@@ -101,8 +103,13 @@ class TestWavepackets:
 
     def test_exponential_initial_value_before_renormalization(self):
         grid = TimeGrid(dt=1e-3, n_steps=20000)
-        pkt = make_exponential_wavepacket(1.0, 0.0, grid)
-        assert abs(pkt.samples[0] / pkt.renorm_factor) ** 2 == pytest.approx(1.0)
+        big_gamma = 2.0
+        pkt = make_exponential_wavepacket(big_gamma, 0.0, grid)
+        # the raw samples sqrt(G) e^{-G t_n / 2} have the discrete norm
+        # dt * G * sum_n e^{-G t_n}, a geometric sum
+        ratio = math.exp(-big_gamma * grid.dt)
+        raw_norm = grid.dt * big_gamma * (1 - ratio ** grid.n_steps) / (1 - ratio)
+        assert pkt.samples[0] == pytest.approx(math.sqrt(big_gamma / raw_norm), rel=1e-12)
 
     def test_exponential_phase_does_not_change_intensity(self):
         grid = TimeGrid(dt=1e-3, n_steps=10000)

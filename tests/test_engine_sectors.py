@@ -26,7 +26,7 @@ class TestSectorRun:
     def test_undriven_ground_is_stationary(self):
         p = SimulationParams(gamma=1.0, dt=1e-2, n_steps=50)
         run = run_displaced_sectors(p, 2, "g")
-        weights = run.sector_weight_trajectories()
+        weights = run.record().weights
         assert np.abs(weights[0, :, 0] - 1.0).max() < 1e-14
         assert weights[1:].max() < 1e-28
 
@@ -67,7 +67,7 @@ class TestSectorRun:
 
     def test_norm_monotone_in_m_max(self):
         p = SimulationParams(gamma=1.0, dt=1e-3, n_steps=500, omega_rabi=20.0)
-        norms = [run_displaced_sectors(p, m, "g").norm_trajectory()[-1]
+        norms = [np.trace(run_displaced_sectors(p, m, "g").record().rho[-1]).real
                  for m in (0, 1, 2)]
         assert norms[0] <= norms[1] <= norms[2] <= 1 + 1e-9
 
@@ -105,9 +105,10 @@ class TestSectorRun:
         # emitted weight + final qubit norm must add to one
         p = SimulationParams(gamma=1.0, dt=1e-2, n_steps=8, omega_rabi=2.0)
         run = run_displaced_sectors(p, 8, "g")
-        assert run.norm_trajectory()[-1] == pytest.approx(1.0, abs=1e-12)
+        record = run.record()
+        assert np.trace(record.rho[-1]).real == pytest.approx(1.0, abs=1e-12)
         total_flux = run.emission_weights().sum()
-        weights = run.sector_weight_trajectories()[:, -1, :].sum(axis=1)
+        weights = record.weights[:, -1, :].sum(axis=1)
         mean_photons = sum(m * w for m, w in enumerate(weights))
         assert total_flux == pytest.approx(mean_photons, abs=1e-12)
 

@@ -106,7 +106,7 @@ def test_recurrence_matches_fft_reference(drive, phi0, m_max, offset):
 @given(drive=drives(n_steps=LONG), phi0=qubit_states(), m_max=st.integers(0, 5))
 def test_sector_weights_are_probabilities(drive, phi0, m_max):
     params = SimulationParams(**drive)
-    sectors = run_displaced_sectors(params, m_max, phi0).sector_weight_trajectories()
+    sectors = run_displaced_sectors(params, m_max, phi0).record().weights
     assert sectors.min() >= 0.0
     assert sectors.max() <= 1.0 + 1e-12
     # the closed form's discrete norm may exceed one by O(gamma*dt), so only

@@ -50,8 +50,7 @@ class TestRecursion:
         shift = 100
         a = make_gaussian_wavepacket(1.0, 5.0, 0.0, params.grid)
         delayed = np.concatenate((np.zeros(shift, complex), a.samples[:-shift]))
-        b = Wavepacket(samples=delayed, grid=params.grid,
-                       renorm_factor=a.renorm_factor)
+        b = Wavepacket(samples=delayed, grid=params.grid)
         ce_a = run_single_excitation(params, a).c_e_trajectory
         ce_b = run_single_excitation(params, b).c_e_trajectory
         assert np.array_equal(ce_a[:-shift], ce_b[shift:])
