@@ -88,6 +88,18 @@ SCENARIOS = {
 }
 SOLVERS = ("dense", "sectors", "recursion", "analytic")
 
+
+def _unread(scenario: str, solver, key: str) -> bool:
+    """Whether a run of scenario and solver (None: a sweep) ignores a config key."""
+    if key.startswith("wavepacket"):
+        return scenario != "single-photon"
+    if key == "fock_dim":  # only the dense oracle truncates a mode's Fock space
+        return solver in ("sectors", "analytic", "recursion")
+    # the moment chains and the oracle comparison's closed form count sectors
+    return key == "m_max" and solver != "sectors" and (scenario, solver) not in (
+        ("coherent", "analytic"), ("oracle-compare", None))
+
+
 EXIT_OK = 0
 EXIT_INVALID = 2
 EXIT_THRESHOLD = 3
@@ -230,6 +242,10 @@ def parse_config(text: str) -> ScenarioConfig:
     if row and not row.driven and values.get("omega_rabi"):
         problems.append(f"{where('omega_rabi')}: scenario {scenario!r} has no coherent "
                         f"drive; omega_rabi must be 0")
+    for key in lines:
+        if row and _unread(scenario, solver, key):
+            run = f"scenario {scenario!r}" + (f" with solver {solver!r}" if solver else "")
+            problems.append(f"{where(key)}: {run} does not read {key}; remove it")
 
     if problems:
         raise ConfigError(problems)

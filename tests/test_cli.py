@@ -239,6 +239,35 @@ class TestMain:
         assert capsys.readouterr().err == f"config error: line 6: {key} must be non-negative\n"
         assert not list(tmp_path.glob("*.csv"))
 
+    @pytest.mark.parametrize("overrides,unread", [
+        (dict(scenario="coherent", solver="sectors", fock_dim="5", wavepacket_gamma="2"),
+         {6: "fock_dim", 7: "wavepacket_gamma"}),
+        (dict(scenario="spont", solver="dense", m_max="9"), {6: "m_max"}),
+        (dict(fock_dim="3", m_max="1", wavepacket="gaussian"),
+         {6: "fock_dim", 7: "m_max", 8: "wavepacket"}),
+    ], ids=["coherent-sectors", "spont-dense", "spont-analytic"])
+    def test_run_refuses_keys_the_run_never_reads(self, tmp_path, capsys, overrides, unread):
+        # an ignored key would be echoed into the manifest as if it had shaped the run
+        cfg = tmp_path / "unread.cfg"
+        cfg.write_text(spont_config(**overrides))
+        assert cli.main(["run", str(cfg), "--out", str(tmp_path)]) == 2
+        scenario, solver = overrides.get("scenario", "spont"), overrides.get("solver", "analytic")
+        assert capsys.readouterr().err == "".join(
+            f"config error: line {line}: scenario {scenario!r} with solver {solver!r} "
+            f"does not read {key}; remove it\n" for line, key in unread.items())
+        assert not list(tmp_path.glob("*.csv")) and not list(tmp_path.glob("*.manifest"))
+
+    @pytest.mark.parametrize("text", [
+        "scenario = io-check\ndt = 1e-2\nn_steps = 8\nfock_dim = 3\n",
+        "scenario = oracle-compare\ndt = 5e-3\nn_steps = 8\nm_max = 3\n",
+        spont_config(scenario="coherent", solver="analytic", m_max="3"),
+        spont_config(scenario="single-photon", solver="recursion", n_steps="20000",
+                     wavepacket_gamma="1"),
+    ], ids=["io-check-fock-dim", "oracle-compare-m-max", "coherent-analytic-m-max",
+            "single-photon-wavepacket"])
+    def test_keys_the_run_reads_are_accepted(self, text):
+        parse_config(text)
+
     @pytest.mark.parametrize("text", [
         "phi0 = e\ndelta = 0.3\ndt = 0.05\nn_steps = 60000\nsnapshot_stride = 6000\n",
         "dt = 1e20\nn_steps = 1\n"], ids=["gamma-t-3000", "dt-1e20"])

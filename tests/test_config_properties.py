@@ -53,7 +53,8 @@ def valid_values(key, config=None):
 @st.composite
 def configs(draw, values=valid_values):
     """A valid config as a dict: the scenario table's solver, phi0 and drive
-    rules hold, and each optional key is present or not."""
+    rules hold, each optional key that the run reads is present or not, and
+    no key that it ignores is present."""
     scenario = draw(st.sampled_from(tuple(SCENARIOS)))
     row = SCENARIOS[scenario]
     config = {"scenario": scenario}
@@ -66,6 +67,8 @@ def configs(draw, values=valid_values):
             config[key] = draw(values(key, config))
     if not row.driven:
         config.pop("omega_rabi", None)
+    for key in [key for key in config if cli._unread(scenario, config.get("solver"), key)]:
+        del config[key]
     if row.start and "phi0" in config:  # the scenario fixes its initial state
         config["phi0"] = row.phi0
     return config
