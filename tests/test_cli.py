@@ -258,17 +258,6 @@ class TestMain:
         assert not list(tmp_path.glob("*.csv")) and not list(tmp_path.glob("*.manifest"))
 
     @pytest.mark.parametrize("text", [
-        "scenario = io-check\ndt = 1e-2\nn_steps = 8\nfock_dim = 3\n",
-        "scenario = oracle-compare\ndt = 5e-3\nn_steps = 8\nm_max = 3\n",
-        spont_config(scenario="coherent", solver="analytic", m_max="3"),
-        spont_config(scenario="single-photon", solver="recursion", n_steps="20000",
-                     wavepacket_gamma="1"),
-    ], ids=["io-check-fock-dim", "oracle-compare-m-max", "coherent-analytic-m-max",
-            "single-photon-wavepacket"])
-    def test_keys_the_run_reads_are_accepted(self, text):
-        parse_config(text)
-
-    @pytest.mark.parametrize("text", [
         "phi0 = e\ndelta = 0.3\ndt = 0.05\nn_steps = 60000\nsnapshot_stride = 6000\n",
         "dt = 1e20\nn_steps = 1\n"], ids=["gamma-t-3000", "dt-1e20"])
     @pytest.mark.filterwarnings("ignore::UserWarning")  # gamma*dt = 1e20
