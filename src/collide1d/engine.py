@@ -70,14 +70,6 @@ def _partial_trace(m: np.ndarray) -> np.ndarray:
     return np.array([[r00, r01], [np.conj(r01), r11]])
 
 
-def _lowering_average(cone: np.ndarray, mode: int, d: int) -> complex:
-    """<a_mode> of a (2, d^live) cone, sum_k sqrt(k+1) sum conj(psi[.., k, ..]) psi[.., k+1, ..],
-    by numpy pairwise sums like _partial_trace."""
-    psi = cone.reshape(2 * d**mode, d, -1)
-    return complex(sum(math.sqrt(k + 1) * np.sum(psi[:, k].conj() * psi[:, k + 1])
-                       for k in range(d - 1)))
-
-
 @dataclass
 class DenseJointState:
     """Full joint state vector over qubit x (d-level)^N.
@@ -208,6 +200,28 @@ class DenseTrajectory:
         return RunRecord(self.params, self.qubit_matrices, flux)
 
 
+def _real_columns(unitary: np.ndarray, d: int) -> np.ndarray:
+    """(d, 2, 2, 4) real form T[k', q', r', (q, r)] of the columns U[(q',k'), (q,0)], r = re/im:
+    a real cone row (re c_g, im c_g, re c_e, im c_e) times T.reshape(4d, 4).T is its growth."""
+    u = unitary[:, ::d].reshape(2, d, 2).transpose(1, 0, 2)  # [k', q', q]
+    return np.stack([np.stack([u.real, -u.imag], -1), np.stack([u.imag, u.real], -1)], 2
+                    ).reshape(d, 2, 2, 4)
+
+
+def _reduce_gram(gram: np.ndarray, d: int) -> tuple[np.ndarray, complex]:
+    """rho and <a> of the newest mode from the real Gram gram[k, q, r, k', q', r'] of a
+    grown cone, summed over its old modes.
+
+    h[k, q, k', q'] = sum psi[.., k, q] conj(psi[.., k', q']); with psi = re + i im,
+    Re h = G[re, re] + G[im, im] and Im h = G[im, re] - G[re, im].  rho is the trace of
+    h over k, <a> = sum_k sqrt(k+1) sum_q h[k+1, q, k, q].
+    """
+    h = (gram[:, :, 0, :, :, 0] + gram[:, :, 1, :, :, 1]
+         + 1j * (gram[:, :, 1, :, :, 0] - gram[:, :, 0, :, :, 1]))
+    return (np.trace(h, axis1=0, axis2=2),
+            np.sqrt(np.arange(1, d)) @ np.einsum("kqkq->k", h[1:, :, :-1]))
+
+
 def run_dense(params: SimulationParams, initial: DenseJointState,
               frame: str = LAB) -> DenseTrajectory:
     """Apply collisions n = 0..N-1 in order to a qubit state over the vacuum field.
@@ -215,11 +229,20 @@ def run_dense(params: SimulationParams, initial: DenseJointState,
     The input must be (c_g|g> + c_e|e>) x |vacuum> at params.fock_dim, labelled
     `frame`; an input with any photon amplitude, nan included, is refused before a
     unitary is built.  Light cone: collision n mixes only (qubit, mode n), so the
-    state before it is a contiguous (2, d^n) cone over modes < n, the rest in
+    state before it lives on the d^n configurations x of modes < n, the rest in
     vacuum.  Mode n enters in vacuum, so only the columns (g,0) and (e,0) of U act:
-    new[q', x, k'] = sum_q U[(q',k'), (q,0)] cone[q, x].  Recorded: the qubit
-    matrix per step, <a_n> right after collision n, the only one on mode n
-    (a_out), and snapshot N.
+    new[x, k', q'] = sum_q U[(q',k'), (q,0)] cone[x, q].
+
+    The cone is a real (d^n, 4) array, one row per x and the columns (q, re/im), so
+    the qubit is the fastest axis and a collision is one real product with
+    `_real_columns`, whose (d^n, 4d) result is the next cone.  One Gram of that result,
+    summed over x, holds rho and <a_n> (`_reduce_gram`), both read off the grown
+    amplitudes.  The last collision writes the snapshot's layout (qubit slowest, mode
+    N-1 fastest) by one product per q', and its Gram is assembled from three blocks.
+    BLAS threads split the output of each product and each Gram, never the sum over
+    x, so the bits do not depend on the thread count.  Recorded: the qubit matrix per
+    step, <a_n> right after collision n, the only one on mode n (a_out), and
+    snapshot N.
     """
     n = params.n_steps
     if initial.n_modes != n:
@@ -236,25 +259,30 @@ def run_dense(params: SimulationParams, initial: DenseJointState,
 
     build = lab_collision_unitary if frame == LAB else displaced_collision_unitary
     d = params.fock_dim
-    cone = amps[:, :1].copy()
     qubit = np.empty((n + 1, 2, 2), dtype=complex)
     with np.errstate(over="ignore", invalid="ignore"):  # an inf or huge amplitude: refused below
-        qubit[0] = _partial_trace(cone)
+        qubit[0] = _partial_trace(amps[:, :1])
     norm = math.sqrt(qubit[0, 0, 0].real + qubit[0, 1, 1].real)
     if not abs(norm - 1.0) <= 1e-9:  # "not within": a nan norm is refused too
         raise ValueError(f"initial state not normalized: |psi| = {norm}")
+    cone = amps[:, 0].copy().view(float).reshape(1, 4)
     a_out = np.empty(n, dtype=complex)
     for step in range(n):
-        unitary = build(step, params, d).matrix
-        columns = unitary[:, ::d].reshape(2, d, 2)  # [q', k', q] of U[(q',k'), (q,0)]
-        grown = np.empty((2, cone.shape[1], d), dtype=complex)
-        for k in range(d):
-            np.matmul(columns[:, k], cone, out=grown[:, :, k])
-        cone = grown.reshape(2, -1)
-        qubit[step + 1] = _partial_trace(cone)
-        a_out[step] = _lowering_average(cone, step, d)
+        columns = _real_columns(build(step, params, d).matrix, d)
+        if step < n - 1:
+            grown = cone @ columns.reshape(4 * d, 4).T  # [x, (k', q', r')]
+            gram = (grown.T @ grown).reshape(d, 2, 2, d, 2, 2)
+            cone = grown.reshape(-1, 4)
+        else:
+            grown = np.empty((2, len(cone), 2 * d))  # [q', x, (k', r')]
+            for q in range(2):
+                np.matmul(cone, columns[:, q].reshape(2 * d, 4).T, out=grown[q])
+            cross = grown[0].T @ grown[1]
+            gram = np.block([[grown[0].T @ grown[0], cross], [cross.T, grown[1].T @ grown[1]]])
+            gram = gram.reshape(2, d, 2, 2, d, 2).transpose(1, 0, 2, 4, 3, 5)
+        qubit[step + 1], a_out[step] = _reduce_gram(gram, d)
     return DenseTrajectory(params, frame, qubit, a_out,
-                           {n: DenseJointState(cone.reshape(-1), n, d, frame)})
+                           {n: DenseJointState(grown.view(complex).reshape(-1), n, d, frame)})
 
 
 # ---------------------------------------------------------------------------
