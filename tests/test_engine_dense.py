@@ -1,4 +1,7 @@
 import math
+import os
+import subprocess
+import sys
 import tracemalloc
 
 import numpy as np
@@ -238,6 +241,46 @@ def test_peak_memory_is_at_most_two_states(frame, qubit):
     finally:
         tracemalloc.stop()
     assert peak <= 2 * initial.amplitudes.nbytes
+
+
+# One run at 18 displaced modes and one at 20 lab modes; writes each run's qubit
+# matrices, a_out and the SHA-256 digest of its snapshot to the .npz named by argv[1].
+THREAD_PROBE = """
+import hashlib, sys
+import numpy as np
+from collide1d import DenseJointState, SimulationParams, run_dense
+out = {}
+for frame, n, drive in (("displaced", 18, dict(omega_rabi=2.0, delta=0.3)), ("lab", 20, {})):
+    p = SimulationParams(gamma=1.0, dt=1e-2, n_steps=n, omega_q=1.0, **drive)
+    initial = DenseJointState.product_state(np.array([0.6, 0.8j]), n, 2, frame=frame)
+    traj = run_dense(p, initial, frame=frame)
+    out[frame + "-qubit"], out[frame + "-a_out"] = traj.qubit_matrices, traj.a_out
+    out[frame + "-snapshot"] = hashlib.sha256(traj.snapshot(n).amplitudes).hexdigest()
+np.savez(sys.argv[1], **out)
+"""
+
+
+def test_bits_do_not_depend_on_the_blas_thread_count(tmp_path):
+    # the golden configs are too small for BLAS to split a product between threads;
+    # at 2^19 and 2^20 cone rows it does, and each thread must own whole outputs
+    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+    path = os.pathsep.join([src] + [p for p in [os.environ.get("PYTHONPATH")] if p])
+    runs = []
+    for threads in ("1", "2"):
+        out = tmp_path / f"threads-{threads}.npz"
+        result = subprocess.run([sys.executable, "-c", THREAD_PROBE, str(out)],
+                                capture_output=True, text=True,
+                                env=dict(os.environ, PYTHONPATH=path,
+                                         OPENBLAS_NUM_THREADS=threads))
+        assert result.returncode == 0, result.stderr
+        runs.append(dict(np.load(out)))
+    one, two = runs
+    assert sorted(one) == sorted(two) and len(one) == 6
+    for key in one:
+        assert one[key].tobytes() == two[key].tobytes(), key
+    for frame in (LAB, DISPLACED):
+        trace = np.einsum("naa->n", one[frame + "-qubit"]).real
+        assert np.abs(trace - 1.0).max() <= 1e-12
 
 
 def expectation(state, op, axis):
