@@ -89,10 +89,15 @@ SCENARIOS = {
 SOLVERS = ("dense", "sectors", "recursion", "analytic")
 
 
-def _unread(scenario: str, solver, key: str) -> bool:
-    """Whether a run of scenario and solver (None: a sweep) ignores a config key."""
-    if key.startswith("wavepacket"):
-        return scenario != "single-photon"
+def _unread(scenario: str, solver, shape: str, key: str) -> bool:
+    """Whether a run of scenario and solver (None: a sweep) with packet `shape`
+    ignores a config key."""
+    if key.startswith("wavepacket"):  # each packet shape reads only its own envelope
+        return scenario != "single-photon" or key in {
+            "exponential": ("wavepacket_sigma", "wavepacket_t0"),
+            "gaussian": ("wavepacket_gamma",)}.get(shape, ())
+    if key == "delta":  # an undriven run has no drive to detune from
+        return not SCENARIOS[scenario].driven
     if key == "fock_dim":  # only the dense oracle truncates a mode's Fock space
         return solver in ("sectors", "analytic", "recursion")
     # the moment chains and the oracle comparison's closed form count sectors
@@ -242,8 +247,9 @@ def parse_config(text: str) -> ScenarioConfig:
     if row and not row.driven and values.get("omega_rabi"):
         problems.append(f"{where('omega_rabi')}: scenario {scenario!r} has no coherent "
                         f"drive; omega_rabi must be 0")
+    shape = values.get("wavepacket", "exponential")
     for key in lines:
-        if row and _unread(scenario, solver, key):
+        if row and _unread(scenario, solver, shape, key):
             run = f"scenario {scenario!r}" + (f" with solver {solver!r}" if solver else "")
             problems.append(f"{where(key)}: {run} does not read {key}; remove it")
 

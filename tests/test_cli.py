@@ -77,6 +77,15 @@ class TestParseConfig:
         with pytest.raises(ConfigError):
             parse_config(text)
 
+    def test_convergence_refuses_delta(self):
+        # the sweep's lab-frame dense runs wrote the same CSV for delta = 0 and 3, and the
+        # validity guard warned about |delta|*dt all the same
+        text = "scenario = convergence\ndt = 0.04\nn_steps = 4\ndelta = 3\n"
+        with pytest.raises(ConfigError) as err:
+            parse_config(text)
+        assert err.value.violations == [
+            "line 4: scenario 'convergence' does not read delta; remove it"]
+
     def test_all_violations_collected(self):
         text = "scenario = nope\ngamma = -2\nwhat = 3\n"
         with pytest.raises(ConfigError) as err:
@@ -245,7 +254,21 @@ class TestMain:
         (dict(scenario="spont", solver="dense", m_max="9"), {6: "m_max"}),
         (dict(fock_dim="3", m_max="1", wavepacket="gaussian"),
          {6: "fock_dim", 7: "m_max", 8: "wavepacket"}),
-    ], ids=["coherent-sectors", "spont-dense", "spont-analytic"])
+        # no undriven run has a drive to detune from; of the three spont tiers only the
+        # sectors one would read delta, as a frame detuning
+        *((dict(solver=solver, delta="3"), {6: "delta"})
+          for solver in ("dense", "sectors", "analytic")),
+        (dict(scenario="single-photon", solver="recursion", delta="3"), {6: "delta"}),
+        # each packet shape reads only its own envelope keys; exponential is the default
+        (dict(scenario="single-photon", wavepacket="exponential", wavepacket_sigma="3",
+              wavepacket_t0="7"), {7: "wavepacket_sigma", 8: "wavepacket_t0"}),
+        (dict(scenario="single-photon", wavepacket_t0="7"), {6: "wavepacket_t0"}),
+        (dict(scenario="single-photon", solver="recursion", wavepacket="gaussian",
+              wavepacket_gamma="2"), {7: "wavepacket_gamma"}),
+    ], ids=["coherent-sectors", "spont-dense", "spont-analytic", "spont-dense-delta",
+            "spont-sectors-delta", "spont-analytic-delta", "single-photon-delta",
+            "exponential-gaussian-keys",
+            "default-shape-gaussian-key", "gaussian-exponential-key"])
     def test_run_refuses_keys_the_run_never_reads(self, tmp_path, capsys, overrides, unread):
         # an ignored key would be echoed into the manifest as if it had shaped the run
         cfg = tmp_path / "unread.cfg"

@@ -67,7 +67,9 @@ def configs(draw, values=valid_values):
             config[key] = draw(values(key, config))
     if not row.driven:
         config.pop("omega_rabi", None)
-    for key in [key for key in config if cli._unread(scenario, config.get("solver"), key)]:
+    shape = config.get("wavepacket", "exponential")
+    for key in [key for key in config
+                if cli._unread(scenario, config.get("solver"), shape, key)]:
         del config[key]
     if row.start and "phi0" in config:  # the scenario fixes its initial state
         config["phi0"] = row.phi0
