@@ -267,8 +267,8 @@ class TestMain:
               wavepacket_gamma="2"), {7: "wavepacket_gamma"}),
     ], ids=["coherent-sectors", "spont-dense", "spont-analytic", "spont-dense-delta",
             "spont-sectors-delta", "spont-analytic-delta", "single-photon-delta",
-            "exponential-gaussian-keys",
-            "default-shape-gaussian-key", "gaussian-exponential-key"])
+            "exponential-gaussian-keys", "default-shape-gaussian-key",
+            "gaussian-exponential-key"])
     def test_run_refuses_keys_the_run_never_reads(self, tmp_path, capsys, overrides, unread):
         # an ignored key would be echoed into the manifest as if it had shaped the run
         cfg = tmp_path / "unread.cfg"

@@ -261,8 +261,8 @@ np.savez(sys.argv[1], **out)
 
 
 def test_bits_do_not_depend_on_the_blas_thread_count(tmp_path):
-    # the golden configs are too small for BLAS to split a product between threads;
-    # at 2^19 and 2^20 cone rows it does, and each thread must own whole outputs
+    # the golden configs' cones are too small for BLAS to split work between threads;
+    # these reach 2^17 and 2^19 rows, and a second thread must not change a bit
     src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
     path = os.pathsep.join([src] + [p for p in [os.environ.get("PYTHONPATH")] if p])
     runs = []
