@@ -116,12 +116,13 @@ class CollisionUnitary:
     matrix: np.ndarray = field(repr=False)
 
     def unitarity_defect(self) -> float:
-        d2 = self.matrix.shape[0]
-        return float(np.abs(self.matrix.conj().T @ self.matrix - np.eye(d2)).max())
+        d2 = self.matrix.shape[-1]
+        return float(np.abs(self.matrix.conj().swapaxes(-1, -2) @ self.matrix - np.eye(d2)).max())
 
 
-def lab_collision_unitary(n: int, params: SimulationParams, fock_dim: int) -> CollisionUnitary:
-    """Exact exponential of the bare qubit-mode coupling at collision n.
+def lab_collision_unitary(n, params: SimulationParams, fock_dim: int) -> CollisionUnitary:
+    """Exact exponential of the bare qubit-mode coupling at collision n, an int, or a
+    (..., 2d, 2d) stack of them for an int array n.
 
     The generator sqrt(gamma*dt)*(e^{i w_q t_n} sigma_+ a - h.c.) splits into
     invariant 2x2 blocks: |g,0> is untouched, each pair {|e,k>, |g,k+1>}
@@ -130,18 +131,19 @@ def lab_collision_unitary(n: int, params: SimulationParams, fock_dim: int) -> Co
     """
     if fock_dim < 2:
         raise ValueError("fock_dim must be >= 2")
-    U = np.eye(2 * fock_dim, dtype=complex)
+    phase = np.exp(1j * params.omega_q * np.asarray(n) * params.dt)
+    U = np.broadcast_to(np.eye(2 * fock_dim, dtype=complex), phase.shape + (2 * fock_dim,) * 2
+                        ).copy()
     theta0 = math.sqrt(params.gamma * params.dt)
-    phase = np.exp(1j * params.omega_q * n * params.dt)
     for k in range(fock_dim - 1):
         theta = math.sqrt(k + 1) * theta0
         ie = fock_dim + k  # |e, k>
         ig = k + 1         # |g, k+1>
         c, s = math.cos(theta), math.sin(theta)
-        U[ie, ie] = c
-        U[ig, ig] = c
-        U[ie, ig] = phase * s
-        U[ig, ie] = -np.conj(phase) * s
+        U[..., ie, ie] = c
+        U[..., ig, ig] = c
+        U[..., ie, ig] = phase * s
+        U[..., ig, ie] = -np.conj(phase) * s
     return CollisionUnitary(matrix=U)
 
 
@@ -157,33 +159,36 @@ def _displaced_operators(d: int) -> tuple:
     return ops
 
 
-def displaced_hamiltonian(n: int, params: SimulationParams, fock_dim: int) -> np.ndarray:
-    """Collision generator in the displaced frame (drive as a classical term)."""
+def displaced_hamiltonian(n, params: SimulationParams, fock_dim: int) -> np.ndarray:
+    """Collision generator in the displaced frame (drive as a classical term); a
+    (..., 2d, 2d) stack for an int array n."""
     proj_e, sigma_y, absorb, emit = _displaced_operators(fock_dim)
-    phase = np.exp(1j * params.omega_p * n * params.dt)
+    phase = np.exp(1j * params.omega_p * np.asarray(n) * params.dt)[..., None, None]
     return (params.delta * proj_e - 0.5 * params.omega_rabi * sigma_y
             + 1j * math.sqrt(params.gamma / params.dt) * (phase * absorb - np.conj(phase) * emit))
 
 
-def displaced_collision_unitary(n: int, params: SimulationParams,
+def displaced_collision_unitary(n, params: SimulationParams,
                                 fock_dim: int) -> CollisionUnitary:
-    """exp(-i*dt*H_n) with the drive and detuning included, via eigendecomposition."""
+    """exp(-i*dt*H_n) with the drive and detuning included, via eigendecomposition;
+    a (..., 2d, 2d) stack for an int array n."""
     if fock_dim < 2:
         raise ValueError("fock_dim must be >= 2")
-    H = displaced_hamiltonian(n, params, fock_dim)
-    w, V = np.linalg.eigh(H)
-    U = (V * np.exp(-1j * params.dt * w)) @ V.conj().T
+    w, V = np.linalg.eigh(displaced_hamiltonian(n, params, fock_dim))
+    U = (V * np.exp(-1j * params.dt * w)[..., None, :]) @ V.conj().swapaxes(-1, -2)
     return CollisionUnitary(matrix=U)
 
 
 @dataclass
 class DenseTrajectory:
-    """Per-step qubit matrices, whose trace is the norm; <a_n> out; the final state."""
+    """Per-step qubit matrices, whose trace is the norm; <a_n> and <a_n^dag a_n> of each
+    mode once it is final; the final state."""
 
     params: SimulationParams
     frame: str
     qubit_matrices: np.ndarray = field(repr=False)   # (N+1, 2, 2)
     a_out: np.ndarray = field(repr=False)            # (N,)
+    photons: np.ndarray = field(repr=False)          # (N,)
     snapshots: dict[int, DenseJointState] = field(repr=False)  # step N only
 
     def p_excited(self) -> np.ndarray:
@@ -201,25 +206,28 @@ class DenseTrajectory:
 
 
 def _real_columns(unitary: np.ndarray, d: int) -> np.ndarray:
-    """(d, 2, 2, 4) real form T[k', q', r', (q, r)] of the columns U[(q',k'), (q,0)], r = re/im:
-    a real cone row (re c_g, im c_g, re c_e, im c_e) times T.reshape(4d, 4).T is its growth."""
-    u = unitary[:, ::d].reshape(2, d, 2).transpose(1, 0, 2)  # [k', q', q]
-    return np.stack([np.stack([u.real, -u.imag], -1), np.stack([u.imag, u.real], -1)], 2
-                    ).reshape(d, 2, 2, 4)
+    """(..., d, 2, 2, 4) real form T[k', q', r', (q, r)] of the columns U[(q',k'), (q,0)] of a
+    (..., 2d, 2d) stack, r = re/im: a real cone row (re c_g, im c_g, re c_e, im c_e) times
+    T.reshape(4d, 4).T is its growth."""
+    u = unitary[..., ::d].reshape(unitary.shape[:-2] + (2, d, 2)).swapaxes(-3, -2)  # [k', q', q]
+    return np.stack([np.stack([u.real, -u.imag], -1), np.stack([u.imag, u.real], -1)], -3
+                    ).reshape(u.shape[:-3] + (d, 2, 2, 4))
 
 
-def _reduce_gram(gram: np.ndarray, d: int) -> tuple[np.ndarray, complex]:
-    """rho and <a> of the newest mode from the real Gram gram[k, q, r, k', q', r'] of a
-    grown cone, summed over its old modes.
+def _reduce_gram(gram: np.ndarray, d: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """rho, <a> and <a^dag a> of the newest mode from a (..., 4d, 4d) stack of real Grams
+    gram[(k, q, r), (k', q', r')] of grown cones, each summed over its old modes.
 
     h[k, q, k', q'] = sum psi[.., k, q] conj(psi[.., k', q']); with psi = re + i im,
     Re h = G[re, re] + G[im, im] and Im h = G[im, re] - G[re, im].  rho is the trace of
-    h over k, <a> = sum_k sqrt(k+1) sum_q h[k+1, q, k, q].
+    h over k, <a> = sum_k sqrt(k+1) sum_q h[k+1, q, k, q] and <a^dag a> =
+    sum_k k sum_q h[k, q, k, q].
     """
-    h = (gram[:, :, 0, :, :, 0] + gram[:, :, 1, :, :, 1]
-         + 1j * (gram[:, :, 1, :, :, 0] - gram[:, :, 0, :, :, 1]))
-    return (np.trace(h, axis1=0, axis2=2),
-            np.sqrt(np.arange(1, d)) @ np.einsum("kqkq->k", h[1:, :, :-1]))
+    g = gram.reshape(gram.shape[:-2] + (d, 2, 2, d, 2, 2))
+    h = g[..., 0, :, :, 0] + g[..., 1, :, :, 1] + 1j * (g[..., 1, :, :, 0] - g[..., 0, :, :, 1])
+    return (np.trace(h, axis1=-4, axis2=-2),
+            np.einsum("...kqkq->...k", h[..., 1:, :, :-1, :]) @ np.sqrt(np.arange(1, d)),
+            np.einsum("...kqkq->...k", h).real @ np.arange(d))
 
 
 def run_dense(params: SimulationParams, initial: DenseJointState,
@@ -233,16 +241,18 @@ def run_dense(params: SimulationParams, initial: DenseJointState,
     vacuum.  Mode n enters in vacuum, so only the columns (g,0) and (e,0) of U act:
     new[x, k', q'] = sum_q U[(q',k'), (q,0)] cone[x, q].
 
-    The cone is a real (d^n, 4) array, one row per x and the columns (q, re/im), so
-    the qubit is the fastest axis and a collision is one real product with
+    All N unitaries are built at once, as one stack, and so are their columns.  The
+    cone is a real (d^n, 4) array, one row per x and the columns (q, re/im), so the
+    qubit is the fastest axis and a collision is one real product with
     `_real_columns`, whose (d^n, 4d) result is the next cone.  One Gram of that result,
-    summed over x, holds rho and <a_n> (`_reduce_gram`), both read off the grown
-    amplitudes.  The last collision writes the snapshot's layout (qubit slowest, mode
-    N-1 fastest) by one product per q', and its Gram is assembled from three blocks.
-    BLAS threads split the output of each product and each Gram, never the sum over
-    x, so the bits do not depend on the thread count.  Recorded: the qubit matrix per
-    step, <a_n> right after collision n, the only one on mode n (a_out), and
-    snapshot N.
+    summed over x, holds rho, <a_n> and <a_n^dag a_n>, all read off the grown
+    amplitudes; the Grams are kept and reduced together after the loop
+    (`_reduce_gram`).  The last collision writes the snapshot's layout (qubit slowest,
+    mode N-1 fastest) by one product per q', and its Gram is assembled from three
+    blocks and permuted into the others' layout.  BLAS threads split the output of
+    each product and each Gram, never the sum over x, so the bits do not depend on the
+    thread count.  Recorded: the qubit matrix per step; <a_n> and <a_n^dag a_n> right
+    after collision n, the only one on mode n (a_out, photons); and snapshot N.
     """
     n = params.n_steps
     if initial.n_modes != n:
@@ -266,22 +276,20 @@ def run_dense(params: SimulationParams, initial: DenseJointState,
     if not abs(norm - 1.0) <= 1e-9:  # "not within": a nan norm is refused too
         raise ValueError(f"initial state not normalized: |psi| = {norm}")
     cone = amps[:, 0].copy().view(float).reshape(1, 4)
-    a_out = np.empty(n, dtype=complex)
-    for step in range(n):
-        columns = _real_columns(build(step, params, d).matrix, d)
-        if step < n - 1:
-            grown = cone @ columns.reshape(4 * d, 4).T  # [x, (k', q', r')]
-            gram = (grown.T @ grown).reshape(d, 2, 2, d, 2, 2)
-            cone = grown.reshape(-1, 4)
-        else:
-            grown = np.empty((2, len(cone), 2 * d))  # [q', x, (k', r')]
-            for q in range(2):
-                np.matmul(cone, columns[:, q].reshape(2 * d, 4).T, out=grown[q])
-            cross = grown[0].T @ grown[1]
-            gram = np.block([[grown[0].T @ grown[0], cross], [cross.T, grown[1].T @ grown[1]]])
-            gram = gram.reshape(2, d, 2, 2, d, 2).transpose(1, 0, 2, 4, 3, 5)
-        qubit[step + 1], a_out[step] = _reduce_gram(gram, d)
-    return DenseTrajectory(params, frame, qubit, a_out,
+    columns = _real_columns(build(np.arange(n), params, d).matrix, d)
+    grams = np.empty((n, 4 * d, 4 * d))
+    for step in range(n - 1):
+        grown = cone @ columns[step].reshape(4 * d, 4).T  # [x, (k', q', r')]
+        np.matmul(grown.T, grown, out=grams[step])
+        cone = grown.reshape(-1, 4)
+    grown = np.empty((2, len(cone), 2 * d))  # [q', x, (k', r')]
+    for q in range(2):
+        np.matmul(cone, columns[-1, :, q].reshape(2 * d, 4).T, out=grown[q])
+    cross = grown[0].T @ grown[1]
+    gram = np.block([[grown[0].T @ grown[0], cross], [cross.T, grown[1].T @ grown[1]]])
+    grams[-1] = gram.reshape(2, d, 2, 2, d, 2).transpose(1, 0, 2, 4, 3, 5).reshape(4 * d, -1)
+    qubit[1:], a_out, photons = _reduce_gram(grams, d)
+    return DenseTrajectory(params, frame, qubit, a_out, photons,
                            {n: DenseJointState(grown.view(complex).reshape(-1), n, d, frame)})
 
 

@@ -51,7 +51,9 @@ def entanglement_entropy(state):
 def photon_density(state, dt: float | None = None) -> np.ndarray:
     """Flux density <a_n^dag a_n>/dt per time bin; integrates (x dt) to the
     mean emitted photon number.  Dense states carry no grid, so dt is required
-    for them."""
+    for them; a dense run records the same moments as ``DenseTrajectory.photons``,
+    which the CLI's flux column reads, so this branch serves callers holding only
+    a state."""
     if isinstance(state, SinglePhotonState):
         return np.abs(state.g) ** 2 / state.grid.dt
     if isinstance(state, SectorState):
