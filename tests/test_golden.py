@@ -20,7 +20,10 @@ and each <a_n> as ``run_dense`` records it on the light cone, and BLAS vdot
 reductions over the whole state for the four dense branches, which now read
 rho and <a_n> off one real Gram per collision of its grown light cone, summed
 over the old modes by BLAS, and write the trace of rho as the norm column, not
-the square of its square root.  The three
+the square of its square root.  Their
+photon_flux column (coherent-dense, convergence, spont-dense) was summed from
+the final state's occupations; it is now <a_n^dag a_n>/dt off the same Grams,
+which ``run_dense`` reduces in one pass after its loop.  The three
 closed-form spont and single-photon branches were written by code that read
 their flux from a rebuilt final state, where it is now the density their norm
 ledger sums; their norm column, like the recursion's, is now the trace of the
@@ -28,8 +31,8 @@ populations, which rounds the ledger once more.  Largest measured differences
 (.csv/.manifest): coherent-analytic 1.4e-15/2.2e-16, coherent-sectors
 1.05e-14/9.1e-15, spont-sectors 5.6e-16/4.4e-16, recursion-exponential
 1.3e-15/4.4e-16, recursion-gaussian 2.4e-15/2.3e-15, io-check 4.4e-16/4.4e-16,
-coherent-dense 6.7e-16/4.4e-16, convergence 4.4e-16/4.4e-16, oracle-compare
-4.4e-16/6.7e-16, spont-dense 2.8e-16/0, spont-analytic 4.4e-16/0,
+coherent-dense 6.7e-16/4.4e-16, convergence 5.6e-16/4.4e-16, oracle-compare
+4.4e-16/6.7e-16, spont-dense 3.3e-16/0, spont-analytic 4.4e-16/0,
 single-photon-analytic-exponential 1.1e-16/0, single-photon-analytic-gaussian
 1.1e-16/0.  Byte-identical reruns of one tree stay gated elsewhere: by
 acceptance criterion 9, by
