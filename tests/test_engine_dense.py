@@ -105,6 +105,23 @@ class TestDisplacedUnitary:
         assert remainders[0] / remainders[1] == pytest.approx(4.0, rel=0.1)
 
 
+@pytest.mark.parametrize("frame", [LAB, DISPLACED])
+@pytest.mark.parametrize("d", [2, 3])
+def test_stacked_builders_match_the_int_calls_bit_for_bit(frame, d):
+    # run_dense builds every collision of a run in one call on np.arange(N)
+    p = SimulationParams(gamma=0.7, dt=2e-3, n_steps=12, omega_q=3.0, omega_rabi=2.5,
+                         delta=-0.4)
+    build = lab_collision_unitary if frame == LAB else displaced_collision_unitary
+    stack = build(np.arange(12), p, d).matrix
+    assert stack.shape == (12, 2 * d, 2 * d)
+    for n in range(12):
+        assert stack[n].tobytes() == build(n, p, d).matrix.tobytes(), n
+    if frame == DISPLACED:
+        hamiltonians = displaced_hamiltonian(np.arange(12), p, d)
+        for n in range(12):
+            assert hamiltonians[n].tobytes() == displaced_hamiltonian(n, p, d).tobytes(), n
+
+
 def tensordot_collision(amplitudes, matrix, n, n_modes, d):
     """One collision over the whole state: np.tensordot of U on (qubit, mode n)."""
     psi = amplitudes.reshape((2,) + (d,) * n_modes)
@@ -244,7 +261,8 @@ def test_peak_memory_is_at_most_two_states(frame, qubit):
 
 
 # One run at 18 displaced modes and one at 20 lab modes; writes each run's qubit
-# matrices, a_out and the SHA-256 digest of its snapshot to the .npz named by argv[1].
+# matrices, a_out, photons and the SHA-256 digest of its snapshot to the .npz named by
+# argv[1].
 THREAD_PROBE = """
 import hashlib, sys
 import numpy as np
@@ -255,6 +273,7 @@ for frame, n, drive in (("displaced", 18, dict(omega_rabi=2.0, delta=0.3)), ("la
     initial = DenseJointState.product_state(np.array([0.6, 0.8j]), n, 2, frame=frame)
     traj = run_dense(p, initial, frame=frame)
     out[frame + "-qubit"], out[frame + "-a_out"] = traj.qubit_matrices, traj.a_out
+    out[frame + "-photons"] = traj.photons
     out[frame + "-snapshot"] = hashlib.sha256(traj.snapshot(n).amplitudes).hexdigest()
 np.savez(sys.argv[1], **out)
 """
@@ -275,7 +294,7 @@ def test_bits_do_not_depend_on_the_blas_thread_count(tmp_path):
         assert result.returncode == 0, result.stderr
         runs.append(dict(np.load(out)))
     one, two = runs
-    assert sorted(one) == sorted(two) and len(one) == 6
+    assert sorted(one) == sorted(two) and len(one) == 8
     for key in one:
         assert one[key].tobytes() == two[key].tobytes(), key
     for frame in (LAB, DISPLACED):
@@ -345,9 +364,11 @@ def test_light_cone_matches_full_contraction(case):
     assert np.abs(final - states[-1].amplitudes).max() <= 1e-12
     assert final.flags.c_contiguous
     assert not np.shares_memory(final, initial.amplitudes)
-    # <a_n> after collision n, the only one acting on mode n (tensor axis n + 1); before
-    # it mode n is in vacuum, the zero that io_residual takes for a_in
+    # <a_n> and <a_n^dag a_n> after collision n, the only one acting on mode n (tensor
+    # axis n + 1); before it mode n is in vacuum, the zero that io_residual takes for a_in
     a = annihilation(initial.fock_dim)
     for mode in range(params.n_steps):
         assert expectation(states[mode], a, mode + 1) == 0
         assert abs(traj.a_out[mode] - expectation(states[mode + 1], a, mode + 1)) <= 1e-12
+        number = expectation(states[mode + 1], a.conj().T @ a, mode + 1)
+        assert abs(traj.photons[mode] - number) <= 1e-12
