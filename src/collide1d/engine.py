@@ -131,9 +131,9 @@ def lab_collision_unitary(n, params: SimulationParams, fock_dim: int) -> Collisi
     """
     if fock_dim < 2:
         raise ValueError("fock_dim must be >= 2")
-    phase = np.exp(1j * params.omega_q * np.asarray(n) * params.dt)
-    U = np.broadcast_to(np.eye(2 * fock_dim, dtype=complex), phase.shape + (2 * fock_dim,) * 2
-                        ).copy()
+    phase = np.exp(1j * params.omega_q * n * params.dt)
+    U = np.zeros(phase.shape + (2 * fock_dim,) * 2, dtype=complex)
+    U[..., 0, 0] = U[..., -1, -1] = 1  # |g,0> and |e,d-1>; the loop sets the rest
     theta0 = math.sqrt(params.gamma * params.dt)
     for k in range(fock_dim - 1):
         theta = math.sqrt(k + 1) * theta0
@@ -163,7 +163,7 @@ def displaced_hamiltonian(n, params: SimulationParams, fock_dim: int) -> np.ndar
     """Collision generator in the displaced frame (drive as a classical term); a
     (..., 2d, 2d) stack for an int array n."""
     proj_e, sigma_y, absorb, emit = _displaced_operators(fock_dim)
-    phase = np.exp(1j * params.omega_p * np.asarray(n) * params.dt)[..., None, None]
+    phase = np.exp(1j * params.omega_p * n * params.dt)[..., None, None]
     return (params.delta * proj_e - 0.5 * params.omega_rabi * sigma_y
             + 1j * math.sqrt(params.gamma / params.dt) * (phase * absorb - np.conj(phase) * emit))
 
