@@ -116,8 +116,8 @@ class CollisionUnitary:
     matrix: np.ndarray = field(repr=False)
 
     def unitarity_defect(self) -> float:
-        d2 = self.matrix.shape[-1]
-        return float(np.abs(self.matrix.conj().swapaxes(-1, -2) @ self.matrix - np.eye(d2)).max())
+        d2 = self.matrix.shape[0]
+        return float(np.abs(self.matrix.conj().T @ self.matrix - np.eye(d2)).max())
 
 
 def lab_collision_unitary(n, params: SimulationParams, fock_dim: int) -> CollisionUnitary:
