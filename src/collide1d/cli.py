@@ -7,14 +7,13 @@ manifest in the same key-value format; neither file contains timestamps, so
 identical configs produce byte-identical output.  Every number is the text of
 ``format(x, ".17g")``; the CSV writer computes those digits exactly with numpy
 array operations for a block of rows at a time, and calls format() only for
-the cells it cannot decide that way and for small blocks.
+the cells it cannot decide that way.
 """
 
 from __future__ import annotations
 
 import argparse
 import functools
-import itertools
 import math
 import os
 import sys
@@ -262,8 +261,6 @@ def parse_config(text: str) -> ScenarioConfig:
 # ---------------------------------------------------------------------------
 
 def _fmt(x) -> str:
-    if x is None:
-        return ""
     return format(float(x), ".17g")
 
 
@@ -285,7 +282,6 @@ def _fmt(x) -> str:
 
 _K_LOW = -260           # lowest decimal exponent of the tables; they reach -_K_LOW
 _BLOCK_CELLS = 4096     # cells laid out per pass, which bounds the layout's memory
-_NUMPY_CELLS = 256      # below this many cells format() per cell is faster
 _DIGIT_BYTES = np.frombuffer(b"\0" * 7 + b"0" * 17 + b"\0" * 8, np.uint64)
 
 
@@ -340,10 +336,6 @@ def _csv_block(x: np.ndarray, absent: np.ndarray, separators: list) -> bytes:
     """The %.17g CSV text of whole rows of cells x, row by row: absent cells
     empty, and each cell followed by its column's separators (a comma per
     column up to the next present one, or the newline)."""
-    if len(x) < _NUMPY_CELLS:
-        return "".join(("" if gap else format(value, ".17g")) + separator
-                       for value, gap, separator in zip(x.tolist(), absent.tolist(),
-                                                        itertools.cycle(separators))).encode()
     p, p_high, p_low, rest, prefix, before, after, exponent, leads, dots, four = _format_tables()
     n = len(x)
     size = np.abs(x)
@@ -400,6 +392,10 @@ def _csv_block(x: np.ndarray, absent: np.ndarray, separators: list) -> bytes:
     return raw.tobytes().translate(None, b"\0")
 
 
+#: the rows of the columns one row short: no flux bin at the last, no residual at the first
+_EDGE_ROWS = {"photon_flux": slice(None, -1), "io_residual": slice(1, None)}
+
+
 @dataclass
 class ResultTable:
     """Columnar records with the fixed CSV schema; None marks an absent column."""
@@ -410,25 +406,24 @@ class ResultTable:
     im_coh: np.ndarray | None = None
     entropy_bits: np.ndarray | None = None
     norm: np.ndarray | None = None
-    photon_flux: list | None = None      # may contain None entries (edge bins)
-    io_residual: list | None = None
+    photon_flux: np.ndarray | None = None  # rows 0..R-2
+    io_residual: np.ndarray | None = None  # rows 1..R-1
 
     def write_csv(self, path: str):
-        """Write the rows as %.17g text, a block of rows per write: each block
-        formatted in numpy (format() per cell for a small block); absent
-        columns and None cells (edge bins) are left empty."""
-        cols = [getattr(self, f.name) for f in fields(self)]
-        present = [i for i, c in enumerate(cols) if c is not None]
-        values = np.empty((len(self.t), len(present)))
-        absent = np.zeros(values.shape, dtype=bool)
+        """Write the rows as %.17g text, a block of rows per write, each block
+        formatted in numpy; absent columns and the edge cells that the flux and
+        io residual lack are left empty."""
+        columns = fields(self)
+        present = [i for i, f in enumerate(columns) if getattr(self, f.name) is not None]
+        values = np.zeros((len(self.t), len(present)))
+        absent = np.ones(values.shape, dtype=bool)
         for j, i in enumerate(present):
-            values[:, j] = cols[i]  # a None cell reads nan
-            if not isinstance(cols[i], np.ndarray):
-                gaps = np.flatnonzero(np.isnan(values[:, j]))
-                absent[gaps, j] = [cols[i][gap] is None for gap in gaps]
+            rows = _EDGE_ROWS.get(columns[i].name, slice(None))
+            values[rows, j] = getattr(self, columns[i].name)
+            absent[rows, j] = False
         # after each present column, a comma per column up to the next present
         # one; the row's last comma is its newline
-        separators = ["," * (end - i) for i, end in zip(present, present[1:] + [len(cols)])]
+        separators = ["," * (end - i) for i, end in zip(present, present[1:] + [len(columns)])]
         separators[-1] = separators[-1][:-1] + "\n"
         values, absent = values.ravel(), absent.ravel()
         step = max(1, _BLOCK_CELLS // len(present)) * len(present)
@@ -459,8 +454,8 @@ def _table(record: RunRecord, stride: int, io_residual=None) -> ResultTable:
 
     The norm column is the trace of rho.  flux[n] is the final-state flux
     density of bin n and io_residual[n] the input-output residual after
-    collision n; both columns stay empty where a row has no such bin: the
-    flux at N, the residual at 0.
+    collision n; each column is one row short, as the row at N has no flux bin
+    and the row at 0 no residual.
     """
     params = record.params
     n = params.n_steps
@@ -473,9 +468,8 @@ def _table(record: RunRecord, stride: int, io_residual=None) -> ResultTable:
         t=steps * params.dt, p_e=rho[:, 1, 1].real, re_coh=coh.real, im_coh=coh.imag,
         entropy_bits=observables.entanglement_entropy(rho),
         norm=np.einsum("naa->n", rho).real,
-        photon_flux=None if record.flux is None else record.flux[steps[:-1]].tolist() + [None],
-        io_residual=(None if io_residual is None
-                     else [None] + io_residual[steps[1:] - 1].tolist()))
+        photon_flux=None if record.flux is None else record.flux[steps[:-1]],
+        io_residual=None if io_residual is None else io_residual[steps[1:] - 1])
 
 
 def _check_tracked_weight(record: RunRecord, rerun):
@@ -512,19 +506,19 @@ def _check_tracked_weight(record: RunRecord, rerun):
 # scenario runners
 # ---------------------------------------------------------------------------
 
-def _solve(config: ScenarioConfig, params: SimulationParams) -> ResultTable:
+def _solve(config: ScenarioConfig, params: SimulationParams) -> RunRecord:
     """Run a spont, coherent or single-photon config with its solver."""
     produce = SCENARIOS[config.scenario].solvers[config.solver]
     record = produce(config, params)
     if record.weights is not None:
         _check_tracked_weight(record, lambda m: produce(replace(config, m_max=m), params))
-    return _table(record, config.snapshot_stride)
+    return record
 
 
 # -- sweeps: one error per step size, fitted to a power law in dt -------------
 
 def _oracle_amplitude_error(params: SimulationParams, config: ScenarioConfig):
-    """Per sector, the largest |dense - closed form| tuple amplitude density; and the run."""
+    """Per sector, the largest |dense - closed form| tuple amplitude density; the record."""
     phi0 = config.resolved_phi0()
     traj = _dense_run(params, phi0, DISPLACED)
     psi = traj.snapshot(params.n_steps).amplitudes.reshape(2, -1)
@@ -537,44 +531,43 @@ def _oracle_amplitude_error(params: SimulationParams, config: ScenarioConfig):
         # number, np.abs of a complex array may not, and the error is written
         # to the manifest
         errors[m] = np.hypot(diff.real, diff.imag).max() / params.dt ** (m / 2)
-    return errors, traj
+    return errors, traj.record(), None
 
 
 def _io_residuals(params: SimulationParams, config: ScenarioConfig):
-    """Input-output residual per collision of the displaced dense run, and the run."""
+    """Input-output residual per collision of the displaced dense run; the record."""
     traj = _dense_run(params, config.resolved_phi0(), DISPLACED)
-    return observables.io_residual(traj), traj
+    residuals = observables.io_residual(traj)
+    return residuals, traj.record(), residuals
 
 
 def _convergence_error(params: SimulationParams, config: ScenarioConfig):
-    """|P_e - e^{-gamma t}| per step of the lab-frame dense run from |e>, and the run."""
+    """|P_e - e^{-gamma t}| per step of the lab-frame dense run from |e>; the record."""
     traj = _dense_run(params, config.resolved_phi0(), LAB)
-    return np.abs(traj.p_excited() - np.exp(-params.gamma * params.grid.times())), traj
+    return (np.abs(traj.p_excited() - np.exp(-params.gamma * params.grid.times())),
+            _dense_record(traj), None)
 
 
 class _Sweep(NamedTuple):
-    measure: Callable   # (params, config) -> (errors, dense trajectory); metric: max
+    measure: Callable   # (params, config) -> (errors, record, residuals or None); metric: max
     factors: tuple      # dt multipliers, in run order
-    keep: float         # the factor whose trajectory the CSV shows
+    keep: float         # the factor whose record the CSV shows
     fixed_time: bool    # n_steps scales as 1/factor; otherwise it stays fixed
     name: str           # metric prefix: <name>_dt_<dt>
     passes: Callable    # (fit exponent, dts, errors) -> threshold_ok
-    columns: Callable   # (kept trajectory, its errors) -> (record, io residuals or None)
 
 
 _SWEEPS = {
     "oracle-compare": _Sweep(
         _oracle_amplitude_error, (4.0, 2.0, 1.0), 1.0, True, "max_amp_error",
-        lambda fit, dts, errors: 0.7 <= fit <= 1.3, lambda traj, errors: (traj.record(), None)),
+        lambda fit, dts, errors: 0.7 <= fit <= 1.3),
     "io-check": _Sweep(
         _io_residuals, (1.0, 0.5, 0.25), 1.0, False, "max_io_residual",
         lambda fit, dts, errors: (abs(fit - 1.0) <= 0.2
-                                  and all(e <= 5 * dt for e, dt in zip(errors, dts))),
-        lambda traj, residuals: (traj.record(), residuals)),
+                                  and all(e <= 5 * dt for e, dt in zip(errors, dts)))),
     "convergence": _Sweep(
         _convergence_error, (1.0, 0.5, 0.25), 0.25, True, "max_p_e_error",
-        lambda fit, dts, errors: abs(fit - 1.0) <= 0.15 and errors[-1] <= 0.02,
-        lambda traj, errors: (_dense_record(traj), None)),
+        lambda fit, dts, errors: abs(fit - 1.0) <= 0.15 and errors[-1] <= 0.02),
 }
 
 
@@ -582,10 +575,10 @@ def sweep(config: ScenarioConfig):
     """Measure a check scenario's error at every step size, in run order.
 
     Every step size's parameters pass the validity and dense memory guards
-    before the first run.  Returns the measurement (errors, trajectory) at the
-    kept step size (the one the CSV shows) and the metrics: the fitted power of
-    dt, one `<name>_dt_<dt>` entry (the largest error) per step size, and the
-    sweep's `threshold_ok`.
+    before the first run.  Returns the (record, residuals or None) of the kept
+    step size, the one the CSV shows, and the metrics: the fitted power of dt,
+    one `<name>_dt_<dt>` entry (the largest error) per step size, and the
+    sweep's `threshold_ok`.  Each dense run is freed when its measure returns.
     """
     spec = _SWEEPS[config.scenario]
     coarsest = max(spec.factors)
@@ -600,12 +593,11 @@ def sweep(config: ScenarioConfig):
         runs.append(params)
     dts, errors = [], []
     for factor, params in zip(spec.factors, runs):
-        run_errors, traj = spec.measure(params, config)
+        run_errors, record, residuals = spec.measure(params, config)
         dts.append(params.dt)
         errors.append(float(run_errors.max()))
         if factor == spec.keep:
-            kept = run_errors, traj
-        del traj  # free each other trajectory before the next step size runs
+            kept = record, residuals
     fit = observables.power_law_exponent(dts, errors)
     metrics = {"fit_exponent": fit}
     metrics.update((f"{spec.name}_dt_{_fmt(dt)}", err) for dt, err in zip(dts, errors))
@@ -616,11 +608,10 @@ def sweep(config: ScenarioConfig):
 def run_scenario(config: ScenarioConfig, out_dir: str = "."):
     """Execute a validated config; returns (table, metrics, csv_path, exit_code)."""
     if config.scenario in _SWEEPS:
-        (errors, traj), metrics = sweep(config)
-        record, residuals = _SWEEPS[config.scenario].columns(traj, errors)
-        table = _table(record, config.snapshot_stride, residuals)
+        (record, residuals), metrics = sweep(config)
     else:
-        table, metrics = _solve(config, config.params()), {}
+        record, residuals, metrics = _solve(config, config.params()), None, {}
+    table = _table(record, config.snapshot_stride, residuals)
     os.makedirs(out_dir, exist_ok=True)
     stem = os.path.join(out_dir, config.stem())
     csv_path = stem + ".csv"

@@ -58,18 +58,6 @@ def check_dense_size(n_modes: int, fock_dim: int) -> int:
     return 2 * fock_dim**n_modes
 
 
-def _partial_trace(m: np.ndarray) -> np.ndarray:
-    """2x2 qubit matrix of a (2, K) amplitude block, rho[0,1] = sum m[0] conj(m[1]).
-
-    numpy's pairwise sums never thread (a BLAS vdot does), so the bits do not
-    depend on the BLAS thread count.
-    """
-    r00 = np.sum(m[0].real ** 2 + m[0].imag ** 2)
-    r11 = np.sum(m[1].real ** 2 + m[1].imag ** 2)
-    r01 = np.sum(m[0] * m[1].conj())
-    return np.array([[r00, r01], [np.conj(r01), r11]])
-
-
 @dataclass
 class DenseJointState:
     """Full joint state vector over qubit x (d-level)^N.
@@ -99,14 +87,6 @@ class DenseJointState:
         amps[0] = v[0]
         amps[stride] = v[1]
         return cls(amplitudes=amps, n_modes=n_modes, fock_dim=fock_dim, frame=frame)
-
-    @property
-    def norm(self) -> float:
-        return float(np.linalg.norm(self.amplitudes))
-
-    def qubit_matrix(self) -> np.ndarray:
-        """Partial trace over all modes (not renormalized)."""
-        return _partial_trace(self.amplitudes.reshape(2, -1))
 
 
 @dataclass(frozen=True)
@@ -269,13 +249,14 @@ def run_dense(params: SimulationParams, initial: DenseJointState,
 
     build = lab_collision_unitary if frame == LAB else displaced_collision_unitary
     d = params.fock_dim
+    vacuum = amps[:, 0].copy()
     qubit = np.empty((n + 1, 2, 2), dtype=complex)
     with np.errstate(over="ignore", invalid="ignore"):  # an inf or huge amplitude: refused below
-        qubit[0] = _partial_trace(amps[:, :1])
+        qubit[0] = np.outer(vacuum, vacuum.conj())
     norm = math.sqrt(qubit[0, 0, 0].real + qubit[0, 1, 1].real)
     if not abs(norm - 1.0) <= 1e-9:  # "not within": a nan norm is refused too
         raise ValueError(f"initial state not normalized: |psi| = {norm}")
-    cone = amps[:, 0].copy().view(float).reshape(1, 4)
+    cone = vacuum.view(float).reshape(1, 4)
     columns = _real_columns(build(np.arange(n), params, d).matrix, d)
     grams = np.empty((n, 4 * d, 4 * d))
     for step in range(n - 1):

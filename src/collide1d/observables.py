@@ -17,14 +17,15 @@ def _reject_rows(bad: np.ndarray, message: str, values: np.ndarray):
 
 
 def reduced_qubit(state) -> np.ndarray:
-    """2x2 reduced qubit density matrix of any state, or a (..., 2, 2) stack of them.
+    """2x2 reduced qubit density matrix of a sector or single-photon state, or of a
+    qubit matrix or a (..., 2, 2) stack of them, such as a run's record.
 
     States with a norm deficit (sector truncation, discretization) are
     renormalized to unit trace; a deficit above 0.1 is rejected.
     """
     if isinstance(state, np.ndarray) and state.shape[-2:] == (2, 2):
         rho = state.astype(complex)
-    elif isinstance(state, (DenseJointState, SectorState)):
+    elif isinstance(state, SectorState):
         rho = state.qubit_matrix()
     elif isinstance(state, SinglePhotonState):
         rho = np.diag([float(np.sum(np.abs(state.g) ** 2)),
@@ -120,7 +121,7 @@ def state_fidelity(a, b) -> float:
         if (a.n_modes, a.fock_dim, a.frame) != (b.n_modes, b.fock_dim, b.frame):
             raise ValueError("states live on different spaces or frames")
         overlap = np.vdot(a.amplitudes, b.amplitudes)
-        na, nb = a.norm**2, b.norm**2
+        na, nb = (np.vdot(s.amplitudes, s.amplitudes).real for s in (a, b))
     else:
         raise TypeError(f"unsupported state type {type(a).__name__}")
     return float(abs(overlap) ** 2 / (na * nb))

@@ -62,15 +62,23 @@ def adversarial_cells() -> dict:
 
 
 def assert_written_as_format(cells, path):
-    """Write cells as an 8-column table; every field must read format(x, ".17g")."""
-    cells = np.concatenate([cells, np.zeros(-len(cells) % len(COLUMNS))])
-    rows = cells.reshape(-1, len(COLUMNS))
-    ResultTable(**{name: rows[:, j] for j, name in enumerate(COLUMNS)}).write_csv(str(path))
+    """Write cells as an 8-column table, between a zero row at either end, the flux
+    one row short at the end and the io residual at the start; every field must
+    read format(x, ".17g"), but those two edge cells must be empty."""
+    width = len(COLUMNS)
+    cells = np.concatenate([np.zeros(width), cells, np.zeros(-len(cells) % width + width)])
+    rows = cells.reshape(-1, width)
+    columns = {name: rows[:, j] for j, name in enumerate(COLUMNS)}
+    columns["photon_flux"], columns["io_residual"] = rows[:-1, -2], rows[1:, -1]
+    ResultTable(**columns).write_csv(str(path))
     written = path.read_text().splitlines()
     assert written[0] == CSV_HEADER and len(written) == len(rows) + 1
-    wrong = [(value, text) for value, text in zip(cells.tolist(),
-                                                  ",".join(written[1:]).split(","))
-             if text != format(value, ".17g")]
+    expected = [format(value, ".17g") for value in cells.tolist()]
+    expected[width - 1] = expected[-2] = ""
+    wrong = [(value, text) for value, text, want in zip(cells.tolist(),
+                                                        ",".join(written[1:]).split(","),
+                                                        expected)
+             if text != want]
     assert not wrong, \
         f"{len(wrong)} cells differ from format(x, '.17g'), first (value, text): {wrong[:5]}"
 

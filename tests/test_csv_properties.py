@@ -1,14 +1,11 @@
 """Byte test of the CSV writer over random tables.
 
 The reference is the per-cell writer: every field through ``_fmt``, an absent
-column as an empty field.  Every table is written twice, once with each block
-formatted in numpy and once with format() per cell, the path that small
-blocks take.
+column, the flux's last row and the io residual's first as empty fields.
 """
 
 import math
 from dataclasses import fields
-from unittest import mock
 
 import numpy as np
 import pytest
@@ -16,7 +13,6 @@ import pytest
 pytest.importorskip("hypothesis")
 from hypothesis import example, given, strategies as st  # noqa: E402
 
-from collide1d import cli  # noqa: E402
 from collide1d.cli import CSV_HEADER, ResultTable, _fmt  # noqa: E402
 
 # the numpy digits cover 1e-250 < |x| < 1e250 and switch to exponent
@@ -31,38 +27,39 @@ values = st.one_of(st.sampled_from(EDGE_VALUES), st.integers(-10**6, 10**6).map(
 
 
 def per_cell_csv(table: ResultTable) -> bytes:
-    cols = [getattr(table, f.name) for f in fields(table)]
-    lines = [CSV_HEADER] + [",".join(_fmt(None if c is None else c[i]) for c in cols)
-                            for i in range(len(table.t))]
+    lines = [CSV_HEADER]
+    for row in range(len(table.t)):
+        cells = []
+        for f in fields(table):
+            column, at = getattr(table, f.name), row - (f.name == "io_residual")  # from row 1
+            cells.append("" if column is None or not 0 <= at < len(column) else _fmt(column[at]))
+        lines.append(",".join(cells))
     return ("\n".join(lines) + "\n").encode()
 
 
 @st.composite
 def tables(draw):
-    """t and any subset of the other columns; flux and io residual as lists that
-    may hold None in their first or last row, the edge bins."""
+    """t and any subset of the other columns; flux and io residual one row short,
+    the flux for rows 0..n-2 and the io residual for rows 1..n-1."""
     n = draw(st.integers(1, 30))
-    column = st.lists(values, min_size=n, max_size=n)
-    table = {"t": np.array(draw(column))}
+
+    def column(rows):
+        return np.array(draw(st.lists(values, min_size=rows, max_size=rows)), dtype=float)
+    table = {"t": column(n)}
     for name in ("p_e", "re_coh", "im_coh", "entropy_bits", "norm"):
         if draw(st.booleans()):
-            table[name] = np.array(draw(column))
+            table[name] = column(n)
     for name in ("photon_flux", "io_residual"):
         if draw(st.booleans()):
-            cells = draw(column)
-            for edge in draw(st.sets(st.sampled_from((0, n - 1)))):
-                cells[edge] = None
-            table[name] = cells
+            table[name] = column(n - 1)
     return ResultTable(**table)
 
 
 @given(table=tables())
-@example(table=ResultTable(t=np.array([0.0]), photon_flux=[None], io_residual=[None]))
+@example(table=ResultTable(t=np.array([0.0]), photon_flux=np.array([]), io_residual=np.array([])))
 @example(table=ResultTable(t=np.array([0.0, 5e-324, 1e300]), norm=np.array([1.0, -0.0, 2.0]),
-                           photon_flux=[0.5, 1e-300, None], io_residual=[None, -0.0, 3.0]))
+                           photon_flux=np.array([0.5, 1e-300]), io_residual=np.array([-0.0, 3.0])))
 def test_writer_matches_per_cell_writer(table, tmp_path_factory):
     path = tmp_path_factory.getbasetemp() / "table.csv"
-    for numpy_from in (0, cli._NUMPY_CELLS):
-        with mock.patch.object(cli, "_NUMPY_CELLS", numpy_from):
-            table.write_csv(str(path))
-        assert path.read_bytes() == per_cell_csv(table), f"numpy from {numpy_from} cells"
+    table.write_csv(str(path))
+    assert path.read_bytes() == per_cell_csv(table)

@@ -12,8 +12,9 @@ from collide1d import analytic, observables
 
 class TestReducedQubit:
     def test_excited_vacuum(self):
-        state = DenseJointState.product_state("e", 4, 2)
-        assert np.allclose(reduced_qubit(state), np.diag([0.0, 1.0]))
+        p = SimulationParams(gamma=1.0, dt=1e-2, n_steps=4)
+        rho = run_dense(p, DenseJointState.product_state("e", 4, 2)).qubit_matrices[0]
+        assert np.allclose(reduced_qubit(rho), np.diag([0.0, 1.0]))
 
     def test_spontaneous_emission_population(self):
         p = SimulationParams(gamma=1.0, dt=1e-3, n_steps=2000)
@@ -26,7 +27,7 @@ class TestReducedQubit:
                              delta=0.3, omega_q=1.0)
         dense = run_dense(p, DenseJointState.product_state("g", 7, 2,
                                                            frame="displaced"),
-                          frame="displaced").snapshot(7)
+                          frame="displaced").qubit_matrices[7]
         sector = run_displaced_sectors(p, 7, "g").state_at(7)
         assert np.abs(reduced_qubit(dense) - reduced_qubit(sector)).max() < 1e-10
 
@@ -43,7 +44,9 @@ class TestReducedQubit:
 
 class TestEntropy:
     def test_product_state_zero(self):
-        assert entanglement_entropy(DenseJointState.product_state("e", 3, 2)) == 0.0
+        p = SimulationParams(gamma=1.0, dt=1e-2, n_steps=3)
+        rho = run_dense(p, DenseJointState.product_state("e", 3, 2)).qubit_matrices[0]
+        assert entanglement_entropy(rho) == 0.0
 
     def test_half_decayed_is_one_bit(self):
         dt = math.log(2.0) / 800
