@@ -103,6 +103,13 @@ def _unread(scenario: str, solver, shape: str, key: str) -> bool:
         ("coherent", "analytic"), ("oracle-compare", None))
 
 
+def _fits_nothing(scenario: str, phi0) -> bool:
+    """Whether the undriven sweep of scenario from phi0 (None: its default) measures
+    only zeros, which no power law fits: io-check's residuals from g and from e, and
+    oracle-compare's amplitude errors from g."""
+    return scenario == "io-check" or scenario == "oracle-compare" and phi0 != "e"
+
+
 EXIT_OK = 0
 EXIT_INVALID = 2
 EXIT_THRESHOLD = 3
@@ -245,6 +252,11 @@ def parse_config(text: str) -> ScenarioConfig:
     if row and not row.driven and values.get("omega_rabi"):
         problems.append(f"{where('omega_rabi')}: scenario {scenario!r} has no coherent "
                         f"drive; omega_rabi must be 0")
+    undriven = "omega_rabi" not in lines or values.get("omega_rabi") == 0
+    if undriven and _fits_nothing(scenario, values.get("phi0")):
+        problems.append(f"{where('omega_rabi') if 'omega_rabi' in lines else 'config'}: the "
+                        f"{scenario} sweep has nothing to fit without a drive; omega_rabi "
+                        f"must be positive" + (" or phi0 = e" if scenario != "io-check" else ""))
     shape = values.get("wavepacket", "exponential")
     for key in lines:
         if row and _unread(scenario, solver, shape, key):

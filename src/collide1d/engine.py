@@ -476,6 +476,8 @@ class SectorRun:
 
     def amplitude(self, eps: str, modes, step: int) -> complex:
         """Amplitude of (eps, photons in `modes`) after `step` collisions."""
+        if not 0 <= step <= self.params.n_steps:
+            raise ValueError(f"step {step} outside 0..{self.params.n_steps}")
         modes = tuple(int(m) for m in modes)
         if any(b <= a for a, b in zip(modes, modes[1:])):
             raise ValueError("mode tuple must be strictly increasing")

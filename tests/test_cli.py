@@ -114,6 +114,36 @@ class TestParseConfig:
         own = "g" if phi0 == "e" else "e"
         assert parse_config(f"{head}dt = 0.04\nn_steps = 5\nphi0 = {own}\n").phi0 == own
 
+    @pytest.mark.parametrize("text,at", [
+        ("scenario = io-check\n", "config"),
+        ("scenario = io-check\nphi0 = e\ndelta = 0.5\n", "config"),
+        ("scenario = io-check\nomega_rabi = 0\nphi0 = g\n", "line 2"),
+        ("scenario = oracle-compare\ndelta = 0.3\nomega_rabi = 0\n", "line 3"),
+    ], ids=["io-check-g", "io-check-e-delta", "io-check-zero", "oracle-compare-g-delta"])
+    def test_undriven_sweep_with_nothing_to_fit_refused(self, tmp_path, capsys, monkeypatch,
+                                                        text, at):
+        # every step size ran before the fit found only zero errors and the run exited 2
+        monkeypatch.setattr(cli, "_dense_run", lambda *args: pytest.fail("a dense run"))
+        cfg = tmp_path / "undriven.cfg"
+        cfg.write_text(text + "dt = 0.01\nn_steps = 8\n")
+        out = tmp_path / "out"
+        assert cli.main(["run", str(cfg), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"config error: {at}: the ") and "nothing to fit" in err
+        assert "omega_rabi must be positive" in err and not out.exists()
+
+    def test_undriven_oracle_compare_runs_only_from_e(self, tmp_path):
+        # from g the qubit never leaves g, so dense and closed form agree exactly
+        text = "scenario = oracle-compare\ndt = 0.01\nn_steps = 8\n"
+        with pytest.raises(ConfigError) as err:
+            parse_config(text)
+        assert err.value.violations == ["config: the oracle-compare sweep has nothing to fit "
+                                        "without a drive; omega_rabi must be positive or "
+                                        "phi0 = e"]
+        _, metrics, _, code = run_scenario(parse_config(text + "phi0 = e\n"),
+                                           out_dir=str(tmp_path))
+        assert code == 0 and metrics["fit_exponent"] == pytest.approx(1.0, abs=0.01)
+
     def test_duplicate_key(self):
         with pytest.raises(ConfigError) as err:
             parse_config(MINIMAL_SPONT + "gamma = 2\n")

@@ -53,8 +53,9 @@ def valid_values(key, config=None):
 @st.composite
 def configs(draw, values=valid_values):
     """A valid config as a dict: the scenario table's solver, phi0 and drive
-    rules hold, each optional key that the run reads is present or not, and
-    no key that it ignores is present."""
+    rules hold, a sweep that would fit only zeros undriven is driven, each
+    optional key that the run reads is present or not, and no key that it
+    ignores is present."""
     scenario = draw(st.sampled_from(tuple(SCENARIOS)))
     row = SCENARIOS[scenario]
     config = {"scenario": scenario}
@@ -73,6 +74,8 @@ def configs(draw, values=valid_values):
         del config[key]
     if row.start and "phi0" in config:  # the scenario fixes its initial state
         config["phi0"] = row.phi0
+    if cli._fits_nothing(scenario, config.get("phi0")) and not config.get("omega_rabi"):
+        config["omega_rabi"] = draw(values("omega_rabi", config).filter(bool))
     return config
 
 

@@ -92,6 +92,22 @@ class TestSectorRun:
             with pytest.raises(ValueError, match="only past modes"):
                 run.amplitude("e", modes, 4)
 
+    def test_negative_step_rejected(self):
+        # step -1 would wrap to the last row of the power table: the amplitude at N
+        p = SimulationParams(gamma=1.0, dt=1e-2, n_steps=10, omega_rabi=2.0)
+        run = run_displaced_sectors(p, 2, "g")
+        with pytest.raises(ValueError, match=r"step -1 outside 0\.\.10"):
+            run.amplitude("g", (), -1)
+
+    def test_step_past_the_grid_rejected(self):
+        # without photons the power table has no row 11; with one, a row of it is
+        # read as if the grid went on
+        p = SimulationParams(gamma=1.0, dt=1e-2, n_steps=10, omega_rabi=2.0)
+        run = run_displaced_sectors(p, 2, "g")
+        for modes in [(), (3,)]:
+            with pytest.raises(ValueError, match=r"step 11 outside 0\.\.10"):
+                run.amplitude("e", modes, 11)
+
     def test_materialization_guard(self):
         # the sector and closed-form tuples meet one guard, before any is built
         p = SimulationParams(gamma=1.0, dt=1e-4, n_steps=5000, omega_rabi=2.0)
