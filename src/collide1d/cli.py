@@ -624,6 +624,7 @@ def run_scenario(config: ScenarioConfig, out_dir: str = "."):
     else:
         record, residuals, metrics = _solve(config, config.params()), None, {}
     table = _table(record, config.snapshot_stride, residuals)
+    del record, residuals  # every step's rows: freed before the CSV is written
     os.makedirs(out_dir, exist_ok=True)
     stem = os.path.join(out_dir, config.stem())
     csv_path = stem + ".csv"
