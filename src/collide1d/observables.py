@@ -5,7 +5,7 @@ from __future__ import annotations
 import numpy as np
 
 from .core import MAX_NORM_DEFICIT
-from .engine import LAB, DenseJointState, DenseTrajectory, SectorState, SinglePhotonState
+from .engine import LAB, DenseTrajectory, SectorState, SinglePhotonState
 
 
 def _reject_rows(bad: np.ndarray, message: str, values: np.ndarray):
@@ -49,12 +49,10 @@ def entanglement_entropy(state):
     return -(terms[..., 0] + terms[..., 1]) + 0.0
 
 
-def photon_density(state, dt: float | None = None) -> np.ndarray:
-    """Flux density <a_n^dag a_n>/dt per time bin; integrates (x dt) to the
-    mean emitted photon number.  Dense states carry no grid, so dt is required
-    for them; a dense run records the same moments as ``DenseTrajectory.photons``,
-    which the CLI's flux column reads, so this branch serves callers holding only
-    a state."""
+def photon_density(state) -> np.ndarray:
+    """Flux density <a_n^dag a_n>/dt per time bin of a single-photon or sector
+    state; integrates (x dt) to the mean emitted photon number.  A dense run
+    records the same moments on its light cone: read ``DenseTrajectory.photons``."""
     if isinstance(state, SinglePhotonState):
         return np.abs(state.g) ** 2 / state.grid.dt
     if isinstance(state, SectorState):
@@ -66,18 +64,6 @@ def photon_density(state, dt: float | None = None) -> np.ndarray:
             for col in range(m):
                 np.add.at(out, state.tuples[m][:, col], weight)
         return out / state.grid.dt
-    if isinstance(state, DenseJointState):
-        if dt is None:
-            raise ValueError("photon_density of a dense state needs the bin duration dt")
-        d = state.fock_dim
-        # sum out the qubit, then peel off the slowest mode at each pass: O(d^N) in all
-        probs = (np.abs(state.amplitudes) ** 2).reshape(2, -1).sum(axis=0)
-        out = np.empty(state.n_modes)
-        for n in range(state.n_modes):
-            probs = probs.reshape(d, -1)
-            out[n] = float(probs.sum(axis=1) @ np.arange(d))
-            probs = probs.sum(axis=0)
-        return out / dt
     raise TypeError(f"cannot compute photon density of a {type(state).__name__}")
 
 
@@ -103,7 +89,7 @@ def io_residual(trajectory: DenseTrajectory) -> np.ndarray:
 
 
 def state_fidelity(a, b) -> float:
-    """|<a|b>|^2 between two same-representation states, normalized into [0, 1]."""
+    """|<a|b>|^2 of two single-photon or two sector states, normalized into [0, 1]."""
     if type(a) is not type(b):
         raise TypeError(f"cannot compare {type(a).__name__} with {type(b).__name__}")
     if isinstance(a, SinglePhotonState):
@@ -117,11 +103,6 @@ def state_fidelity(a, b) -> float:
         shared = min(a.m_max, b.m_max)
         overlap = sum(np.vdot(a.values[m], b.values[m]) for m in range(shared + 1))
         na, nb = a.norm_squared(), b.norm_squared()
-    elif isinstance(a, DenseJointState):
-        if (a.n_modes, a.fock_dim, a.frame) != (b.n_modes, b.fock_dim, b.frame):
-            raise ValueError("states live on different spaces or frames")
-        overlap = np.vdot(a.amplitudes, b.amplitudes)
-        na, nb = (np.vdot(s.amplitudes, s.amplitudes).real for s in (a, b))
     else:
         raise TypeError(f"unsupported state type {type(a).__name__}")
     return float(abs(overlap) ** 2 / (na * nb))

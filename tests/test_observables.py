@@ -99,7 +99,7 @@ class TestPhotonDensity:
     def test_vacuum_is_zero(self):
         p = SimulationParams(gamma=1.0, dt=1e-2, n_steps=5, omega_q=1.0)
         traj = run_dense(p, DenseJointState.product_state("g", 5, 2), frame="lab")
-        flux = photon_density(traj.snapshot(5), dt=p.dt)
+        flux = traj.photons / p.dt  # the path of the CSV's flux column
         assert np.all(flux == 0)
 
     def test_spontaneous_emission_integral(self):
@@ -122,9 +122,14 @@ class TestPhotonDensity:
     def test_dense_mode_occupation(self):
         p = SimulationParams(gamma=1.0, dt=1e-2, n_steps=6)
         traj = run_dense(p, DenseJointState.product_state("e", 6, 2), frame="lab")
-        flux = photon_density(traj.snapshot(6), dt=p.dt)
+        flux = traj.photons / p.dt
         total = flux.sum() * p.dt + traj.p_excited()[-1]
         assert total == pytest.approx(1.0, abs=1e-12)
+
+    def test_dense_state_refused(self):
+        # a dense run's flux is its trajectory's photons, not a pass over its state
+        with pytest.raises(TypeError, match="DenseJointState"):
+            photon_density(DenseJointState.product_state("e", 4, 2))
 
 
 class TestIoResidual:
@@ -178,6 +183,11 @@ class TestFidelity:
         p, packet, run = self._states()
         with pytest.raises(TypeError):
             state_fidelity(run.state_at(0), DenseJointState.product_state("g", 4, 2))
+
+    def test_dense_states_refused(self):
+        state = DenseJointState.product_state("g", 4, 2)
+        with pytest.raises(TypeError, match="unsupported state type DenseJointState"):
+            state_fidelity(state, state)
 
     def test_sector_fidelity(self):
         p = SimulationParams(gamma=1.0, dt=1e-2, n_steps=6, omega_rabi=2.0)
