@@ -257,6 +257,14 @@ def parse_config(text: str) -> ScenarioConfig:
         problems.append(f"{where('omega_rabi') if 'omega_rabi' in lines else 'config'}: the "
                         f"{scenario} sweep has nothing to fit without a drive; omega_rabi "
                         f"must be positive" + (" or phi0 = e" if scenario != "io-check" else ""))
+    spec = _SWEEPS.get(scenario)
+    coarsest = max(spec.factors) if spec and spec.fixed_time else 1
+    if values.get("n_steps", 0) % coarsest:
+        problems.append(f"{where('n_steps')}: the {scenario} sweep runs {coarsest:g}*dt at fixed "
+                        f"final time; n_steps must be divisible by {coarsest:g}")
+    if scenario == "oracle-compare" and values.get("m_max", 0) > 3:
+        problems.append(f"{where('m_max')}: the oracle-compare sweep compares the sectors "
+                        f"m <= 3 only; m_max must be <= 3, got {values['m_max']}")
     shape = values.get("wavepacket", "exponential")
     for key in lines:
         if row and _unread(scenario, solver, shape, key):
@@ -534,7 +542,7 @@ def _oracle_amplitude_error(params: SimulationParams, config: ScenarioConfig):
     phi0 = config.resolved_phi0()
     traj = _dense_run(params, phi0, DISPLACED)
     psi = traj.snapshot(params.n_steps).amplitudes.reshape(2, -1)
-    m_max = min(3, config.m_max, params.n_steps)
+    m_max = min(config.m_max, params.n_steps)
     coeffs = analytic.assemble_coherent(params, params.grid.total_time, m_max, phi0)
     errors = np.empty(m_max + 1)
     for m in range(m_max + 1):
@@ -593,10 +601,6 @@ def sweep(config: ScenarioConfig):
     sweep's `threshold_ok`.  Each dense run is freed when its measure returns.
     """
     spec = _SWEEPS[config.scenario]
-    coarsest = max(spec.factors)
-    if spec.fixed_time and config.n_steps % coarsest:
-        raise ConfigError([f"config: {config.scenario} needs n_steps divisible by "
-                           f"{coarsest:g} (it runs {coarsest:g}*dt at fixed final time)"])
     runs = []
     for factor in spec.factors:
         n_steps = int(config.n_steps / factor) if spec.fixed_time else config.n_steps

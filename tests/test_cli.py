@@ -77,6 +77,12 @@ class TestParseConfig:
         with pytest.raises(ConfigError):
             parse_config(text)
 
+    def test_solver_scenario_without_a_solver_refused(self):
+        with pytest.raises(ConfigError) as err:
+            parse_config("scenario = coherent\ndt = 0.01\nn_steps = 5\n")
+        assert err.value.violations == [
+            "config: scenario 'coherent' needs a solver (one of analytic, dense, sectors)"]
+
     def test_convergence_refuses_delta(self):
         # the sweep's lab-frame dense runs wrote the same CSV for delta = 0 and 3, and the
         # validity guard warned about |delta|*dt all the same
@@ -143,6 +149,24 @@ class TestParseConfig:
         _, metrics, _, code = run_scenario(parse_config(text + "phi0 = e\n"),
                                            out_dir=str(tmp_path))
         assert code == 0 and metrics["fit_exponent"] == pytest.approx(1.0, abs=0.01)
+
+    @pytest.mark.parametrize("lines,message", [
+        ("n_steps = 6\n", "line 4: the oracle-compare sweep runs 4*dt at fixed final time; "
+         "n_steps must be divisible by 4"),
+        ("n_steps = 8\nm_max = 4\n", "line 5: the oracle-compare sweep compares the sectors "
+         "m <= 3 only; m_max must be <= 3, got 4"),
+    ], ids=["uneven-n_steps", "m_max-above-3"])
+    def test_oracle_compare_refuses_what_it_cannot_run_at_parse_time(
+            self, tmp_path, capsys, monkeypatch, lines, message):
+        # an uneven n_steps was refused by the sweep without a line number, and
+        # m_max = 4 ran as m_max = 3
+        monkeypatch.setattr(cli, "_dense_run", lambda *args: pytest.fail("a dense run"))
+        cfg = tmp_path / "oracle.cfg"
+        cfg.write_text("scenario = oracle-compare\nomega_rabi = 2\ndt = 0.005\n" + lines)
+        out = tmp_path / "out"
+        assert cli.main(["run", str(cfg), "--out", str(out)]) == 2
+        assert capsys.readouterr().err == f"config error: {message}\n"
+        assert not out.exists()
 
     def test_duplicate_key(self):
         with pytest.raises(ConfigError) as err:

@@ -53,9 +53,10 @@ def valid_values(key, config=None):
 @st.composite
 def configs(draw, values=valid_values):
     """A valid config as a dict: the scenario table's solver, phi0 and drive
-    rules hold, a sweep that would fit only zeros undriven is driven, each
-    optional key that the run reads is present or not, and no key that it
-    ignores is present."""
+    rules hold, a sweep that would fit only zeros undriven is driven,
+    oracle-compare's n_steps and m_max are ones it can run, each optional key
+    that the run reads is present or not, and no key that it ignores is
+    present."""
     scenario = draw(st.sampled_from(tuple(SCENARIOS)))
     row = SCENARIOS[scenario]
     config = {"scenario": scenario}
@@ -76,6 +77,10 @@ def configs(draw, values=valid_values):
         config["phi0"] = row.phi0
     if cli._fits_nothing(scenario, config.get("phi0")) and not config.get("omega_rabi"):
         config["omega_rabi"] = draw(values("omega_rabi", config).filter(bool))
+    if scenario == "oracle-compare":  # it runs 4*dt at fixed final time, sectors m <= 3
+        config["n_steps"] = max(4, config["n_steps"] - config["n_steps"] % 4)
+        if "m_max" in config:
+            config["m_max"] = min(config["m_max"], 3)
     return config
 
 
