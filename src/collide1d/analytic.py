@@ -59,18 +59,18 @@ def f0(eps: str, phi0: str, t: float, params: SimulationParams) -> complex:
 def fm(eps: str, phi0: str, t: float, times, params: SimulationParams) -> complex:
     """m-photon coefficient density for sorted emission times (m = len(times))."""
     times = list(times)
-    if not times:
-        return f0(eps, phi0, t, params)
     if any(b < a for a, b in zip(times, times[1:])):
         raise ValueError("emission times must be sorted ascending")
-    if times[0] < 0 or times[-1] > t:
+    if times and (times[0] < 0 or times[-1] > t):
         raise ValueError("emission times must lie in [0, t]")
-    omega_p = params.omega_p
-    value = f0("e", phi0, times[0], params)
-    for prev, cur in zip(times, times[1:]):
-        value *= f0("e", "g", cur - prev, params) * complex(np.exp(-1j * omega_p * prev))
-    value *= complex(np.exp(-1j * omega_p * times[-1])) * f0(eps, "g", t - times[-1], params)
-    return (-math.sqrt(params.gamma)) ** len(times) * value
+    m = len(times)
+    # the m + 1 no-emission segments: from phi0, or from g after an emission, to e; the last to eps
+    segments = f0_matrix(np.diff([0.0, *times, t]), params)
+    ends = [qubit_index(q) for q in ["e"] * m + [eps]]
+    starts = [qubit_index(q) for q in [phi0] + ["g"] * m]
+    value = np.prod(segments[np.arange(m + 1), ends, starts])
+    return complex((-math.sqrt(params.gamma)) ** m * value
+                   * np.exp(-1j * params.omega_p * sum(times)))
 
 
 def _emission_block(params: SimulationParams) -> np.ndarray:
