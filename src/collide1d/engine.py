@@ -496,7 +496,7 @@ class SectorRun:
     def state_at(self, step: int) -> SectorState:
         """Materialize every tracked tuple amplitude after `step` collisions."""
         if not 0 <= step <= self.params.n_steps:
-            raise ValueError(f"step {step} outside grid")
+            raise ValueError(f"step {step} outside 0..{self.params.n_steps}")
         tuples, values = _conv.materialize_tuples(self.powers, self.emission_block,
                                                   self.emission_phases, self.phi0, step,
                                                   self.m_max, MAX_SECTOR_AMPLITUDES)

@@ -4,9 +4,9 @@ import warnings
 import numpy as np
 import pytest
 
-from collide1d import (SimulationParams, TimeGrid, ValidityWarning, complex_rabi,
+from collide1d import (SimulationParams, TimeGrid, ValidityWarning, Wavepacket, complex_rabi,
                        make_exponential_wavepacket, make_gaussian_wavepacket)
-from collide1d.core import _normalized
+from collide1d.core import _normalized, qubit_vector
 
 
 class TestTimeGrid:
@@ -95,7 +95,21 @@ class TestRabi:
         assert complex_rabi(p) ** 2 == pytest.approx(target, rel=1e-12)
 
 
+@pytest.mark.parametrize("phi0,match", [
+    (np.ones(3) / np.sqrt(3), "qubit state must be 'g', 'e', or a length-2 amplitude vector"),
+    ([[1.0, 0.0]], "qubit state must be 'g', 'e', or a length-2 amplitude vector"),
+    ([1.0, 1.0], r"qubit state vector must be normalized, \|v\| = 1\.414"),
+], ids=["three-amplitudes", "row-matrix", "unnormalized"])
+def test_qubit_vector_refuses(phi0, match):
+    with pytest.raises(ValueError, match=match):
+        qubit_vector(phi0)
+
+
 class TestWavepackets:
+    def test_sample_count_must_match_the_grid(self):
+        with pytest.raises(ValueError, match="wavepacket has 3 samples for a grid of 4 bins"):
+            Wavepacket(samples=np.ones(3, complex), grid=TimeGrid(dt=1e-2, n_steps=4))
+
     def test_exponential_unit_norm(self):
         grid = TimeGrid(dt=1e-3, n_steps=20000)
         pkt = make_exponential_wavepacket(1.0, 0.0, grid)

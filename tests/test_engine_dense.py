@@ -235,14 +235,18 @@ class TestRunDense:
         self._refused_before_any_unitary(monkeypatch, p, DenseJointState(amps, 6, 2), LAB,
                                          "initial state has photon amplitudes")
 
-    @pytest.mark.parametrize("fock_dim,label", [(3, LAB), (2, DISPLACED)],
-                             ids=["fock-dim", "frame"])
-    def test_input_of_another_space_refused(self, fock_dim, label, monkeypatch):
-        # params and frame want fock_dim 2 in the lab frame
-        initial = DenseJointState.product_state("e", 6, fock_dim, frame=label)
+    @pytest.mark.parametrize("n_modes,fock_dim,label,frame,match", [
+        (6, 3, LAB, LAB, "initial state is at fock_dim 3 in the lab"),
+        (6, 2, DISPLACED, LAB, "initial state is at fock_dim 2 in the displaced"),
+        (5, 2, LAB, LAB, "initial state has 5 modes, params want 6"),
+        (6, 2, LAB, "rotating", "frame must be 'lab' or 'displaced', got 'rotating'"),
+    ], ids=["fock-dim", "frame", "mode-count", "frame-value"])
+    def test_input_of_another_space_refused(self, n_modes, fock_dim, label, frame, match,
+                                            monkeypatch):
+        # params want 6 modes at fock_dim 2
+        initial = DenseJointState.product_state("e", n_modes, fock_dim, frame=label)
         p = SimulationParams(gamma=1.0, dt=1e-2, n_steps=6)
-        self._refused_before_any_unitary(monkeypatch, p, initial, LAB,
-                                         f"initial state is at fock_dim {fock_dim} in the {label}")
+        self._refused_before_any_unitary(monkeypatch, p, initial, frame, match)
 
 
 @pytest.mark.parametrize("frame,qubit", [(LAB, "e"), (DISPLACED, "g")],

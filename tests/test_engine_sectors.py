@@ -84,6 +84,13 @@ class TestSectorRun:
         with pytest.raises(ValueError):
             run.amplitude("g", (4,), 3)
 
+    @pytest.mark.parametrize("modes", [(2, 2), (3, 1)], ids=["repeated", "decreasing"])
+    def test_non_increasing_modes_rejected(self, modes):
+        p = SimulationParams(gamma=1.0, dt=1e-2, n_steps=6, omega_rabi=2.0)
+        run = run_displaced_sectors(p, 2, "g")
+        with pytest.raises(ValueError, match="mode tuple must be strictly increasing"):
+            run.amplitude("g", modes, 4)
+
     def test_negative_modes_rejected(self):
         # mode -1 would wrap to the last row of the power and phase tables
         p = SimulationParams(gamma=1.0, dt=1e-2, n_steps=8, omega_rabi=2.0)
@@ -98,6 +105,8 @@ class TestSectorRun:
         run = run_displaced_sectors(p, 2, "g")
         with pytest.raises(ValueError, match=r"step -1 outside 0\.\.10"):
             run.amplitude("g", (), -1)
+        with pytest.raises(ValueError, match=r"step -1 outside 0\.\.10"):
+            run.state_at(-1)
 
     def test_step_past_the_grid_rejected(self):
         # without photons the power table has no row 11; with one, a row of it is
@@ -107,6 +116,8 @@ class TestSectorRun:
         for modes in [(), (3,)]:
             with pytest.raises(ValueError, match=r"step 11 outside 0\.\.10"):
                 run.amplitude("e", modes, 11)
+        with pytest.raises(ValueError, match=r"step 11 outside 0\.\.10"):
+            run.state_at(11)
 
     def test_materialization_guard(self):
         # the sector and closed-form tuples meet one guard, before any is built

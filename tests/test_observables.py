@@ -3,9 +3,9 @@ import math
 import numpy as np
 import pytest
 
-from collide1d import (DenseJointState, SimulationParams, entanglement_entropy,
-                       io_residual, make_exponential_wavepacket, photon_density,
-                       reduced_qubit, run_dense, run_displaced_sectors,
+from collide1d import (DenseJointState, SimulationParams, SinglePhotonState, TimeGrid,
+                       entanglement_entropy, io_residual, make_exponential_wavepacket,
+                       photon_density, reduced_qubit, run_dense, run_displaced_sectors,
                        run_single_excitation, state_fidelity)
 from collide1d import analytic, observables
 
@@ -188,6 +188,18 @@ class TestFidelity:
         state = DenseJointState.product_state("g", 4, 2)
         with pytest.raises(TypeError, match="unsupported state type DenseJointState"):
             state_fidelity(state, state)
+
+    def test_states_on_other_grids_or_times_refused(self):
+        a, b = (SinglePhotonState(1.0, np.zeros(4), TimeGrid(dt, 4)) for dt in (1e-2, 2e-2))
+        with pytest.raises(ValueError, match="states live on different grids"):
+            state_fidelity(a, b)
+        run = run_displaced_sectors(SimulationParams(gamma=1.0, dt=1e-2, n_steps=6,
+                                                     omega_rabi=2.0), 2, "g")
+        other = run_displaced_sectors(SimulationParams(gamma=1.0, dt=1e-2, n_steps=8,
+                                                       omega_rabi=2.0), 2, "g")
+        for c, d in [(run.state_at(4), run.state_at(6)), (run.state_at(6), other.state_at(6))]:
+            with pytest.raises(ValueError, match="states live on different grids or times"):
+                state_fidelity(c, d)
 
     def test_sector_fidelity(self):
         p = SimulationParams(gamma=1.0, dt=1e-2, n_steps=6, omega_rabi=2.0)

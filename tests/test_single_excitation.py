@@ -42,6 +42,12 @@ class TestRecursion:
         assert np.array_equal(mid.g[5000:], packet.mode_amplitudes()[5000:])
         assert mid.norm_squared() == pytest.approx(1.0, abs=1e-12)
 
+    def test_state_outside_the_grid_rejected(self, resonant_run):
+        _, _, run = resonant_run
+        for step in (-1, 16001):
+            with pytest.raises(ValueError, match=rf"step {step} outside 0\.\.16000"):
+                run.state_at(step)
+
     def test_grid_shift_covariance(self):
         # with omega_q = 0, delaying the input by k bins delays c_e by k bins,
         # bit for bit
