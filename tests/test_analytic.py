@@ -97,6 +97,17 @@ class TestF0:
         assert np.abs(numeric - closed).max() < 1e-3
 
 
+def fm_reference(eps, phi0, t, times, params):
+    """fm as the time-ordered scalar product: one f0 call per no-emission segment."""
+    if not times:
+        return f0(eps, phi0, t, params)
+    value = f0("e", phi0, times[0], params)
+    for prev, cur in zip(times, times[1:]):
+        value *= f0("e", "g", cur - prev, params) * cmath.exp(-1j * params.omega_p * prev)
+    value *= cmath.exp(-1j * params.omega_p * times[-1]) * f0(eps, "g", t - times[-1], params)
+    return (-math.sqrt(params.gamma)) ** len(times) * value
+
+
 class TestPhotonCoefficients:
     def setup_method(self):
         self.p = SimulationParams(gamma=1.0, dt=1e-4, n_steps=100, delta=0.3,
@@ -129,6 +140,17 @@ class TestPhotonCoefficients:
 
     def test_fm_repeated_adjacent_time_vanishes(self):
         assert fm("g", "g", 1.0, [0.2, 0.5, 0.5], self.p) == 0.0
+
+    def test_fm_matches_the_scalar_segment_product(self):
+        # fm takes its segments from one f0_matrix call over an array and multiplies
+        # in another order, so the two agree to rounding, not bit for bit
+        rng = np.random.default_rng(25)
+        for m in range(4):
+            times = sorted(rng.uniform(0, 1.5, m))
+            for eps in "ge":
+                for phi0 in "ge":
+                    want = fm_reference(eps, phi0, 1.5, times, self.p)
+                    assert fm(eps, phi0, 1.5, times, self.p) == pytest.approx(want, rel=1e-12)
 
     def test_fm_unsorted_rejected(self):
         with pytest.raises(ValueError):
