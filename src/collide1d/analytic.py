@@ -78,14 +78,18 @@ def _emission_block(params: SimulationParams) -> np.ndarray:
     return f0_matrix(params.dt, params) @ (-math.sqrt(params.gamma * params.dt) * SIGMA_MINUS)
 
 
+#: highest photon sector whose tuples assemble_coherent enumerates (a cost guard)
+ASSEMBLY_M_MAX = 3
+
+
 def assemble_coherent(params: SimulationParams, t: float, m_max: int, phi0="g") -> SectorState:
     """Evaluate the closed-form coefficients over all ordered tuples up to m_max.
 
     The result has the sector-state layout; its discrete amplitudes are
     (sqrt(dt))^m times the continuum densities.
     """
-    if m_max > 3:
-        raise ValueError("analytic assembly is limited to m_max <= 3 (cost guard)")
+    if m_max > ASSEMBLY_M_MAX:
+        raise ValueError(f"analytic assembly is limited to m_max <= {ASSEMBLY_M_MAX} (cost guard)")
     grid = params.grid
     step = grid.index_of(t)
     mats = f0_matrix(np.arange(step + 1) * params.dt, params)  # M(t_j) for lags j

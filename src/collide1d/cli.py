@@ -262,9 +262,10 @@ def parse_config(text: str) -> ScenarioConfig:
     if values.get("n_steps", 0) % coarsest:
         problems.append(f"{where('n_steps')}: the {scenario} sweep runs {coarsest:g}*dt at fixed "
                         f"final time; n_steps must be divisible by {coarsest:g}")
-    if scenario == "oracle-compare" and values.get("m_max", 0) > 3:
+    cap = analytic.ASSEMBLY_M_MAX  # the sweep assembles the closed form up to it
+    if scenario == "oracle-compare" and values.get("m_max", 0) > cap:
         problems.append(f"{where('m_max')}: the oracle-compare sweep compares the sectors "
-                        f"m <= 3 only; m_max must be <= 3, got {values['m_max']}")
+                        f"m <= {cap} only; m_max must be <= {cap}, got {values['m_max']}")
     shape = values.get("wavepacket", "exponential")
     for key in lines:
         if row and _unread(scenario, solver, shape, key):

@@ -80,7 +80,7 @@ def configs(draw, values=valid_values):
     if scenario == "oracle-compare":  # it runs 4*dt at fixed final time, sectors m <= 3
         config["n_steps"] = max(4, config["n_steps"] - config["n_steps"] % 4)
         if "m_max" in config:
-            config["m_max"] = min(config["m_max"], 3)
+            config["m_max"] = min(config["m_max"], cli.analytic.ASSEMBLY_M_MAX)
     return config
 
 
