@@ -18,7 +18,7 @@ from .engine import (CollisionUnitary, DenseJointState, DenseTrajectory,
                      SectorRun, SectorState, SinglePhotonRun, SinglePhotonState,
                      displaced_collision_unitary, lab_collision_unitary, run_dense,
                      run_displaced_sectors, run_single_excitation)
-from .analytic import (assemble_coherent, coherent_qubit_trajectory, f0, fm,
+from .analytic import (assemble_coherent, coherent_qubit_trajectory, fm,
                        single_photon_state, spontaneous_emission_state,
                        strong_drive_state, xi_tilde_trajectory)
 from .observables import (entanglement_entropy, io_residual, photon_density,
@@ -33,9 +33,8 @@ __all__ = [
     "CollisionUnitary", "DenseJointState", "DenseTrajectory", "SectorRun",
     "SectorState", "SinglePhotonRun", "SinglePhotonState", "displaced_collision_unitary",
     "lab_collision_unitary", "run_dense", "run_displaced_sectors", "run_single_excitation",
-    "assemble_coherent", "coherent_qubit_trajectory",
-    "f0", "fm", "single_photon_state", "spontaneous_emission_state",
-    "strong_drive_state", "xi_tilde_trajectory",
+    "assemble_coherent", "coherent_qubit_trajectory", "fm", "single_photon_state",
+    "spontaneous_emission_state", "strong_drive_state", "xi_tilde_trajectory",
     "entanglement_entropy", "io_residual", "photon_density",
     "reduced_qubit", "state_fidelity",
     "BlochTrajectory", "obe_integrate",

@@ -51,11 +51,6 @@ def f0_matrix(t, params: SimulationParams) -> np.ndarray:
     return out
 
 
-def f0(eps: str, phi0: str, t: float, params: SimulationParams) -> complex:
-    """Amplitude to find the qubit in eps with no photon emitted, starting from phi0."""
-    return complex(f0_matrix(t, params)[qubit_index(eps), qubit_index(phi0)])
-
-
 def fm(eps: str, phi0: str, t: float, times, params: SimulationParams) -> complex:
     """m-photon coefficient density for sorted emission times (m = len(times))."""
     times = list(times)

@@ -88,8 +88,7 @@ SOLVERS = ("dense", "sectors", "recursion", "analytic")
 
 
 def _unread(scenario: str, solver, shape: str, key: str) -> bool:
-    """Whether a run of scenario and solver (None: a sweep) with packet `shape`
-    ignores a config key."""
+    """Whether a run of scenario and solver (None: a sweep) with packet shape ignores key."""
     if key.startswith("wavepacket"):  # each packet shape reads only its own envelope
         return scenario != "single-photon" or key in {
             "exponential": ("wavepacket_sigma", "wavepacket_t0"),
@@ -103,20 +102,13 @@ def _unread(scenario: str, solver, shape: str, key: str) -> bool:
         ("coherent", "analytic"), ("oracle-compare", None))
 
 
-def _fits_nothing(scenario: str, phi0) -> bool:
-    """Whether the undriven sweep of scenario from phi0 (None: its default) measures
-    only zeros, which no power law fits: io-check's residuals from g and from e, and
-    oracle-compare's amplitude errors from g."""
-    return scenario == "io-check" or scenario == "oracle-compare" and phi0 != "e"
-
-
 EXIT_OK = 0
 EXIT_INVALID = 2
 EXIT_THRESHOLD = 3
 
 
 class ConfigError(ValueError):
-    """All validation problems of a config, each tagged with a line number."""
+    """All validation problems of a config, each tagged with its line or `config:`."""
 
     def __init__(self, violations):
         self.violations = list(violations)
@@ -132,7 +124,8 @@ def _key(default=MISSING, kind=str, low=None, strict=False, choices=()):
 
 @dataclass
 class ScenarioConfig:
-    """One run, as a config file states it: each field declares its key."""
+    """One run, as a config file states it: each field declares its key.  Building
+    one refuses the fields that differ from their defaults by `_violations`."""
 
     scenario: str = _key(choices=tuple(SCENARIOS))
     _: KW_ONLY
@@ -153,6 +146,13 @@ class ScenarioConfig:
     wavepacket_omega: float | None = _key(None, float)
     snapshot_stride: int = _key(1, int, low=1)
     output: str | None = _key(None)
+
+    def __post_init__(self):
+        problems = [f"config: {message}" for _, message in _violations(
+            {f.name: getattr(self, f.name) for f in fields(self)
+             if f.default is MISSING or getattr(self, f.name) != f.default})]
+        if problems:
+            raise ConfigError(problems)
 
     def resolved_phi0(self) -> str:
         return self.phi0 if self.phi0 is not None else SCENARIOS[self.scenario].phi0
@@ -179,10 +179,79 @@ class ScenarioConfig:
 _MAX_MAGNITUDE = 1e150
 
 
+def _violations(values: dict):
+    """Every rule that `values` break, as (key or None, message): each key's own
+    checks in declaration order, then the rules across keys.  values holds the keys
+    set, typed (None: the text did not convert); the others take their defaults."""
+    floor = 1 / _MAX_MAGNITUDE
+    for declaration in fields(ScenarioConfig):
+        key, meta = declaration.name, declaration.metadata
+        if values.get(key) is None:
+            continue
+        value, kind, low, choices = values[key], meta["kind"], meta["low"], meta["choices"]
+        if kind is float and not math.isfinite(value):
+            yield key, f"{key} must be finite, got {value}"
+        elif kind is float and abs(value) > _MAX_MAGNITUDE:
+            yield key, f"|{key}| must be <= {_MAX_MAGNITUDE:g}, got {value:g}"
+        if low is not None and (value <= low if meta["strict"] else value < low):
+            yield key, (f"{key} must be positive, got {value}" if meta["strict"]
+                        else f"{key} must be non-negative" if kind is float
+                        else f"{key} must be >= {low}")
+        if choices and value not in choices:
+            # a two-way choice names both values; a longer one lists them
+            yield key, (f"{key} must be {choices[0]!r} or {choices[1]!r}" if len(choices) == 2
+                        else f"unknown {key} {value!r} (choose from {', '.join(choices)})")
+    if 0 < (values.get("wavepacket_sigma") or 1) < floor:
+        yield "wavepacket_sigma", (f"wavepacket_sigma must be >= {floor:g}, "
+                                   f"got {values['wavepacket_sigma']:g}")
+    scenario, solver, phi0 = values.get("scenario"), values.get("solver"), values.get("phi0")
+    row = SCENARIOS.get(scenario)
+    if row is None:  # every rule below is one of the scenario's
+        return
+    if row.solvers and solver is None:
+        yield None, f"scenario {scenario!r} needs a solver (one of {', '.join(row.solvers)})"
+    elif row.solvers and solver in SOLVERS and solver not in row.solvers:
+        yield "solver", (f"solver {solver!r} is incompatible with scenario {scenario!r} "
+                         f"(allowed: {', '.join(row.solvers)})")
+    elif not row.solvers and solver is not None:
+        yield "solver", f"scenario {scenario!r} chooses its own solvers; remove the solver key"
+    if row.start and phi0 in {"g", "e"} - {row.phi0}:
+        yield "phi0", (f"the {scenario} {row.start} starts from the "
+                       f"{dict(g='ground', e='excited')[row.phi0]} state; "
+                       f"phi0 = {phi0} is not supported")
+    omega = values.get("omega_rabi", 0.0)
+    if not row.driven and omega:
+        yield "omega_rabi", f"scenario {scenario!r} has no coherent drive; omega_rabi must be 0"
+    # undriven, io-check's residuals and oracle-compare's errors from g are all zero,
+    # which no power law fits; below the floor every error underflows to zero too
+    fits_nothing = scenario == "io-check" or scenario == "oracle-compare" and phi0 != "e"
+    if fits_nothing and omega is not None and 0 <= omega < floor:
+        yield ("omega_rabi" if "omega_rabi" in values else None), (
+            f"the {scenario} sweep has nothing to fit " + (
+                "without a drive; omega_rabi must be positive" if omega == 0 else
+                f"at omega_rabi = {omega:g}; omega_rabi must be >= {floor:g}")
+            + (" or phi0 = e" if scenario != "io-check" else ""))
+    spec = _SWEEPS.get(scenario)
+    coarsest = max(spec.factors) if spec and spec.fixed_time else 1
+    if (values.get("n_steps") or 0) % coarsest:
+        yield "n_steps", (f"the {scenario} sweep runs {coarsest:g}*dt at fixed final time; "
+                          f"n_steps must be divisible by {coarsest:g}")
+    cap = analytic.ASSEMBLY_M_MAX  # the sweep assembles the closed form up to it
+    if scenario == "oracle-compare" and (values.get("m_max") or 0) > cap:
+        yield "m_max", (f"the oracle-compare sweep compares the sectors m <= {cap} only; "
+                        f"m_max must be <= {cap}, got {values['m_max']}")
+    run = f"scenario {scenario!r}" + (f" with solver {solver!r}" if solver else "")
+    yield from ((key, f"{run} does not read {key}; remove it") for key in values
+                if _unread(scenario, solver, values.get("wavepacket", "exponential"), key))
+
+
 def parse_config(text: str) -> ScenarioConfig:
-    """Parse and validate, collecting every violation (not just the first)."""
+    """Parse and validate, collecting every violation (not just the first): each
+    line's syntax, key and kind in line order, then the missing keys, then the
+    rules of `_violations` over the keys the text sets, each at its key's line."""
     problems: list[str] = []
-    lines: dict[str, tuple[int, str]] = {}
+    lines: dict[str, int] = {}
+    values: dict[str, object] = {}
     declared = {f.name: f for f in fields(ScenarioConfig)}
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
@@ -197,81 +266,17 @@ def parse_config(text: str) -> ScenarioConfig:
         elif key in lines:
             problems.append(f"line {lineno}: duplicate key {key!r}")
         else:
-            lines[key] = lineno, val
-
-    values: dict[str, object] = {}
-    for key, declaration in declared.items():
-        if key not in lines:
-            if declaration.default is MISSING:
-                problems.append(f"config: missing required key {key!r}")
-            continue
-        meta, (lineno, val) = declaration.metadata, lines[key]
-        kind, low, choices, at = meta["kind"], meta["low"], meta["choices"], f"line {lineno}: "
-        try:
-            values[key] = value = kind(val)
-        except ValueError:
-            problems.append(f"{at}{key} expects {'a number' if kind is float else 'an integer'}, "
-                            f"got {val!r}")
-            continue
-        if kind is float and not math.isfinite(value):
-            problems.append(f"{at}{key} must be finite, got {val!r}")
-        elif kind is float and abs(value) > _MAX_MAGNITUDE:
-            problems.append(f"{at}|{key}| must be <= {_MAX_MAGNITUDE:g}, got {value:g}")
-        if low is not None and (value <= low if meta["strict"] else value < low):
-            problems.append(at + (f"{key} must be positive, got {value}" if meta["strict"]
-                                  else f"{key} must be non-negative" if kind is float
-                                  else f"{key} must be >= {low}"))
-        if choices and value not in choices:
-            # a two-way choice names both values; a longer one lists them
-            problems.append(at + (f"{key} must be {choices[0]!r} or {choices[1]!r}"
-                                  if len(choices) == 2 else f"unknown {key} {value!r} "
-                                  f"(choose from {', '.join(choices)})"))
-
-    def where(key: str) -> str:
-        return f"line {lines[key][0]}"
-
-    if 0 < values.get("wavepacket_sigma", 1.0) < 1 / _MAX_MAGNITUDE:
-        problems.append(f"{where('wavepacket_sigma')}: wavepacket_sigma must be >= "
-                        f"{1 / _MAX_MAGNITUDE:g}, got {values['wavepacket_sigma']:g}")
-    scenario, solver = values.get("scenario"), values.get("solver")
-    row = SCENARIOS.get(scenario)
-    if row and row.solvers:
-        if solver is None:
-            problems.append(f"config: scenario {scenario!r} needs a solver "
-                            f"(one of {', '.join(row.solvers)})")
-        elif solver in SOLVERS and solver not in row.solvers:
-            problems.append(f"{where('solver')}: solver {solver!r} is incompatible with "
-                            f"scenario {scenario!r} (allowed: {', '.join(row.solvers)})")
-    elif row and solver is not None:
-        problems.append(f"{where('solver')}: scenario {scenario!r} chooses its own "
-                        f"solvers; remove the solver key")
-    if row and row.start and values.get("phi0") in {"g", "e"} - {row.phi0}:
-        problems.append(f"{where('phi0')}: the {scenario} {row.start} starts from the "
-                        f"{dict(g='ground', e='excited')[row.phi0]} state; "
-                        f"phi0 = {values['phi0']} is not supported")
-    if row and not row.driven and values.get("omega_rabi"):
-        problems.append(f"{where('omega_rabi')}: scenario {scenario!r} has no coherent "
-                        f"drive; omega_rabi must be 0")
-    undriven = "omega_rabi" not in lines or values.get("omega_rabi") == 0
-    if undriven and _fits_nothing(scenario, values.get("phi0")):
-        problems.append(f"{where('omega_rabi') if 'omega_rabi' in lines else 'config'}: the "
-                        f"{scenario} sweep has nothing to fit without a drive; omega_rabi "
-                        f"must be positive" + (" or phi0 = e" if scenario != "io-check" else ""))
-    spec = _SWEEPS.get(scenario)
-    coarsest = max(spec.factors) if spec and spec.fixed_time else 1
-    if values.get("n_steps", 0) % coarsest:
-        problems.append(f"{where('n_steps')}: the {scenario} sweep runs {coarsest:g}*dt at fixed "
-                        f"final time; n_steps must be divisible by {coarsest:g}")
-    cap = analytic.ASSEMBLY_M_MAX  # the sweep assembles the closed form up to it
-    if scenario == "oracle-compare" and values.get("m_max", 0) > cap:
-        problems.append(f"{where('m_max')}: the oracle-compare sweep compares the sectors "
-                        f"m <= {cap} only; m_max must be <= {cap}, got {values['m_max']}")
-    shape = values.get("wavepacket", "exponential")
-    for key in lines:
-        if row and _unread(scenario, solver, shape, key):
-            run = f"scenario {scenario!r}" + (f" with solver {solver!r}" if solver else "")
-            problems.append(f"{where(key)}: {run} does not read {key}; remove it")
-
+            lines[key], kind = lineno, declared[key].metadata["kind"]
+            try:
+                values[key] = kind(val)
+            except ValueError:
+                values[key] = None
+                problems.append(f"line {lineno}: {key} expects "
+                                f"{'a number' if kind is float else 'an integer'}, got {val!r}")
+    problems += [f"config: missing required key {key!r}" for key, declaration in declared.items()
+                 if declaration.default is MISSING and key not in lines]
+    problems += [f"line {lines[key]}: {message}" if key else f"config: {message}"
+                 for key, message in _violations(values)]
     if problems:
         raise ConfigError(problems)
     return ScenarioConfig(**values)  # type: ignore[arg-type]
@@ -602,10 +607,11 @@ def sweep(config: ScenarioConfig):
     sweep's `threshold_ok`.  Each dense run is freed when its measure returns.
     """
     spec = _SWEEPS[config.scenario]
+    physics = {f.name: getattr(config, f.name) for f in fields(SimulationParams)}
     runs = []
     for factor in spec.factors:
         n_steps = int(config.n_steps / factor) if spec.fixed_time else config.n_steps
-        params = replace(config, dt=config.dt * factor, n_steps=n_steps).params()
+        params = SimulationParams(**physics | dict(dt=config.dt * factor, n_steps=n_steps))
         check_dense_size(params.n_steps, params.fock_dim)
         runs.append(params)
     dts, errors = [], []

@@ -7,10 +7,15 @@ import pytest
 from collide1d import (SimulationParams, complex_rabi, make_exponential_wavepacket,
                        make_gaussian_wavepacket, run_displaced_sectors)
 from collide1d import analytic
-from collide1d.analytic import (assemble_coherent, coherent_qubit_trajectory, f0, fm,
+from collide1d.analytic import (assemble_coherent, coherent_qubit_trajectory, fm,
                                 single_photon_state, spontaneous_emission_state,
                                 strong_drive_state, xi_tilde_trajectory)
-from collide1d.core import ValidityWarning
+from collide1d.core import ValidityWarning, qubit_index
+
+
+def f0(eps, phi0, t, params) -> complex:
+    """The no-emission amplitude from phi0 to eps: one entry of f0_matrix."""
+    return complex(analytic.f0_matrix(t, params)[qubit_index(eps), qubit_index(phi0)])
 
 
 def f0_reference(eps, phi0, t, params, root):

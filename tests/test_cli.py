@@ -1,3 +1,4 @@
+import math
 import os
 import re
 import subprocess
@@ -10,7 +11,7 @@ import pytest
 
 from collide1d import cli
 from collide1d.cli import (ConfigError, PRESETS, parse_config, run_scenario)
-from collide1d.core import RunRecord, ValidityWarning
+from collide1d.core import RunRecord, SimulationParams, ValidityWarning
 from collide1d.engine import run_dense
 
 
@@ -168,10 +169,93 @@ class TestParseConfig:
         assert capsys.readouterr().err == f"config error: {message}\n"
         assert not out.exists()
 
+    @pytest.mark.parametrize("scenario,tail", [("io-check", ""),
+                                               ("oracle-compare", " or phi0 = e")])
+    def test_drive_below_the_floor_is_refused_naming_it(self, tmp_path, capsys, monkeypatch,
+                                                        scenario, tail):
+        # every error underflowed to zero: io-check ran all three step sizes and
+        # exited 2 at the fit, oracle-compare exited 3 with a fit of about 0
+        monkeypatch.setattr(cli, "_dense_run", lambda *args: pytest.fail("a dense run"))
+        cfg = tmp_path / "tiny.cfg"
+        cfg.write_text(f"scenario = {scenario}\nomega_rabi = 1e-300\ndt = 0.005\nn_steps = 12\n")
+        out = tmp_path / "out"
+        assert cli.main(["run", str(cfg), "--out", str(out)]) == 2
+        assert capsys.readouterr().err == (
+            f"config error: line 2: the {scenario} sweep has nothing to fit at omega_rabi = "
+            f"1e-300; omega_rabi must be >= 1e-150{tail}\n")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("scenario", ["io-check", "oracle-compare"])
+    def test_drive_at_the_floor_fits_first_order(self, tmp_path, scenario):
+        text = f"scenario = {scenario}\nomega_rabi = 1e-150\ndt = 0.005\nn_steps = 12\n"
+        _, metrics, _, code = run_scenario(parse_config(text), out_dir=str(tmp_path))
+        assert code == 0 and metrics["fit_exponent"] == pytest.approx(1.0, abs=0.01)
+
     def test_duplicate_key(self):
         with pytest.raises(ConfigError) as err:
             parse_config(MINIMAL_SPONT + "gamma = 2\n")
         assert any("duplicate" in v for v in err.value.violations)
+
+
+ORACLE = dict(scenario="oracle-compare", omega_rabi=2.0, dt=0.005)
+
+
+@pytest.mark.parametrize("values,message", [
+    (dict(scenario="spont", solver="analytic", gamma=math.nan, dt=0.01, n_steps=5),
+     "gamma must be finite, got nan"),
+    (dict(scenario="coherent", solver="analytic", delta=1e300, omega_rabi=1.0, dt=0.01,
+          n_steps=5), "|delta| must be <= 1e+150, got 1e+300"),
+    (dict(scenario="spont", solver="analytic", gamma=-1.0, dt=0.01, n_steps=5),
+     "gamma must be positive, got -1.0"),
+    (dict(scenario="coherent", solver="dense", omega_q=-1.0, dt=0.01, n_steps=5),
+     "omega_q must be non-negative"),
+    (dict(scenario="spont", solver="analytic", dt=0.01, n_steps=0), "n_steps must be >= 1"),
+    (dict(scenario="spont", solver="analytic", dt=0.01, n_steps=5, phi0="x"),
+     "phi0 must be 'g' or 'e'"),
+    (dict(scenario="spont", solver="exact", dt=0.01, n_steps=5),
+     "unknown solver 'exact' (choose from dense, sectors, recursion, analytic)"),
+    (dict(scenario="single-photon", solver="analytic", dt=0.01, n_steps=5,
+          wavepacket="gaussian", wavepacket_sigma=1e-300),
+     "wavepacket_sigma must be >= 1e-150, got 1e-300"),
+    # died in the run with a bare KeyError: None
+    (dict(scenario="coherent", dt=0.01, n_steps=5),
+     "scenario 'coherent' needs a solver (one of analytic, dense, sectors)"),
+    (dict(scenario="single-photon", solver="sectors", dt=0.01, n_steps=5),
+     "solver 'sectors' is incompatible with scenario 'single-photon' "
+     "(allowed: analytic, recursion)"),
+    (dict(scenario="convergence", solver="dense", dt=0.04, n_steps=5),
+     "scenario 'convergence' chooses its own solvers; remove the solver key"),
+    (dict(scenario="convergence", dt=0.04, n_steps=5, phi0="g"),
+     "the convergence sweep starts from the excited state; phi0 = g is not supported"),
+    # wrote the bytes of omega_rabi = 0 under a manifest that echoed omega_rabi = 3
+    (dict(scenario="spont", solver="analytic", omega_rabi=3.0, dt=0.01, n_steps=5),
+     "scenario 'spont' has no coherent drive; omega_rabi must be 0"),
+    (dict(scenario="io-check", dt=0.01, n_steps=8),
+     "the io-check sweep has nothing to fit without a drive; omega_rabi must be positive"),
+    (dict(ORACLE, omega_rabi=1e-300, n_steps=12),
+     "the oracle-compare sweep has nothing to fit at omega_rabi = 1e-300; omega_rabi must "
+     "be >= 1e-150 or phi0 = e"),
+    # ran its 4*dt step for one step and reported threshold_ok = True
+    (dict(ORACLE, n_steps=6),
+     "the oracle-compare sweep runs 4*dt at fixed final time; n_steps must be divisible by 4"),
+    (dict(ORACLE, n_steps=8, m_max=4),
+     "the oracle-compare sweep compares the sectors m <= 3 only; m_max must be <= 3, got 4"),
+    (dict(scenario="convergence", delta=3.0, dt=0.04, n_steps=5),
+     "scenario 'convergence' does not read delta; remove it"),
+], ids=["finite", "magnitude", "positive", "non-negative", "at-least", "two-way-choice",
+        "choice", "sigma-floor", "needs-solver", "incompatible-solver", "own-solvers",
+        "fixed-start", "undriven", "nothing-to-fit", "drive-floor", "divisible", "sector-cap",
+        "unread"])
+def test_a_config_built_in_code_gets_the_refusal_of_its_text(values, message):
+    text = "".join(f"{key} = {value!r}\n" if isinstance(value, float) else f"{key} = {value}\n"
+                   for key, value in values.items())
+    with pytest.raises(ConfigError) as parsed:
+        parse_config(text)
+    with pytest.raises(ConfigError) as built:
+        cli.ScenarioConfig(**values)
+    assert built.value.violations == [f"config: {message}"]
+    assert [re.sub(r"^line \d+: ", "config: ", v) for v in parsed.value.violations] == [
+        f"config: {message}"]
 
 
 def test_readme_config_table_names_each_declared_key_once():
@@ -393,7 +477,7 @@ class TestMain:
     def test_tracked_weight_above_one_names_step_and_gamma_dt(self):
         # a weight that grows more slowly than the per-collision bound, or turns
         # nan, is refused after the chain at its first step above 1 + 0.1
-        params = cli.ScenarioConfig(scenario="coherent", gamma=2.0, dt=0.01, n_steps=3).params()
+        params = SimulationParams(gamma=2.0, dt=0.01, n_steps=3)
         weights = np.zeros((2, 4, 2))
         weights[0, :, 0] = [1.0, 0.9, 0.8, 0.7]
         weights[1, :, 1] = [0.0, 0.1, 0.35, np.nan]
@@ -413,7 +497,7 @@ class TestMain:
     def test_truncation_guard_searches_within_the_memory_guard(self, n_steps, searched):
         # the search run tracks min(N, 2^21 // (4(N+1)) - 1) sectors, never
         # fewer than the run itself; here no m_max it reaches keeps 0.9
-        params = cli.ScenarioConfig(scenario="coherent", dt=1e-6, n_steps=n_steps).params()
+        params = SimulationParams(gamma=1.0, dt=1e-6, n_steps=n_steps)
         short = np.zeros((2, 3, 2))
         short[0, :, 0] = [1.0, 0.7, 0.5]
         asked = []

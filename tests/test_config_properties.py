@@ -1,7 +1,8 @@
 """Property tests drawn from the config schema.
 
 Every strategy here reads the key declarations of ``cli.ScenarioConfig`` and
-the ``cli.SCENARIOS`` table, so a key or scenario added there is exercised
+the ``cli.SCENARIOS`` table, and keeps a config valid only through the rules
+of ``cli._violations``, so a key, scenario or rule added there is exercised
 without editing this file.  The properties: the text of a valid config parses
 back to the same config; every injected violation is reported with its line,
 all of them at once; and every accepted config runs through ``cli.main`` to
@@ -19,12 +20,13 @@ from dataclasses import MISSING, fields
 import pytest
 
 pytest.importorskip("hypothesis")
-from hypothesis import example, given, settings, strategies as st  # noqa: E402
+from hypothesis import assume, example, given, settings, strategies as st  # noqa: E402
 
 from collide1d import cli  # noqa: E402
 from collide1d.cli import SCENARIOS, ConfigError, ScenarioConfig, parse_config  # noqa: E402
 
 KEYS = {f.name: f for f in fields(ScenarioConfig)}
+REQUIRED = {key for key, f in KEYS.items() if f.default is MISSING}
 BIG = cli._MAX_MAGNITUDE
 #: free text: no space at either end, no '#', nothing str.splitlines breaks at
 WORDS = st.text(st.characters(min_codepoint=33, max_codepoint=126, exclude_characters="#"),
@@ -44,44 +46,28 @@ def valid_values(key, config=None):
         return st.integers(meta["low"], 10**6)
     if meta["kind"] is float:
         low = -BIG if meta["low"] is None else meta["low"]
-        if key == "wavepacket_sigma":
-            low = 1 / BIG
         return st.floats(low, BIG, exclude_min=meta["strict"])
     return WORDS
 
 
 @st.composite
 def configs(draw, values=valid_values):
-    """A valid config as a dict: the scenario table's solver, phi0 and drive
-    rules hold, a sweep that would fit only zeros undriven is driven,
-    oracle-compare's n_steps and m_max are ones it can run, each optional key
-    that the run reads is present or not, and no key that it ignores is
-    present."""
-    scenario = draw(st.sampled_from(tuple(SCENARIOS)))
-    row = SCENARIOS[scenario]
-    config = {"scenario": scenario}
-    if row.solvers:
-        config["solver"] = draw(st.sampled_from(tuple(row.solvers)))
-    for key, declaration in KEYS.items():
-        if key in ("scenario", "solver"):
-            continue
-        if declaration.default is MISSING or draw(st.booleans()):
-            config[key] = draw(values(key, config))
-    if not row.driven:
-        config.pop("omega_rabi", None)
-    shape = config.get("wavepacket", "exponential")
-    for key in [key for key in config
-                if cli._unread(scenario, config.get("solver"), shape, key)]:
-        del config[key]
-    if row.start and "phi0" in config:  # the scenario fixes its initial state
-        config["phi0"] = row.phi0
-    if cli._fits_nothing(scenario, config.get("phi0")) and not config.get("omega_rabi"):
-        config["omega_rabi"] = draw(values("omega_rabi", config).filter(bool))
-    if scenario == "oracle-compare":  # it runs 4*dt at fixed final time, sectors m <= 3
-        config["n_steps"] = max(4, config["n_steps"] - config["n_steps"] % 4)
-        if "m_max" in config:
-            config["m_max"] = min(config["m_max"], cli.analytic.ASSEMBLY_M_MAX)
-    return config
+    """A valid config as a dict: each key is present or not, with a value that its
+    declaration admits; every key that a rule of ``cli._violations`` names is then
+    dropped.  Where that leaves a rule broken or a required key missing, the other
+    keys are drawn again for the same scenario, up to ten times, so that each
+    scenario is drawn about as often as the others."""
+    scenario = draw(values("scenario", {}))
+    for _ in range(10):
+        config = {"scenario": scenario}
+        for key, declaration in KEYS.items():
+            if key != "scenario" and (declaration.default is MISSING or draw(st.booleans())):
+                config[key] = draw(values(key, config))
+        named = {key for key, _ in cli._violations(config)}
+        config = {key: value for key, value in config.items() if key not in named}
+        if REQUIRED <= set(config) and not any(cli._violations(config)):
+            return config
+    assume(False)
 
 
 @given(config=configs(), data=st.data())
