@@ -15,6 +15,7 @@ from __future__ import annotations
 import argparse
 import functools
 import math
+import numbers
 import os
 import sys
 import warnings
@@ -158,9 +159,8 @@ class ScenarioConfig:
         return self.phi0 if self.phi0 is not None else SCENARIOS[self.scenario].phi0
 
     def params(self) -> SimulationParams:
-        return SimulationParams(gamma=self.gamma, dt=self.dt, n_steps=self.n_steps,
-                                omega_q=self.omega_q, delta=self.delta,
-                                omega_rabi=self.omega_rabi, fock_dim=self.fock_dim)
+        return SimulationParams(**{f.name: getattr(self, f.name)
+                                   for f in fields(SimulationParams)})
 
     def build_wavepacket(self, params: SimulationParams) -> Wavepacket:
         omega = self.wavepacket_omega if self.wavepacket_omega is not None else self.omega_q
@@ -174,21 +174,25 @@ class ScenarioConfig:
         return self.output if self.output else self.scenario
 
 
+_KIND_NAMES = {float: "a number", int: "an integer", str: "text"}
 #: largest magnitude of a float key: the closed forms square rates and widths
 #: (sums of two such squares stay finite), and divide by wavepacket_sigma^2
 _MAX_MAGNITUDE = 1e150
 
 
 def _violations(values: dict):
-    """Every rule that `values` break, as (key or None, message): each key's own
-    checks in declaration order, then the rules across keys.  values holds the keys
-    set, typed (None: the text did not convert); the others take their defaults."""
-    floor = 1 / _MAX_MAGNITUDE
+    """Yield (key or None, message) for every rule that `values`, the keys set, break:
+    each key's own checks first.  Unset keys take their defaults; mistyped ones, none."""
+    floor, typed = 1 / _MAX_MAGNITUDE, {}
     for declaration in fields(ScenarioConfig):
         key, meta = declaration.name, declaration.metadata
-        if values.get(key) is None:
+        if key not in values:
             continue
         value, kind, low, choices = values[key], meta["kind"], meta["low"], meta["choices"]
+        if not isinstance(value, {float: numbers.Real, int: numbers.Integral}.get(kind, kind)):
+            yield key, f"{key} expects {_KIND_NAMES[kind]}, got {value!r}"
+            continue
+        typed[key] = value
         if kind is float and not math.isfinite(value):
             yield key, f"{key} must be finite, got {value}"
         elif kind is float and abs(value) > _MAX_MAGNITUDE:
@@ -201,10 +205,9 @@ def _violations(values: dict):
             # a two-way choice names both values; a longer one lists them
             yield key, (f"{key} must be {choices[0]!r} or {choices[1]!r}" if len(choices) == 2
                         else f"unknown {key} {value!r} (choose from {', '.join(choices)})")
-    if 0 < (values.get("wavepacket_sigma") or 1) < floor:
-        yield "wavepacket_sigma", (f"wavepacket_sigma must be >= {floor:g}, "
-                                   f"got {values['wavepacket_sigma']:g}")
-    scenario, solver, phi0 = values.get("scenario"), values.get("solver"), values.get("phi0")
+        if key == "wavepacket_sigma" and 0 < value < floor:
+            yield key, f"wavepacket_sigma must be >= {floor:g}, got {value:g}"
+    scenario, solver, phi0 = typed.get("scenario"), typed.get("solver"), typed.get("phi0")
     row = SCENARIOS.get(scenario)
     if row is None:  # every rule below is one of the scenario's
         return
@@ -219,13 +222,13 @@ def _violations(values: dict):
         yield "phi0", (f"the {scenario} {row.start} starts from the "
                        f"{dict(g='ground', e='excited')[row.phi0]} state; "
                        f"phi0 = {phi0} is not supported")
-    omega = values.get("omega_rabi", 0.0)
+    omega = typed.get("omega_rabi", 0.0)
     if not row.driven and omega:
         yield "omega_rabi", f"scenario {scenario!r} has no coherent drive; omega_rabi must be 0"
-    # undriven, io-check's residuals and oracle-compare's errors from g are all zero,
-    # which no power law fits; below the floor every error underflows to zero too
+    # undriven or below the floor, these sweeps measure only zeros, which no power law fits
     fits_nothing = scenario == "io-check" or scenario == "oracle-compare" and phi0 != "e"
-    if fits_nothing and omega is not None and 0 <= omega < floor:
+    known = "omega_rabi" in typed or "omega_rabi" not in values  # unset: 0; mistyped: unknown
+    if fits_nothing and known and 0 <= omega < floor:
         yield ("omega_rabi" if "omega_rabi" in values else None), (
             f"the {scenario} sweep has nothing to fit " + (
                 "without a drive; omega_rabi must be positive" if omega == 0 else
@@ -233,22 +236,21 @@ def _violations(values: dict):
             + (" or phi0 = e" if scenario != "io-check" else ""))
     spec = _SWEEPS.get(scenario)
     coarsest = max(spec.factors) if spec and spec.fixed_time else 1
-    if (values.get("n_steps") or 0) % coarsest:
+    if typed.get("n_steps", 0) % coarsest:
         yield "n_steps", (f"the {scenario} sweep runs {coarsest:g}*dt at fixed final time; "
                           f"n_steps must be divisible by {coarsest:g}")
     cap = analytic.ASSEMBLY_M_MAX  # the sweep assembles the closed form up to it
-    if scenario == "oracle-compare" and (values.get("m_max") or 0) > cap:
+    if scenario == "oracle-compare" and typed.get("m_max", 0) > cap:
         yield "m_max", (f"the oracle-compare sweep compares the sectors m <= {cap} only; "
-                        f"m_max must be <= {cap}, got {values['m_max']}")
+                        f"m_max must be <= {cap}, got {typed['m_max']}")
     run = f"scenario {scenario!r}" + (f" with solver {solver!r}" if solver else "")
     yield from ((key, f"{run} does not read {key}; remove it") for key in values
-                if _unread(scenario, solver, values.get("wavepacket", "exponential"), key))
+                if _unread(scenario, solver, typed.get("wavepacket", "exponential"), key))
 
 
 def parse_config(text: str) -> ScenarioConfig:
-    """Parse and validate, collecting every violation (not just the first): each
-    line's syntax, key and kind in line order, then the missing keys, then the
-    rules of `_violations` over the keys the text sets, each at its key's line."""
+    """Parse and validate, collecting every violation (not just the first): each line's
+    syntax and key, the missing keys, then `_violations` of the keys set, at their lines."""
     problems: list[str] = []
     lines: dict[str, int] = {}
     values: dict[str, object] = {}
@@ -266,13 +268,11 @@ def parse_config(text: str) -> ScenarioConfig:
         elif key in lines:
             problems.append(f"line {lineno}: duplicate key {key!r}")
         else:
-            lines[key], kind = lineno, declared[key].metadata["kind"]
+            lines[key] = lineno
             try:
-                values[key] = kind(val)
-            except ValueError:
-                values[key] = None
-                problems.append(f"line {lineno}: {key} expects "
-                                f"{'a number' if kind is float else 'an integer'}, got {val!r}")
+                values[key] = declared[key].metadata["kind"](val)
+            except ValueError:  # the text, which _violations reports as not of the kind
+                values[key] = val
     problems += [f"config: missing required key {key!r}" for key, declaration in declared.items()
                  if declaration.default is MISSING and key not in lines]
     problems += [f"line {lines[key]}: {message}" if key else f"config: {message}"

@@ -201,6 +201,8 @@ ORACLE = dict(scenario="oracle-compare", omega_rabi=2.0, dt=0.005)
 
 
 @pytest.mark.parametrize("values,message", [
+    (dict(scenario="spont", solver="analytic", gamma="fast", dt=0.01, n_steps=5),
+     "gamma expects a number, got 'fast'"),
     (dict(scenario="spont", solver="analytic", gamma=math.nan, dt=0.01, n_steps=5),
      "gamma must be finite, got nan"),
     (dict(scenario="coherent", solver="analytic", delta=1e300, omega_rabi=1.0, dt=0.01,
@@ -242,7 +244,7 @@ ORACLE = dict(scenario="oracle-compare", omega_rabi=2.0, dt=0.005)
      "the oracle-compare sweep compares the sectors m <= 3 only; m_max must be <= 3, got 4"),
     (dict(scenario="convergence", delta=3.0, dt=0.04, n_steps=5),
      "scenario 'convergence' does not read delta; remove it"),
-], ids=["finite", "magnitude", "positive", "non-negative", "at-least", "two-way-choice",
+], ids=["kind", "finite", "magnitude", "positive", "non-negative", "at-least", "two-way-choice",
         "choice", "sigma-floor", "needs-solver", "incompatible-solver", "own-solvers",
         "fixed-start", "undriven", "nothing-to-fit", "drive-floor", "divisible", "sector-cap",
         "unread"])
@@ -256,6 +258,19 @@ def test_a_config_built_in_code_gets_the_refusal_of_its_text(values, message):
     assert built.value.violations == [f"config: {message}"]
     assert [re.sub(r"^line \d+: ", "config: ", v) for v in parsed.value.violations] == [
         f"config: {message}"]
+
+
+@pytest.mark.parametrize("values,message", [
+    (dict(n_steps=5.5), "n_steps expects an integer, got 5.5"),
+    (dict(dt=None), "dt expects a number, got None"),
+    (dict(scenario=None), "scenario expects text, got None"),
+], ids=["float-n_steps", "no-dt", "no-scenario"])
+def test_a_config_built_in_code_gets_each_key_of_its_kind(values, message):
+    # a value that no text converts to: the run died on it, or a rule misread it
+    with pytest.raises(ConfigError) as built:
+        cli.ScenarioConfig(**{"scenario": "spont", "solver": "analytic", "dt": 0.01,
+                              "n_steps": 5, **values})
+    assert built.value.violations == [f"config: {message}"]
 
 
 def test_readme_config_table_names_each_declared_key_once():
