@@ -266,7 +266,7 @@ def test_a_config_built_in_code_gets_the_refusal_of_its_text(values, message):
     (dict(scenario=None), "scenario expects text, got None"),
 ], ids=["float-n_steps", "no-dt", "no-scenario"])
 def test_a_config_built_in_code_gets_each_key_of_its_kind(values, message):
-    # a value that no text converts to: the run died on it, or a rule misread it
+    # values that no config text yields; unchecked, each failed only inside the run
     with pytest.raises(ConfigError) as built:
         cli.ScenarioConfig(**{"scenario": "spont", "solver": "analytic", "dt": 0.01,
                               "n_steps": 5, **values})
