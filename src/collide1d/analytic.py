@@ -51,21 +51,21 @@ def f0_matrix(t, params: SimulationParams) -> np.ndarray:
     return out
 
 
-def fm(eps: str, phi0: str, t: float, times, params: SimulationParams) -> complex:
-    """m-photon coefficient density for sorted emission times (m = len(times))."""
+def fm(phi0: str, t: float, times, params: SimulationParams) -> np.ndarray:
+    """(2,) m-photon coefficient densities, eps = g, e, for sorted emission times
+    (m = len(times))."""
     times = list(times)
     if any(b < a for a, b in zip(times, times[1:])):
         raise ValueError("emission times must be sorted ascending")
     if times and (times[0] < 0 or times[-1] > t):
         raise ValueError("emission times must lie in [0, t]")
     m = len(times)
-    # the m + 1 no-emission segments: from phi0, or from g after an emission, to e; the last to eps
+    # the m + 1 no-emission segments: from phi0, or from g after an emission, to e; the
+    # last to both labels
     segments = f0_matrix(np.diff([0.0, *times, t]), params)
-    ends = [qubit_index(q) for q in ["e"] * m + [eps]]
     starts = [qubit_index(q) for q in [phi0] + ["g"] * m]
-    value = np.prod(segments[np.arange(m + 1), ends, starts])
-    return complex((-math.sqrt(params.gamma)) ** m * value
-                   * np.exp(-1j * params.omega_p * sum(times)))
+    value = np.prod(segments[np.arange(m), 1, starts[:-1]]) * segments[m, :, starts[-1]]
+    return (-math.sqrt(params.gamma)) ** m * value * np.exp(-1j * params.omega_p * sum(times))
 
 
 def _emission_block(params: SimulationParams) -> np.ndarray:

@@ -547,7 +547,7 @@ def _oracle_amplitude_error(params: SimulationParams, config: ScenarioConfig):
     """Per sector, the largest |dense - closed form| tuple amplitude density; the record."""
     phi0 = config.resolved_phi0()
     traj = _dense_run(params, phi0, DISPLACED)
-    psi = traj.snapshot(params.n_steps).amplitudes.reshape(2, -1)
+    psi = traj.snapshot(params.n_steps).amplitudes
     m_max = min(config.m_max, params.n_steps)
     coeffs = analytic.assemble_coherent(params, params.grid.total_time, m_max, phi0)
     errors = np.empty(m_max + 1)

@@ -10,7 +10,8 @@ Three tiers share the same per-collision unitaries:
   emitted-photon tuples carrying qubit 2-vectors.
 
 The qubit basis order is (g, e) everywhere; mode occupation indices run
-0..d-1 with the qubit as the slowest tensor axis.
+0..d-1.  A dense state is a (2, d^N) array: one row per qubit label, its columns
+running with mode 0 slowest and mode N-1 fastest.
 """
 
 from __future__ import annotations
@@ -47,22 +48,23 @@ def annihilation(d: int) -> np.ndarray:
     return np.diag(np.sqrt(np.arange(1, d)), 1).astype(complex)
 
 
-def check_dense_size(n_modes: int, fock_dim: int) -> int:
-    """Validate the 2*d^N joint-state size against the memory guard."""
+def check_dense_size(n_modes: int, fock_dim: int) -> tuple[int, int]:
+    """Validate the 2*d^N joint-state size against the memory guard; the (2, d^N) shape."""
     bits = n_modes * math.log2(fock_dim) + 1
     if bits > DENSE_SIZE_BITS:
         need = 2 * fock_dim**n_modes * 16
         raise MemoryGuardError(
             f"dense state needs {need / 1e6:.0f} MB ({n_modes} modes at fock_dim "
             f"{fock_dim}, 2^{bits:.1f} amplitudes > 2^{DENSE_SIZE_BITS})")
-    return 2 * fock_dim**n_modes
+    return 2, fock_dim**n_modes
 
 
 @dataclass
 class DenseJointState:
-    """Full joint state vector over qubit x (d-level)^N.
+    """Full joint state over qubit x (d-level)^N as a (2, d^N) array.
 
-    Index layout: qubit slowest, then mode 0, ..., mode N-1 fastest.
+    Row q is the qubit label; the columns run with mode 0 slowest and mode N-1
+    fastest.  `run_dense`'s snapshot is a transposed view of its final light cone.
     """
 
     amplitudes: np.ndarray = field(repr=False)
@@ -72,20 +74,16 @@ class DenseJointState:
 
     def __post_init__(self):
         expected = check_dense_size(self.n_modes, self.fock_dim)
-        if self.amplitudes.shape != (expected,):
+        if self.amplitudes.shape != expected:
             raise ValueError(
-                f"amplitude vector has shape {self.amplitudes.shape}, expected ({expected},)")
+                f"amplitude array has shape {self.amplitudes.shape}, expected {expected}")
 
     @classmethod
     def product_state(cls, qubit, n_modes: int, fock_dim: int,
                       frame: str = LAB) -> "DenseJointState":
         """|qubit> x |vacuum>, or a qubit superposition over the vacuum field."""
-        size = check_dense_size(n_modes, fock_dim)
-        amps = np.zeros(size, dtype=complex)
-        v = qubit_vector(qubit)
-        stride = fock_dim**n_modes
-        amps[0] = v[0]
-        amps[stride] = v[1]
+        amps = np.zeros(check_dense_size(n_modes, fock_dim), dtype=complex)
+        amps[:, 0] = qubit_vector(qubit)
         return cls(amplitudes=amps, n_modes=n_modes, fock_dim=fock_dim, frame=frame)
 
 
@@ -162,7 +160,7 @@ def displaced_collision_unitary(n, params: SimulationParams,
 @dataclass
 class DenseTrajectory:
     """Per-step qubit matrices, whose trace is the norm; <a_n> and <a_n^dag a_n> of each
-    mode once it is final; the final state."""
+    mode once it is final; the final state, a view of the final light cone."""
 
     params: SimulationParams
     frame: str
@@ -227,12 +225,11 @@ def run_dense(params: SimulationParams, initial: DenseJointState,
     `_real_columns`, whose (d^n, 4d) result is the next cone.  One Gram of that result,
     summed over x, holds rho, <a_n> and <a_n^dag a_n>, all read off the grown
     amplitudes; the Grams are kept and reduced together after the loop
-    (`_reduce_gram`).  The last collision writes the snapshot's layout (qubit slowest,
-    mode N-1 fastest) by one product per q', and its Gram is assembled from three
-    blocks and permuted into the others' layout.  BLAS threads split the output of
-    each product and each Gram, never the sum over x, so the bits do not depend on the
-    thread count.  Recorded: the qubit matrix per step; <a_n> and <a_n^dag a_n> right
-    after collision n, the only one on mode n (a_out, photons); and snapshot N.
+    (`_reduce_gram`).  BLAS threads split the output of each product and each Gram,
+    never the sum over x, so the bits do not depend on the thread count.  Recorded:
+    the qubit matrix per step; <a_n> and <a_n^dag a_n> right after collision n, the
+    only one on mode n (a_out, photons); and snapshot N, the final (d^N, 2) complex
+    cone transposed: a (2, d^N) view, not a copy.
     """
     n = params.n_steps
     if initial.n_modes != n:
@@ -242,7 +239,7 @@ def run_dense(params: SimulationParams, initial: DenseJointState,
     if (initial.fock_dim, initial.frame) != (params.fock_dim, frame):
         raise ValueError(f"initial state is at fock_dim {initial.fock_dim} in the {initial.frame} "
                          f"frame, the run at {params.fock_dim} in the {frame} frame")
-    amps = np.ascontiguousarray(initial.amplitudes, complex).reshape(2, -1)  # column 0: vacuum
+    amps = np.ascontiguousarray(initial.amplitudes, complex)  # column 0: vacuum
     if amps.view(float)[:, 2:].any():  # re and im of every photon amplitude; nan is nonzero
         raise ValueError("initial state has photon amplitudes: run_dense starts from a "
                          "qubit state over the vacuum field")
@@ -259,19 +256,13 @@ def run_dense(params: SimulationParams, initial: DenseJointState,
     cone = vacuum.view(float).reshape(1, 4)
     columns = _real_columns(build(np.arange(n), params, d).matrix, d)
     grams = np.empty((n, 4 * d, 4 * d))
-    for step in range(n - 1):
+    for step in range(n):
         grown = cone @ columns[step].reshape(4 * d, 4).T  # [x, (k', q', r')]
         np.matmul(grown.T, grown, out=grams[step])
         cone = grown.reshape(-1, 4)
-    grown = np.empty((2, len(cone), 2 * d))  # [q', x, (k', r')]
-    for q in range(2):
-        np.matmul(cone, columns[-1, :, q].reshape(2 * d, 4).T, out=grown[q])
-    cross = grown[0].T @ grown[1]
-    gram = np.block([[grown[0].T @ grown[0], cross], [cross.T, grown[1].T @ grown[1]]])
-    grams[-1] = gram.reshape(2, d, 2, 2, d, 2).transpose(1, 0, 2, 4, 3, 5).reshape(4 * d, -1)
     qubit[1:], a_out, photons = _reduce_gram(grams, d)
     return DenseTrajectory(params, frame, qubit, a_out, photons,
-                           {n: DenseJointState(grown.view(complex).reshape(-1), n, d, frame)})
+                           {n: DenseJointState(cone.view(complex).T, n, d, frame)})
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,6 @@
 import math
 import os
+import re
 import subprocess
 import sys
 import tracemalloc
@@ -126,7 +127,7 @@ def tensordot_collision(amplitudes, matrix, n, n_modes, d):
     """One collision over the whole state: np.tensordot of U on (qubit, mode n)."""
     psi = amplitudes.reshape((2,) + (d,) * n_modes)
     out = np.tensordot(matrix.reshape(2, d, 2, d), psi, axes=[(2, 3), (0, n + 1)])
-    return np.moveaxis(out, (0, 1), (0, n + 1)).reshape(-1)
+    return np.moveaxis(out, (0, 1), (0, n + 1)).reshape(2, -1)
 
 
 class TestRunDense:
@@ -138,7 +139,7 @@ class TestRunDense:
         p = SimulationParams(gamma=1.0, dt=1e-2, n_steps=6, omega_q=1.0)
         traj = run_dense(p, DenseJointState.product_state("g", 6, 2), frame="lab")
         final = traj.snapshot(6)
-        assert abs(final.amplitudes[0] - 1.0) < 1e-14
+        assert abs(final.amplitudes[0, 0] - 1.0) < 1e-14
         assert np.abs(traj.p_excited()).max() < 1e-28
 
     def test_spontaneous_decay_matches_rotation_law(self):
@@ -209,7 +210,7 @@ class TestRunDense:
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     def test_non_finite_input_refused_before_any_collision(self, bad, frame, monkeypatch):
         initial = DenseJointState.product_state("e", 6, 2, frame=frame)
-        initial.amplitudes[0] = bad   # |g, vacuum>: a qubit amplitude
+        initial.amplitudes[0, 0] = bad   # |g, vacuum>: a qubit amplitude
         p = SimulationParams(gamma=1.0, dt=1e-2, n_steps=6)
         self._refused_before_any_unitary(monkeypatch, p, initial, frame,
                                          "initial state not normalized")
@@ -218,22 +219,29 @@ class TestRunDense:
     @pytest.mark.parametrize("index,value", [(5, 0.6j), (1, 0.6), (5, np.nan)],
                              ids=["photon", "last-mode", "nan-photon"])
     def test_photon_input_refused_before_any_unitary(self, index, value, frame, monkeypatch):
-        # index 5 holds photons in modes 3 and 5, index 1 one in the last mode; the
+        # column 5 holds photons in modes 3 and 5, column 1 one in the last mode; the
         # finite ones keep the norm 1, so only the photon check refuses them
         initial = DenseJointState.product_state("e", 6, 2, frame=frame)
-        initial.amplitudes[2**6] = 0.8
-        initial.amplitudes[index] = value
+        initial.amplitudes[1, 0] = 0.8
+        initial.amplitudes[0, index] = value
         p = SimulationParams(gamma=1.0, dt=1e-2, n_steps=6)
         self._refused_before_any_unitary(monkeypatch, p, initial, frame,
                                          "initial state has photon amplitudes")
 
     def test_real_photon_amplitude_refused(self, monkeypatch):
         # a float array has no imaginary parts: column 1, the last mode, is still checked
-        amps = np.zeros(2 * 2**6)
-        amps[[1, 2**6]] = 0.6, 0.8
+        amps = np.zeros((2, 2**6))
+        amps[[0, 1], [1, 0]] = 0.6, 0.8
         p = SimulationParams(gamma=1.0, dt=1e-2, n_steps=6)
         self._refused_before_any_unitary(monkeypatch, p, DenseJointState(amps, 6, 2), LAB,
                                          "initial state has photon amplitudes")
+
+    @pytest.mark.parametrize("shape", [(2 * 2**6,), (2, 2**6 + 1)], ids=["flat", "wide"])
+    def test_amplitudes_of_another_shape_refused(self, shape):
+        # the old flat layout is refused too: only (2, d^N) is a dense state
+        with pytest.raises(ValueError, match=re.escape(
+                f"amplitude array has shape {shape}, expected (2, 64)")):
+            DenseJointState(np.zeros(shape, dtype=complex), 6, 2)
 
     @pytest.mark.parametrize("n_modes,fock_dim,label,frame,match", [
         (6, 3, LAB, LAB, "initial state is at fock_dim 3 in the lab"),
@@ -278,7 +286,8 @@ for frame, n, drive in (("displaced", 18, dict(omega_rabi=2.0, delta=0.3)), ("la
     traj = run_dense(p, initial, frame=frame)
     out[frame + "-qubit"], out[frame + "-a_out"] = traj.qubit_matrices, traj.a_out
     out[frame + "-photons"] = traj.photons
-    out[frame + "-snapshot"] = hashlib.sha256(traj.snapshot(n).amplitudes).hexdigest()
+    final = np.ascontiguousarray(traj.snapshot(n).amplitudes)
+    out[frame + "-snapshot"] = hashlib.sha256(final).hexdigest()
 np.savez(sys.argv[1], **out)
 """
 
@@ -325,8 +334,7 @@ def full_contraction(params, initial, frame):
         amps = tensordot_collision(states[-1].amplitudes, build(step, params, d).matrix,
                                    step, n_modes, d)
         states.append(DenseJointState(amps, n_modes, d, frame))
-    rows = [s.amplitudes.reshape(2, -1) for s in states]
-    qubit = np.array([m @ m.conj().T for m in rows])
+    qubit = np.array([s.amplitudes @ s.amplitudes.conj().T for s in states])
     norms = np.array([np.linalg.norm(s.amplitudes) for s in states])
     return qubit, norms, states
 
@@ -366,7 +374,8 @@ def test_light_cone_matches_full_contraction(case):
     assert np.abs(np.einsum("naa->n", traj.qubit_matrices).real - norms**2).max() <= 1e-12
     final = traj.snapshot(params.n_steps).amplitudes
     assert np.abs(final - states[-1].amplitudes).max() <= 1e-12
-    assert final.flags.c_contiguous
+    # a (2, d^N) view of the final (d^N, 2) cone: no copy of the final state is made
+    assert final.T.flags.c_contiguous and not final.flags.owndata
     assert not np.shares_memory(final, initial.amplitudes)
     # <a_n> and <a_n^dag a_n> after collision n, the only one acting on mode n (tensor
     # axis n + 1); before it mode n is in vacuum, the zero that io_residual takes for a_in

@@ -47,7 +47,10 @@ versions that wrote it in its header.  A change that moves any byte fails
 ``test_matches_byte_layer``, which names the file and its largest field
 difference from the anchor.  A change meant to move bytes rewrites the layer
 (``PYTHONPATH=src python tests/test_golden.py``) in a commit of its own and
-records every moved file with that difference.
+records every moved file with that difference.  The dense entries were last
+rewritten when ``run_dense``'s last collision became one growth product and one
+Gram like the others: coherent-dense.csv moved by 2.0e-16 and oracle-compare.csv
+by 1.8e-17 from the layer before (5.6e-16 and 4.4e-16 from their anchors).
 
 Each branch also produces one ``RunRecord`` with the fields its CSV needs, and
 each run makes the calls that count collisions (a tier's entry point, read
