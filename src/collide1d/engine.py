@@ -49,7 +49,7 @@ def annihilation(d: int) -> np.ndarray:
 
 
 def check_dense_size(n_modes: int, fock_dim: int) -> tuple[int, int]:
-    """Validate the 2*d^N joint-state size against the memory guard; the (2, d^N) shape."""
+    """Validate the 2*d^N state size against the memory guard; return its (2, d^N) shape."""
     bits = n_modes * math.log2(fock_dim) + 1
     if bits > DENSE_SIZE_BITS:
         need = 2 * fock_dim**n_modes * 16

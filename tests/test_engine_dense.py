@@ -238,7 +238,7 @@ class TestRunDense:
 
     @pytest.mark.parametrize("shape", [(2 * 2**6,), (2, 2**6 + 1)], ids=["flat", "wide"])
     def test_amplitudes_of_another_shape_refused(self, shape):
-        # the old flat layout is refused too: only (2, d^N) is a dense state
+        # a flat vector of the right size is refused too: only (2, d^N) is a dense state
         with pytest.raises(ValueError, match=re.escape(
                 f"amplitude array has shape {shape}, expected (2, 64)")):
             DenseJointState(np.zeros(shape, dtype=complex), 6, 2)
