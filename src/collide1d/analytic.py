@@ -21,7 +21,7 @@ import numpy as np
 
 from . import _conv
 from .core import (RunRecord, SimulationParams, ValidityWarning, Wavepacket, complex_rabi,
-                   populations, qubit_index, qubit_vector)
+                   grid_exp, populations, qubit_index, qubit_vector)
 from .engine import MAX_SECTOR_AMPLITUDES, SIGMA_MINUS, SectorState, SinglePhotonState
 
 
@@ -218,7 +218,7 @@ def xi_tilde_trajectory(wavepacket: Wavepacket, params: SimulationParams) -> np.
     for s in range(0, n, block):
         e = min(s + block, n)
         # block-local times t_k - t_s = t_(k-s), so the exponent stays below 300
-        integrand = (np.exp((0.5 * params.gamma + 1j * params.omega_q) * t[:e - s])
+        integrand = (grid_exp(0.5 * params.gamma + 1j * params.omega_q, grid.dt, e - s)
                      * wavepacket.samples[s:e] * grid.dt)
         if s:  # the phase e^{i w_q t_s} that the block-local exponent leaves out
             integrand *= np.exp(1j * params.omega_q * t[s])
@@ -239,11 +239,8 @@ def single_photon_state(wavepacket: Wavepacket, t: float,
     grid = wavepacket.grid
     step = grid.index_of(t)
     xt = xi_tilde_trajectory(wavepacket, params)
-    tp = np.arange(grid.n_steps) * grid.dt
     dens = wavepacket.samples.astype(complex)
-    past = np.arange(grid.n_steps) < step
-    dens[past] -= (params.gamma * xt[:grid.n_steps]
-                   * np.exp(-1j * params.omega_q * tp))[past]
+    dens[:step] -= params.gamma * xt[:step] * grid_exp(-1j * params.omega_q, grid.dt, step)
     return SinglePhotonState(c_e=complex(np.sqrt(params.gamma) * xt[step]),
                              g=np.sqrt(grid.dt) * dens, grid=grid)
 
@@ -257,9 +254,8 @@ def single_photon_record(wavepacket: Wavepacket, params: SimulationParams) -> Ru
     """Populations over the norm ledger, and the final flux: the scattered density
     |xi(t') - gamma xi~(t') e^{-i w_q t'}|^2 of every bin."""
     xt = xi_tilde_trajectory(wavepacket, params)
-    tp = np.arange(params.n_steps) * params.dt
     flux = np.abs(wavepacket.samples - params.gamma * xt[:params.n_steps]
-                  * np.exp(-1j * params.omega_q * tp)) ** 2
+                  * grid_exp(-1j * params.omega_q, params.dt, params.n_steps)) ** 2
     # photon weight: past bins carry the scattered density, future the input
     incoming = np.abs(wavepacket.samples) ** 2 * params.dt
     p_e = single_photon_p_excited(wavepacket, params)

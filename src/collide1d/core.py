@@ -214,6 +214,17 @@ class Wavepacket:
         return np.sqrt(self.grid.dt) * self.samples
 
 
+def grid_exp(rate: complex, dt: float, n: int) -> np.ndarray:
+    """exp(rate*k*dt) for k = 0..n-1, from two tables of about sqrt(n) exponentials.
+
+    exp(rate*dt*(w*j + i)) = exp(rate*w*dt*j) * exp(rate*dt*i) with w = isqrt(n): about
+    2*sqrt(n) complex exps and n products, where np.exp would take n complex exps.
+    """
+    w = max(1, math.isqrt(n))
+    coarse = np.exp(rate * w * dt * np.arange(-(-n // w)))
+    return (coarse[:, None] * np.exp(rate * dt * np.arange(w))).ravel()[:n]
+
+
 def _normalized(raw: np.ndarray, grid: TimeGrid) -> Wavepacket:
     norm = math.sqrt(grid.dt * float(np.sum(np.abs(raw) ** 2)))
     if norm == 0:
@@ -239,8 +250,7 @@ def make_exponential_wavepacket(big_gamma: float, omega: float, grid: TimeGrid) 
         raise ValueError(
             f"grid too short for the exponential packet: exp(-G*T) = {tail:.3g} >= 1e-6; "
             f"extend the grid")
-    t = np.arange(grid.n_steps) * grid.dt
-    raw = math.sqrt(big_gamma) * np.exp(-0.5 * big_gamma * t) * np.exp(-1j * omega * t)
+    raw = math.sqrt(big_gamma) * grid_exp(-0.5 * big_gamma - 1j * omega, grid.dt, grid.n_steps)
     return _normalized(raw, grid)
 
 
@@ -259,5 +269,5 @@ def make_gaussian_wavepacket(sigma: float, t0: float, omega: float,
     t = np.arange(grid.n_steps) * grid.dt
     raw = ((2 * math.pi * sigma**2) ** -0.25
            * np.exp(-((t - t0) ** 2) / (4 * sigma**2))
-           * np.exp(-1j * omega * t))
+           * grid_exp(-1j * omega, grid.dt, grid.n_steps))
     return _normalized(raw, grid)

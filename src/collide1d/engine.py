@@ -24,7 +24,7 @@ import numpy as np
 
 from . import _conv
 from .core import (DENSE_SIZE_BITS, MemoryGuardError, RunRecord, SimulationParams,
-                   TimeGrid, Wavepacket, populations, qubit_index, qubit_vector)
+                   TimeGrid, Wavepacket, grid_exp, populations, qubit_vector)
 
 # Pauli and ladder operators in the (g, e) ordered basis.  sigma_y carries the
 # sign that makes exp{-(i t/2)[(delta - i gamma/2) sigma_z - Omega sigma_y]}
@@ -346,7 +346,7 @@ def run_single_excitation(params: SimulationParams,
           else wavepacket.mode_amplitudes().astype(complex))
     damp = math.exp(-0.5 * params.gamma * params.dt)
     kick = math.sqrt(1.0 - math.exp(-params.gamma * params.dt))
-    phase = np.exp(1j * (params.omega_q * np.arange(n) * params.dt))
+    phase = grid_exp(1j * params.omega_q, params.dt, n)
     # c_e[s] = sum_k damp^(s-k) v[k], v = (c_e[0], kick e^{i w_q t} b0); unlike a
     # blocked scan this treats every entry alike, so delaying the input is exact
     ce_traj = np.concatenate(([complex(wavepacket is None)], kick * phase * b0))
@@ -429,7 +429,7 @@ class SectorRun:
         self.powers = np.broadcast_to(np.eye(2, dtype=complex), (n + 1, 2, 2)).copy()
         _conv.linear_recurrence(np.kron(self.no_jump_block, np.eye(2)).T,
                                 self.powers.reshape(n + 1, 4))
-        self.emission_phases = np.exp(-1j * params.omega_p * params.dt * np.arange(n))
+        self.emission_phases = grid_exp(-1j * params.omega_p, params.dt, n)
 
     # -- aggregate trajectories ------------------------------------------------
 
@@ -465,8 +465,8 @@ class SectorRun:
 
     # -- amplitudes --------------------------------------------------------------
 
-    def amplitude(self, eps: str, modes, step: int) -> complex:
-        """Amplitude of (eps, photons in `modes`) after `step` collisions."""
+    def amplitude(self, modes, step: int) -> np.ndarray:
+        """(2,) amplitudes, eps = g, e, of photons in `modes` after `step` collisions."""
         if not 0 <= step <= self.params.n_steps:
             raise ValueError(f"step {step} outside 0..{self.params.n_steps}")
         modes = tuple(int(m) for m in modes)
@@ -481,8 +481,7 @@ class SectorRun:
             v = self.emission_phases[n] * (self.emission_block @ (self.powers[lag] @ v))
             prev = n
         lag = step if prev is None else step - prev - 1
-        v = self.powers[lag] @ v
-        return complex(v[qubit_index(eps)])
+        return self.powers[lag] @ v
 
     def state_at(self, step: int) -> SectorState:
         """Materialize every tracked tuple amplitude after `step` collisions."""

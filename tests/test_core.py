@@ -3,10 +3,11 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import example, given, strategies as st
 
 from collide1d import (SimulationParams, TimeGrid, ValidityWarning, Wavepacket, complex_rabi,
                        make_exponential_wavepacket, make_gaussian_wavepacket)
-from collide1d.core import _normalized, qubit_vector
+from collide1d.core import _normalized, grid_exp, qubit_vector
 
 
 class TestTimeGrid:
@@ -103,6 +104,24 @@ class TestRabi:
 def test_qubit_vector_refuses(phi0, match):
     with pytest.raises(ValueError, match=match):
         qubit_vector(phi0)
+
+
+@given(n=st.integers(0, 20000), dt=st.floats(1e-4, 1.0),
+       growth=st.floats(-300.0, 300.0), turns=st.floats(-1e4, 1e4))
+@example(n=0, dt=0.1, growth=300.0, turns=1.0)
+@example(n=1, dt=0.1, growth=-300.0, turns=1.0)
+@example(n=2, dt=0.1, growth=300.0, turns=-3.0)
+@example(n=4900, dt=1e-3, growth=300.0, turns=50.0)  # a perfect square
+@example(n=4999, dt=1e-3, growth=-300.0, turns=-50.0)  # a prime
+def test_grid_exp_matches_numpy_exp(n, dt, growth, turns):
+    # the exponent's real part reaches `growth` and its phase `turns` at t_(n-1)
+    t_last = max(n - 1, 0) * dt
+    rate = complex(growth, turns) / max(t_last, dt)
+    values = grid_exp(rate, dt, n)
+    assert values.shape == (n,) and values.dtype == complex
+    reference = np.exp(rate * (np.arange(n) * dt))
+    bound = 8 * np.finfo(float).eps * (1 + abs(rate) * t_last)
+    assert np.all(np.abs(values - reference) <= bound * np.abs(reference))
 
 
 class TestWavepackets:

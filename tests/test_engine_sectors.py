@@ -54,9 +54,8 @@ class TestSectorRun:
         state = run.state_at(7)
         for m in range(4):
             for row, modes in enumerate(state.tuples[m]):
-                for eps, qi in (("g", 0), ("e", 1)):
-                    assert run.amplitude(eps, tuple(modes), 7) == pytest.approx(
-                        complex(state.values[m][qi, row]), abs=1e-14)
+                assert run.amplitude(tuple(modes), 7) == pytest.approx(
+                    state.values[m][:, row], abs=1e-14)
 
     def test_moment_chain_matches_materialized_reduction(self):
         p = SimulationParams(gamma=1.0, dt=1e-2, n_steps=8, omega_rabi=3.0)
@@ -82,14 +81,14 @@ class TestSectorRun:
         p = SimulationParams(gamma=1.0, dt=1e-2, n_steps=6, omega_rabi=2.0)
         run = run_displaced_sectors(p, 2, "g")
         with pytest.raises(ValueError):
-            run.amplitude("g", (4,), 3)
+            run.amplitude((4,), 3)
 
     @pytest.mark.parametrize("modes", [(2, 2), (3, 1)], ids=["repeated", "decreasing"])
     def test_non_increasing_modes_rejected(self, modes):
         p = SimulationParams(gamma=1.0, dt=1e-2, n_steps=6, omega_rabi=2.0)
         run = run_displaced_sectors(p, 2, "g")
         with pytest.raises(ValueError, match="mode tuple must be strictly increasing"):
-            run.amplitude("g", modes, 4)
+            run.amplitude(modes, 4)
 
     def test_negative_modes_rejected(self):
         # mode -1 would wrap to the last row of the power and phase tables
@@ -97,14 +96,14 @@ class TestSectorRun:
         run = run_displaced_sectors(p, 2, "g")
         for modes in [(-1,), (-1, 2)]:
             with pytest.raises(ValueError, match="only past modes"):
-                run.amplitude("e", modes, 4)
+                run.amplitude(modes, 4)
 
     def test_negative_step_rejected(self):
         # step -1 would wrap to the last row of the power table: the amplitude at N
         p = SimulationParams(gamma=1.0, dt=1e-2, n_steps=10, omega_rabi=2.0)
         run = run_displaced_sectors(p, 2, "g")
         with pytest.raises(ValueError, match=r"step -1 outside 0\.\.10"):
-            run.amplitude("g", (), -1)
+            run.amplitude((), -1)
         with pytest.raises(ValueError, match=r"step -1 outside 0\.\.10"):
             run.state_at(-1)
 
@@ -115,7 +114,7 @@ class TestSectorRun:
         run = run_displaced_sectors(p, 2, "g")
         for modes in [(), (3,)]:
             with pytest.raises(ValueError, match=r"step 11 outside 0\.\.10"):
-                run.amplitude("e", modes, 11)
+                run.amplitude(modes, 11)
         with pytest.raises(ValueError, match=r"step 11 outside 0\.\.10"):
             run.state_at(11)
 
@@ -151,12 +150,12 @@ class TestSectorRun:
         worst = float(np.abs(run.powers[n] @ phi - mats[n] @ phi).max())
         root_g, root_dt = math.sqrt(p.gamma), math.sqrt(p.dt)
         for n1 in range(0, n, 517):
-            sec = np.array([run.amplitude(e, (n1,), n) for e in "ge"]) / root_dt
+            sec = run.amplitude((n1,), n) / root_dt
             ana = -root_g * mats[n - n1][:, 0] * mats[n1][1, 0]
             worst = max(worst, float(np.abs(sec - ana).max()))
         for n1 in range(0, n, 1243):
             for n2 in range(n1 + 307, n, 1151):
-                sec = np.array([run.amplitude(e, (n1, n2), n) for e in "ge"]) / p.dt
+                sec = run.amplitude((n1, n2), n) / p.dt
                 ana = p.gamma * mats[n - n2][:, 0] * mats[n2 - n1][1, 0] * mats[n1][1, 0]
                 worst = max(worst, float(np.abs(sec - ana).max()))
         assert worst < 1e-3

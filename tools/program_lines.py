@@ -1,7 +1,8 @@
 """Code lines of src/collide1d that no program input or benchmark smoke unit runs.
 
-Runs every preset, every tests/golden/*.cfg, `collide1d check` and one smoke
-unit of each in-process perfbench workload in one process under sys.settrace.
+Runs every preset, every tests/golden/*.cfg, `collide1d check`, the module
+entry point once (`python -m collide1d presets list`) and one smoke unit of
+each in-process perfbench workload in one process under sys.settrace.
 Prints, per module, how many of its code lines (the lines of its code
 objects' co_lines) never ran, then lists them.  A report, not a gate: it
 exits 1 only if a run fails or a smoke unit's own check reports a problem.
@@ -12,6 +13,7 @@ exits 1 only if a run fails or a smoke unit's own check reports a problem.
 import contextlib
 import io
 import pathlib
+import runpy
 import sys
 import tempfile
 
@@ -53,6 +55,15 @@ with tempfile.TemporaryDirectory() as out:
             code = cli.main(argv)
         if code:
             failed.append(f"{' '.join(argv[:2])} exited {code}")
+    sys.argv = ["collide1d", "presets", "list"]
+    try:
+        with contextlib.redirect_stdout(io.StringIO()):
+            runpy.run_module("collide1d", run_name="__main__")
+    except SystemExit as exit_:
+        if exit_.code != 0:
+            failed.append(f"python -m collide1d presets list exited {exit_.code}")
+    else:
+        failed.append("python -m collide1d presets list did not exit")
     # a fresh_process workload runs `collide1d check`, which ran above
     for name, workload in workloads.WORKLOADS.items():
         if not workload.fresh_process:
