@@ -30,11 +30,11 @@ ledger sums; their norm column, like the recursion's, is now the trace of the
 populations, which rounds the ledger once more.  Largest measured differences
 (.csv/.manifest): coherent-analytic 1.4e-15/2.2e-16, coherent-sectors
 1.05e-14/9.1e-15, spont-sectors 5.6e-16/4.4e-16, recursion-exponential
-1.3e-15/4.4e-16, recursion-gaussian 2.4e-15/2.3e-15, io-check 4.4e-16/4.4e-16,
+1.6e-15/5.6e-16, recursion-gaussian 2.4e-15/2.4e-15, io-check 4.4e-16/4.4e-16,
 coherent-dense 6.7e-16/4.4e-16, convergence 5.6e-16/4.4e-16, oracle-compare
 4.4e-16/6.7e-16, spont-dense 3.3e-16/0, spont-analytic 4.4e-16/0,
-single-photon-analytic-exponential 1.1e-16/0, single-photon-analytic-gaussian
-1.1e-16/0.  Byte-identical reruns of one tree stay gated elsewhere: by
+single-photon-analytic-exponential 4.4e-16/2.2e-16,
+single-photon-analytic-gaussian 5.6e-16/3.3e-16.  Byte-identical reruns of one tree stay gated elsewhere: by
 acceptance criterion 9, by
 ``test_cli.py::TestMain::test_determinism_on_presets`` and by the CI step
 that runs every preset twice and compares its files with ``cmp``.
@@ -51,6 +51,13 @@ records every moved file with that difference.  The dense entries were last
 rewritten when ``run_dense``'s last collision became one growth product and one
 Gram like the others: coherent-dense.csv moved by 2.0e-16 and oracle-compare.csv
 by 1.8e-17 from the layer before (5.6e-16 and 4.4e-16 from their anchors).
+The single-photon entries were last rewritten when both single-photon tiers
+took every per-bin phase vector from two sqrt(N) exponential tables
+(``core.grid_exp``); from the layer before, .csv/.manifest moved by
+recursion-exponential 6.7e-16/1.1e-16, recursion-gaussian 1.1e-15/1.1e-16,
+analytic-exponential 4.4e-16/2.2e-16, analytic-gaussian 5.6e-16/3.3e-16 and
+analytic-restart 1.0e-15/1.0e-15.  The restart golden's anchor was rewritten
+with them, so it still repeats its anchor byte for byte.
 
 Each branch also produces one ``RunRecord`` with the fields its CSV needs, and
 each run makes the calls that count collisions (a tier's entry point, read
