@@ -181,11 +181,9 @@ def spontaneous_emission_state(t: float, params: SimulationParams) -> SinglePhot
     -sqrt(gamma) e^{-gamma t'/2 - i omega_q t'} over past bins."""
     grid = params.grid
     step = grid.index_of(t)
-    tp = np.arange(grid.n_steps) * params.dt
-    dens = np.where(np.arange(grid.n_steps) < step,
-                    -np.sqrt(params.gamma)
-                    * np.exp((-0.5 * params.gamma - 1j * params.omega_q) * tp),
-                    0.0)
+    dens = np.zeros(grid.n_steps, dtype=complex)
+    dens[:step] = -np.sqrt(params.gamma) * grid_exp(-0.5 * params.gamma - 1j * params.omega_q,
+                                                    params.dt, step)
     return SinglePhotonState(c_e=complex(math.exp(-0.5 * params.gamma * t)),
                              g=np.sqrt(params.dt) * dens, grid=grid)
 

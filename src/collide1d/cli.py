@@ -510,7 +510,7 @@ def _check_tracked_weight(record: RunRecord, rerun):
     """
     weights, params = record.weights, record.params
     n, m_max, deficit = params.n_steps, len(weights) - 1, MAX_NORM_DEFICIT
-    floor, tracked = 1.0 - deficit, weights.sum(axis=(0, 2))
+    floor, tracked = 1.0 - deficit, weights.sum(axis=0).sum(axis=1)
     above = ~(tracked <= 1.0 + deficit)  # nan too
     if above.any():
         step = int(above.argmax())

@@ -43,6 +43,9 @@ DISPLACED = "displaced"
 #: refuse sector materializations above this many stored amplitudes
 MAX_SECTOR_AMPLITUDES = 1 << 21
 
+#: run_dense's copied bottom block; blocks of a few rows cost more and may round differently
+_BOTTOM_ROWS = 1024
+
 
 def annihilation(d: int) -> np.ndarray:
     return np.diag(np.sqrt(np.arange(1, d)), 1).astype(complex)
@@ -222,14 +225,17 @@ def run_dense(params: SimulationParams, initial: DenseJointState,
     All N unitaries are built at once, as one stack, and so are their columns.  The
     cone is a real (d^n, 4) array, one row per x and the columns (q, re/im), so the
     qubit is the fastest axis and a collision is one real product with
-    `_real_columns`, whose (d^n, 4d) result is the next cone.  One Gram of that result,
-    summed over x, holds rho, <a_n> and <a_n^dag a_n>, all read off the grown
-    amplitudes; the Grams are kept and reduced together after the loop
-    (`_reduce_gram`).  BLAS threads split the output of each product and each Gram,
-    never the sum over x, so the bits do not depend on the thread count.  Recorded:
-    the qubit matrix per step; <a_n> and <a_n^dag a_n> right after collision n, the
-    only one on mode n (a_out, photons); and snapshot N, the final (d^N, 2) complex
-    cone transposed: a (2, d^N) view, not a copy.
+    `_real_columns`, whose (d^n, 4d) result is the next cone.  Every cone is a prefix of
+    one buffer of the final size, and the product writes the next cone over it in row
+    blocks from the top down: rows [lo, hi), lo = ceil(hi/d), land past every row not
+    yet read, and the last `_BOTTOM_ROWS` grow from a copy; each row rounds as in one
+    product over the whole cone.  One Gram of that result, summed over x, holds rho,
+    <a_n> and <a_n^dag a_n>, all read off the grown amplitudes; the Grams are kept and
+    reduced together after the loop (`_reduce_gram`).  BLAS threads split the output of
+    each product and each Gram, never the sum over x, so the bits do not depend on the
+    thread count.  Recorded: the qubit matrix per step; <a_n> and <a_n^dag a_n> right
+    after collision n, the only one on mode n (a_out, photons); and snapshot N, the final
+    (d^N, 2) complex cone transposed: a (2, d^N) view, not a copy.
     """
     n = params.n_steps
     if initial.n_modes != n:
@@ -253,16 +259,23 @@ def run_dense(params: SimulationParams, initial: DenseJointState,
     norm = math.sqrt(qubit[0, 0, 0].real + qubit[0, 1, 1].real)
     if not abs(norm - 1.0) <= 1e-9:  # "not within": a nan norm is refused too
         raise ValueError(f"initial state not normalized: |psi| = {norm}")
-    cone = vacuum.view(float).reshape(1, 4)
+    flat = np.empty(4 * d**n)  # the final cone; every cone before it is a prefix
+    flat[:4] = vacuum.view(float)
     columns = _real_columns(build(np.arange(n), params, d).matrix, d)
     grams = np.empty((n, 4 * d, 4 * d))
     for step in range(n):
-        grown = cone @ columns[step].reshape(4 * d, 4).T  # [x, (k', q', r')]
+        growth, hi = columns[step].reshape(4 * d, 4).T, d**step
+        cone, grown = flat[:4 * hi].reshape(hi, 4), flat[:4 * d * hi].reshape(hi, 4 * d)
+        while hi > _BOTTOM_ROWS:  # rows [lo, hi) grow into floats past every unread row
+            lo = -(-hi // d)
+            np.matmul(cone[lo:hi], growth, out=grown[lo:hi])
+            hi = lo
+        np.matmul(cone[:hi].copy(), growth, out=grown[:hi])  # [x, (k', q', r')]
         np.matmul(grown.T, grown, out=grams[step])
-        cone = grown.reshape(-1, 4)
     qubit[1:], a_out, photons = _reduce_gram(grams, d)
     return DenseTrajectory(params, frame, qubit, a_out, photons,
-                           {n: DenseJointState(cone.view(complex).T, n, d, frame)})
+                           {n: DenseJointState(flat.view(complex).reshape(-1, 2).T, n, d,
+                                               frame)})
 
 
 # ---------------------------------------------------------------------------
