@@ -260,8 +260,7 @@ class TestRunDense:
 @pytest.mark.parametrize("frame,qubit", [(LAB, "e"), (DISPLACED, "g")],
                          ids=["lab-e", "displaced-g"])
 def test_peak_memory_is_one_state(frame, qubit):
-    # every cone grows in place in the final one; a new array per cone peaked at 1.51
-    # states, the final cone and the one before it
+    # every cone grows in place in one buffer of the final size: 1.02 states measured
     p = SimulationParams(gamma=1.0, dt=1e-2, n_steps=16, omega_q=1.0, omega_rabi=2.0)
     initial = DenseJointState.product_state(qubit, 16, 2, frame=frame)
     tracemalloc.start()
