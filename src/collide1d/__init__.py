@@ -23,7 +23,7 @@ from .analytic import (assemble_coherent, coherent_qubit_trajectory, fm,
                        strong_drive_state, xi_tilde_trajectory)
 from .observables import (entanglement_entropy, io_residual, photon_density,
                           reduced_qubit, state_fidelity)
-from .obe import BlochTrajectory, obe_integrate
+from .obe import obe_integrate
 
 __all__ = [
     "__version__",
@@ -36,6 +36,5 @@ __all__ = [
     "assemble_coherent", "coherent_qubit_trajectory", "fm", "single_photon_state",
     "spontaneous_emission_state", "strong_drive_state", "xi_tilde_trajectory",
     "entanglement_entropy", "io_residual", "photon_density",
-    "reduced_qubit", "state_fidelity",
-    "BlochTrajectory", "obe_integrate",
+    "reduced_qubit", "state_fidelity", "obe_integrate",
 ]

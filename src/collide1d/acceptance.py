@@ -97,8 +97,8 @@ def criterion_3():
     params = SimulationParams(gamma=1.0, dt=1e-4, n_steps=10000, omega_rabi=20.0)
     m_max, t_final = 2, 1.0
     run = run_displaced_sectors(params, m_max, "g")
-    pe_sec = run.p_excited()
-    pe_ana = analytic.coherent_qubit_trajectory(params, m_max, "g").rho[:, 1, 1].real
+    pe_sec = run.record().p_excited()
+    pe_ana = analytic.coherent_qubit_trajectory(params, m_max, "g").p_excited()
     pe_obe = obe_integrate(params, t_final, "g").p_excited()
     pe_err = max(float(np.abs(pe_sec - pe_ana).max()),
                  float(np.abs(pe_sec - pe_obe).max()),
@@ -151,7 +151,7 @@ def criterion_5():
     target = 4 * math.exp(-2.0)
 
     run = run_single_excitation(params, packet)
-    pe_r = run.p_excited()
+    pe_r = run.record().p_excited()
     k_r = int(np.argmax(pe_r))
     pe_a = analytic.single_photon_p_excited(packet, params)
     k_a = int(np.argmax(pe_a))

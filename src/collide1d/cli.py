@@ -491,7 +491,7 @@ def _table(record: RunRecord, stride: int, io_residual=None) -> ResultTable:
     rho = record.rho[steps]
     coh = rho[:, 0, 1]
     return ResultTable(
-        t=steps * params.dt, p_e=rho[:, 1, 1].real, re_coh=coh.real, im_coh=coh.imag,
+        t=steps * params.dt, p_e=record.p_excited()[steps], re_coh=coh.real, im_coh=coh.imag,
         entropy_bits=observables.entanglement_entropy(rho),
         norm=np.einsum("naa->n", rho).real,
         photon_flux=None if record.flux is None else record.flux[steps[:-1]],
@@ -569,9 +569,9 @@ def _io_residuals(params: SimulationParams, config: ScenarioConfig):
 
 def _convergence_error(params: SimulationParams, config: ScenarioConfig):
     """|P_e - e^{-gamma t}| per step of the lab-frame dense run from |e>; the record."""
-    traj = _dense_run(params, config.resolved_phi0(), LAB)
-    return (np.abs(traj.p_excited() - np.exp(-params.gamma * params.grid.times())),
-            _dense_record(traj), None)
+    record = _dense_record(_dense_run(params, config.resolved_phi0(), LAB))
+    return (np.abs(record.p_excited() - np.exp(-params.gamma * params.grid.times())),
+            record, None)
 
 
 class _Sweep(NamedTuple):

@@ -164,18 +164,22 @@ def complex_rabi(params: SimulationParams) -> complex:
 
 
 class RunRecord(NamedTuple):
-    """What every solver produces over a run of N collisions.
+    """What every solver and oracle produces over a run of N collisions.
 
     rho     : (N+1, 2, 2) reduced qubit matrices after each collision; their trace
-              is the norm ledger
+              is the norm ledger.  The Bloch oracle's rows run to t_final's step.
     flux    : (N,) photon flux density per bin of the final state, or None
     weights : (m_max+1, N+1, 2) sector weights per photon count and qubit label, or None
+    P_e per row is p_excited().
     """
 
     params: SimulationParams
     rho: np.ndarray
     flux: np.ndarray | None = None
     weights: np.ndarray | None = None
+
+    def p_excited(self) -> np.ndarray:
+        return self.rho[:, 1, 1].real
 
 
 def populations(p_e: np.ndarray, norm: np.ndarray) -> np.ndarray:

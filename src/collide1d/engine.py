@@ -172,9 +172,6 @@ class DenseTrajectory:
     photons: np.ndarray = field(repr=False)          # (N,)
     snapshots: dict[int, DenseJointState] = field(repr=False)  # step N only
 
-    def p_excited(self) -> np.ndarray:
-        return self.qubit_matrices[:, 1, 1].real
-
     def snapshot(self, step: int) -> DenseJointState:
         try:
             return self.snapshots[step]
@@ -297,9 +294,6 @@ class SinglePhotonState:
     def norm_squared(self) -> float:
         return abs(self.c_e) ** 2 + float(np.sum(np.abs(self.g) ** 2))
 
-    def p_excited(self) -> float:
-        return abs(self.c_e) ** 2
-
 
 class SinglePhotonRun:
     """Trajectory of the single-excitation collision recursion.
@@ -318,9 +312,6 @@ class SinglePhotonRun:
         self._b_initial = b_initial
         self._b_final = b_final
 
-    def p_excited(self) -> np.ndarray:
-        return np.abs(self.c_e_trajectory) ** 2
-
     def state_at(self, step: int) -> SinglePhotonState:
         if not 0 <= step <= self.params.n_steps:
             raise ValueError(f"step {step} outside 0..{self.params.n_steps}")
@@ -333,7 +324,8 @@ class SinglePhotonRun:
 
     def record(self) -> RunRecord:
         """Populations over the norm ledger and the final state's photon flux."""
-        return RunRecord(self.params, populations(self.p_excited(), self.norm_trajectory),
+        return RunRecord(self.params,
+                         populations(np.abs(self.c_e_trajectory) ** 2, self.norm_trajectory),
                          np.abs(self._b_final) ** 2 / self.params.dt)
 
 
@@ -454,9 +446,6 @@ class SectorRun:
     def qubit_trajectory(self) -> np.ndarray:
         """(N+1, 2, 2) reduced qubit matrices (trace < 1 by the truncated weight)."""
         return self._moments[0].copy()
-
-    def p_excited(self) -> np.ndarray:
-        return self.qubit_trajectory()[:, 1, 1].real
 
     def truncation_deficit(self) -> float:
         """Weight outside the tracked sectors at the end of the run."""

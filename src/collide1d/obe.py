@@ -12,27 +12,13 @@ for coherent and vacuum inputs (acceptance criterion 3).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import SimulationParams, qubit_vector
+from .core import RunRecord, SimulationParams, qubit_vector
 from .engine import PROJ_E, SIGMA_MINUS, SIGMA_PLUS, SIGMA_X, SIGMA_Y, SIGMA_Z
 
 _PAULIS = (SIGMA_X, SIGMA_Y, SIGMA_Z)
-
-
-@dataclass
-class BlochTrajectory:
-    """Bloch-vector samples on the collision grid."""
-
-    times: np.ndarray = field(repr=False)
-    sx: np.ndarray = field(repr=False)
-    sy: np.ndarray = field(repr=False)
-    sz: np.ndarray = field(repr=False)
-
-    def p_excited(self) -> np.ndarray:
-        return 0.5 * (1.0 + self.sz)
 
 
 def bloch_generator(params: SimulationParams):
@@ -88,11 +74,11 @@ def _initial_bloch(phi0) -> np.ndarray:
     return np.array([np.trace(p @ rho).real for p in _PAULIS])
 
 
-def obe_integrate(params: SimulationParams, t_final: float, phi0="g") -> BlochTrajectory:
+def obe_integrate(params: SimulationParams, t_final: float, phi0="g") -> RunRecord:
     """RK4 integration sampled on the collision grid up to t_final, with
-    ceil(dt / rk_step_limit) equal substeps (at least one) per collision."""
-    grid = params.grid
-    last = grid.index_of(t_final)
+    ceil(dt / rk_step_limit) equal substeps (at least one) per collision; the
+    record's rho = (1 + s.sigma)/2 has one row per step 0..index_of(t_final)."""
+    last = params.grid.index_of(t_final)
     n_sub = max(1, math.ceil(params.dt / rk_step_limit(params)))
     h = params.dt / n_sub
     A, b = bloch_generator(params)
@@ -110,8 +96,13 @@ def obe_integrate(params: SimulationParams, t_final: float, phi0="g") -> BlochTr
         block += power[3, :3]
         power = power @ power
         done += take
-    return BlochTrajectory(times=grid.times()[:last + 1],
-                           sx=out[:, 0], sy=out[:, 1], sz=out[:, 2])
+    sx, sy, sz = out.T
+    rho = np.empty((last + 1, 2, 2), dtype=complex)
+    rho[:, 0, 0] = 0.5 * (1.0 - sz)
+    rho[:, 1, 1] = 0.5 * (1.0 + sz)
+    rho[:, 1, 0] = 0.5 * (sx + 1j * sy)
+    rho[:, 0, 1] = rho[:, 1, 0].conj()
+    return RunRecord(params, rho)
 
 
 def obe_steady_state_p_excited(params: SimulationParams) -> float:

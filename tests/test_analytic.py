@@ -265,7 +265,7 @@ class TestSpontaneousEmission:
     def test_survival_probability(self):
         p = SimulationParams(gamma=1.0, dt=1e-3, n_steps=3000)
         state = spontaneous_emission_state(1.0, p)
-        assert state.p_excited() == pytest.approx(math.exp(-1.0), rel=1e-12)
+        assert abs(state.c_e) ** 2 == pytest.approx(math.exp(-1.0), rel=1e-12)
 
     def test_photon_density_profile(self):
         p = SimulationParams(gamma=1.0, dt=1e-3, n_steps=3000)

@@ -140,7 +140,7 @@ class TestRunDense:
         traj = run_dense(p, DenseJointState.product_state("g", 6, 2), frame="lab")
         final = traj.snapshot(6)
         assert abs(final.amplitudes[0, 0] - 1.0) < 1e-14
-        assert np.abs(traj.p_excited()).max() < 1e-28
+        assert np.abs(traj.record().p_excited()).max() < 1e-28
 
     def test_spontaneous_decay_matches_rotation_law(self):
         # each collision multiplies c_e by cos(sqrt(gamma dt)) exactly
@@ -148,13 +148,13 @@ class TestRunDense:
         traj = run_dense(p, DenseJointState.product_state("e", 8, 2), frame="lab")
         n = np.arange(9)
         law = np.cos(math.sqrt(p.gamma * p.dt)) ** (2 * n)
-        assert np.abs(traj.p_excited() - law).max() < 1e-12
+        assert np.abs(traj.record().p_excited() - law).max() < 1e-12
 
     def test_spontaneous_decay_near_exponential(self):
         p = SimulationParams(gamma=1.0, dt=1e-2, n_steps=8)
         traj = run_dense(p, DenseJointState.product_state("e", 8, 2), frame="lab")
         target = np.exp(-p.gamma * p.grid.times())
-        assert np.abs(traj.p_excited() - target).max() < 2e-4
+        assert np.abs(traj.record().p_excited() - target).max() < 2e-4
 
     def test_excitation_number_conserved_block_sparsity(self):
         # undriven lab evolution never leaves the total-excitation-1 sector
@@ -173,7 +173,7 @@ class TestRunDense:
             p = SimulationParams(gamma=1.0, dt=1e-2, n_steps=8, omega_q=1.0,
                                  fock_dim=d)
             traj = run_dense(p, DenseJointState.product_state("e", 8, d), frame="lab")
-            results.append(traj.p_excited())
+            results.append(traj.record().p_excited())
         assert np.abs(results[0] - results[1]).max() < 1e-12
 
     def test_norm_conserved_across_run(self):

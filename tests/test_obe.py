@@ -5,11 +5,24 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from collide1d import SimulationParams, obe, obe_integrate, run_displaced_sectors
+from collide1d import RunRecord, SimulationParams, obe, obe_integrate, run_displaced_sectors
+from collide1d.engine import SIGMA_X, SIGMA_Y, SIGMA_Z
 from collide1d.obe import (_initial_bloch, _rk4_step_matrix, bloch_generator,
                            bloch_steady_state, obe_steady_state_p_excited,
                            rk_step_limit)
 from collide1d.observables import dominant_angular_frequency
+
+PAULIS = np.stack([SIGMA_X, SIGMA_Y, SIGMA_Z])
+
+
+def bloch_rho(s):
+    """(n, 2, 2) qubit matrices (1 + s.sigma)/2 of (n, 3) Bloch vectors."""
+    return 0.5 * (np.eye(2) + np.einsum("ni,ijk->njk", s, PAULIS))
+
+
+def bloch_vector(rho):
+    """(n, 3) Bloch vectors tr(sigma rho) of (n, 2, 2) qubit matrices."""
+    return np.einsum("ijk,nkj->ni", PAULIS, rho).real
 
 
 def loop_obe(params, t_final, phi0="g"):
@@ -32,9 +45,10 @@ def test_scan_edges_match_rk4_loop(last):
     # the doubling passes cover 1, 2, 4, 8 rows: none, whole passes and a short last one;
     # dt is three RK4 substeps, so the per-collision map is a matrix power too
     p = SimulationParams(gamma=1.0, dt=1e-3, n_steps=9, omega_rabi=3.0, delta=-0.5)
-    traj = obe_integrate(p, last * p.dt, "e")
-    scan = np.stack([traj.sx, traj.sy, traj.sz], axis=1)
-    assert np.abs(scan - loop_obe(p, last * p.dt, "e")).max() <= 1e-12
+    record = obe_integrate(p, last * p.dt, "e")
+    assert isinstance(record, RunRecord) and record.flux is None and record.weights is None
+    # rho's entries are half the Bloch components: 1e-12 on s is 1e-12 / 2 on rho
+    assert np.abs(record.rho - bloch_rho(loop_obe(p, last * p.dt, "e"))).max() <= 1e-12 / 2
 
 
 def test_obe_shares_no_code_with_the_other_scans():
@@ -55,27 +69,27 @@ def test_obe_shares_no_code_with_the_other_scans():
 class TestIntegration:
     def test_pure_decay_solution(self):
         p = SimulationParams(gamma=1.0, dt=1e-3, n_steps=3000)
-        traj = obe_integrate(p, 3.0, "e")
-        expected = 2 * np.exp(-traj.times) - 1
-        assert np.abs(traj.sz - expected).max() < 1e-10
+        sz = bloch_vector(obe_integrate(p, 3.0, "e").rho)[:, 2]
+        expected = 2 * np.exp(-p.grid.times()) - 1
+        assert np.abs(sz - expected).max() < 1e-10
 
     def test_steady_state_population(self):
         p = SimulationParams(gamma=1.0, dt=1e-3, n_steps=40000, omega_rabi=1.0)
-        traj = obe_integrate(p, 40.0, "g")
+        record = obe_integrate(p, 40.0, "g")
         assert obe_steady_state_p_excited(p) == pytest.approx(1 / 3)
-        assert traj.p_excited()[-1] == pytest.approx(1 / 3, abs=1e-6)
+        assert record.p_excited()[-1] == pytest.approx(1 / 3, abs=1e-6)
 
     def test_detuned_steady_state(self):
         p = SimulationParams(gamma=1.0, dt=1e-3, n_steps=40000, omega_rabi=2.0,
                              delta=1.5)
-        traj = obe_integrate(p, 40.0, "g")
-        assert traj.p_excited()[-1] == pytest.approx(obe_steady_state_p_excited(p),
+        record = obe_integrate(p, 40.0, "g")
+        assert record.p_excited()[-1] == pytest.approx(obe_steady_state_p_excited(p),
                                                      abs=1e-6)
 
     def test_strong_drive_oscillates_at_rabi_frequency(self):
         p = SimulationParams(gamma=1.0, dt=2.5e-4, n_steps=16000, omega_rabi=20.0)
-        traj = obe_integrate(p, 4.0, "g")
-        est = dominant_angular_frequency(traj.p_excited(), p.dt)
+        record = obe_integrate(p, 4.0, "g")
+        est = dominant_angular_frequency(record.p_excited(), p.dt)
         assert abs(est - 20.0) / 20.0 < 1e-2
 
     def test_rk4_self_convergence_order(self):
@@ -101,15 +115,13 @@ class TestIntegration:
                              (dict(), "e"),
                              (dict(omega_rabi=20.0), "g")]:
             p = SimulationParams(gamma=1.0, dt=1e-3, n_steps=5000, **kwargs)
-            traj = obe_integrate(p, 5.0, phi0)
-            s = np.stack([traj.sx, traj.sy, traj.sz], axis=1)
+            s = bloch_vector(obe_integrate(p, 5.0, phi0).rho)
             dist = np.linalg.norm(s - bloch_steady_state(p), axis=1)
             assert np.max(np.diff(dist)) <= 1e-9
 
     def test_bloch_length_bounded(self):
         p = SimulationParams(gamma=1.0, dt=1e-3, n_steps=3000, omega_rabi=10.0)
-        traj = obe_integrate(p, 3.0, "g")
-        lengths = np.sqrt(traj.sx**2 + traj.sy**2 + traj.sz**2)
+        lengths = np.linalg.norm(bloch_vector(obe_integrate(p, 3.0, "g").rho), axis=1)
         assert lengths.max() <= 1 + 1e-9
 
 
@@ -118,7 +130,7 @@ def sector_obe_error(params, t_final, m_max, phi0="g"):
     last = params.grid.index_of(t_final)
     run = run_displaced_sectors(params, m_max, phi0)
     pe_obe = obe_integrate(params, t_final, phi0).p_excited()
-    return float(np.abs(run.p_excited()[:last + 1] - pe_obe).max()), run
+    return float(np.abs(run.record().p_excited()[:last + 1] - pe_obe).max()), run
 
 
 class TestCompareWithCm:

@@ -123,7 +123,7 @@ class TestPhotonDensity:
         p = SimulationParams(gamma=1.0, dt=1e-2, n_steps=6)
         traj = run_dense(p, DenseJointState.product_state("e", 6, 2), frame="lab")
         flux = traj.photons / p.dt
-        total = flux.sum() * p.dt + traj.p_excited()[-1]
+        total = flux.sum() * p.dt + traj.record().p_excited()[-1]
         assert total == pytest.approx(1.0, abs=1e-12)
 
     def test_dense_state_refused(self):

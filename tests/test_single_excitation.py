@@ -22,7 +22,7 @@ class TestRecursion:
 
     def test_peak_excitation(self, resonant_run):
         params, _, run = resonant_run
-        pe = run.p_excited()
+        pe = run.record().p_excited()
         k = int(np.argmax(pe))
         assert pe[k] == pytest.approx(4 * math.exp(-2.0), abs=2e-3)
         assert abs(k * params.dt - 2.0) <= 2 * params.dt
@@ -31,7 +31,7 @@ class TestRecursion:
         params, packet, run = resonant_run
         pe_analytic = analytic.single_photon_p_excited(packet, params)
         bound = 5 * params.gamma * params.dt
-        assert np.abs(run.p_excited() - pe_analytic).max() < bound
+        assert np.abs(run.record().p_excited() - pe_analytic).max() < bound
 
     def test_state_reconstruction_consistency(self, resonant_run):
         params, packet, run = resonant_run
@@ -88,8 +88,8 @@ class TestRecursion:
         params = SimulationParams(gamma=1.0, dt=1e-3, n_steps=16000)
         resonant = make_exponential_wavepacket(1.0, 0.0, params.grid)
         detuned = make_exponential_wavepacket(1.0, 5.0, params.grid)
-        pe_res = run_single_excitation(params, resonant).p_excited().max()
-        pe_det = run_single_excitation(params, detuned).p_excited().max()
+        pe_res = run_single_excitation(params, resonant).record().p_excited().max()
+        pe_det = run_single_excitation(params, detuned).record().p_excited().max()
         assert pe_det < pe_res
 
 
