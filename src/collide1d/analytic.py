@@ -83,6 +83,8 @@ def assemble_coherent(params: SimulationParams, t: float, m_max: int, phi0="g") 
     The result has the sector-state layout; its discrete amplitudes are
     (sqrt(dt))^m times the continuum densities.
     """
+    if m_max < 0:
+        raise ValueError("m_max must be >= 0")
     if m_max > ASSEMBLY_M_MAX:
         raise ValueError(f"analytic assembly is limited to m_max <= {ASSEMBLY_M_MAX} (cost guard)")
     grid = params.grid
@@ -102,6 +104,8 @@ def coherent_qubit_trajectory(params: SimulationParams, m_max: int, phi0="g") ->
     run by log-depth doubling (``_conv.moment_chain``), instead of an enumeration of
     tuples: O(N * m_max) time and memory.  The record carries no flux; its norm is rho's trace.
     """
+    if m_max < 0:
+        raise ValueError("m_max must be >= 0")
     mats = f0_matrix(params.grid.times(), params)
     rho, weights, _ = _conv.moment_chain(mats, _emission_block(params), qubit_vector(phi0), m_max,
                                          params.gamma * params.dt)

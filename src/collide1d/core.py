@@ -82,7 +82,8 @@ class TimeGrid:
 
     def index_of(self, t: float) -> int:
         """Grid index of a time that lies on the grid (within 1e-9 * dt)."""
-        n = int(round(t / self.dt))
+        steps = t / self.dt
+        n = int(round(steps)) if math.isfinite(steps) else -1
         if not 0 <= n <= self.n_steps or abs(n * self.dt - t) > 1e-9 * self.dt:
             raise ValueError(f"t = {t} is not on the grid (dt = {self.dt}, T = {self.total_time})")
         return n

@@ -6,7 +6,7 @@ import pytest
 
 from collide1d import (SimulationParams, complex_rabi, make_exponential_wavepacket,
                        make_gaussian_wavepacket, run_displaced_sectors)
-from collide1d import analytic
+from collide1d import analytic, engine
 from collide1d.analytic import (assemble_coherent, coherent_qubit_trajectory, fm,
                                 single_photon_state, spontaneous_emission_state,
                                 strong_drive_state, xi_tilde_trajectory)
@@ -205,6 +205,21 @@ class TestAssembly:
             state = assemble_coherent(p, 0.3, 2, phi0)
             assert np.abs(state.qubit_matrix() - record.rho[30]).max() < 1e-12
             assert record.weights[:, 30, :] == pytest.approx(state.sector_weights(), abs=1e-12)
+
+
+@pytest.mark.parametrize("solve", [
+    lambda p: coherent_qubit_trajectory(p, -1),
+    lambda p: assemble_coherent(p, 0.01, -1),
+    lambda p: run_displaced_sectors(p, -1),
+], ids=["closed-form-trajectory", "closed-form-assembly", "sectors"])
+def test_negative_m_max_refused_before_any_compute(solve, monkeypatch):
+    def computed(*args, **kwargs):
+        raise AssertionError("computed before refusing m_max")
+    for module, name in ((analytic, "f0_matrix"), (engine, "displaced_collision_unitary")):
+        monkeypatch.setattr(module, name, computed)
+    p = SimulationParams(gamma=1.0, dt=1e-3, n_steps=10, omega_rabi=1.0)
+    with pytest.raises(ValueError, match="m_max must be >= 0"):
+        solve(p)
 
 
 class TestStrongDrive:

@@ -23,8 +23,9 @@ class TestTimeGrid:
 
     def test_off_grid_time_rejected(self):
         grid = TimeGrid(dt=1e-3, n_steps=10)
-        with pytest.raises(ValueError):
-            grid.index_of(5.0005e-3)
+        for t in (5.0005e-3, math.inf, -math.inf, math.nan):
+            with pytest.raises(ValueError, match="is not on the grid"):
+                grid.index_of(t)
 
     @pytest.mark.parametrize("dt,n", [(0.0, 5), (-1.0, 5), (0.1, 0), (math.inf, 5),
                                       (math.nan, 5)])

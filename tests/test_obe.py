@@ -1,11 +1,9 @@
-import ast
 import math
-from pathlib import Path
 
 import numpy as np
 import pytest
 
-from collide1d import RunRecord, SimulationParams, obe, obe_integrate, run_displaced_sectors
+from collide1d import RunRecord, SimulationParams, obe_integrate, run_displaced_sectors
 from collide1d.engine import SIGMA_X, SIGMA_Y, SIGMA_Z
 from collide1d.obe import (_initial_bloch, _rk4_step_matrix, bloch_generator,
                            bloch_steady_state, obe_steady_state_p_excited,
@@ -49,21 +47,6 @@ def test_scan_edges_match_rk4_loop(last):
     assert isinstance(record, RunRecord) and record.flux is None and record.weights is None
     # rho's entries are half the Bloch components: 1e-12 on s is 1e-12 / 2 on rho
     assert np.abs(record.rho - bloch_rho(loop_obe(p, last * p.dt, "e"))).max() <= 1e-12 / 2
-
-
-def test_obe_shares_no_code_with_the_other_scans():
-    # the Bloch oracle is criterion 3's independent leg: the sector and
-    # closed-form tiers run on _conv's scans, so obe.py imports neither
-    imported = set()
-    for node in ast.walk(ast.parse(Path(obe.__file__).read_text())):
-        if isinstance(node, ast.Import):
-            imported.update(alias.name for alias in node.names)
-        elif isinstance(node, ast.ImportFrom):
-            module = ".".join(filter(None, ("collide1d" if node.level else "", node.module)))
-            imported.update(f"{module}.{alias.name}" for alias in node.names)
-    assert "collide1d.core.SimulationParams" in imported
-    for name in imported:
-        assert not name.startswith(("collide1d._conv", "collide1d.analytic")), name
 
 
 class TestIntegration:
