@@ -204,18 +204,13 @@ def criterion_8():
     """Entanglement entropy: zero at t=0, one bit at t = ln2/gamma."""
     dt = math.log(2.0) / 693
     params = SimulationParams(gamma=1.0, dt=dt, n_steps=800)
-    at_zero = [
-        observables.entanglement_entropy(
-            analytic.spontaneous_emission_state(0.0, params)),
-        observables.entanglement_entropy(
-            run_displaced_sectors(params, 1, "g").qubit_trajectory()[0]),
-    ]
+    decay = analytic.spontaneous_emission_record(params).rho
     packet_params = SimulationParams(gamma=1.0, dt=1e-3, n_steps=16000)
     packet = make_exponential_wavepacket(1.0, 0.0, packet_params.grid)
-    run = run_single_excitation(packet_params, packet)
-    at_zero.append(observables.entanglement_entropy(run.state_at(0)))
-    half_life = analytic.spontaneous_emission_state(693 * dt, params)
-    bit = observables.entanglement_entropy(half_life)
+    at_zero = [observables.entanglement_entropy(rho) for rho in (
+        decay[0], run_displaced_sectors(params, 1, "g").record().rho[0],
+        run_single_excitation(packet_params, packet).record().rho[0])]
+    bit = observables.entanglement_entropy(decay[693])
     ok = max(at_zero) <= 1e-12 and abs(bit - 1.0) <= 5e-3
     return ok, (f"entropy(t=0) max {max(at_zero):.1e} <= 1e-12, "
                 f"entropy(ln2/gamma) = {bit:.4f} bits (want 1.000 +- 0.005)")

@@ -1,11 +1,13 @@
-"""Reduced states, entanglement, photon statistics, and cross-tier checks."""
+"""Observables read off a run: the reduced qubit state and its entanglement
+entropy from qubit matrices (``RunRecord.rho``), the flux and fidelity of
+single-photon states, and the input-output residual of a dense trajectory."""
 
 from __future__ import annotations
 
 import numpy as np
 
 from .core import MAX_NORM_DEFICIT
-from .engine import LAB, DenseTrajectory, SectorState, SinglePhotonState
+from .engine import LAB, DenseTrajectory, SinglePhotonState
 
 
 def _reject_rows(bad: np.ndarray, message: str, values: np.ndarray):
@@ -16,32 +18,27 @@ def _reject_rows(bad: np.ndarray, message: str, values: np.ndarray):
         raise ValueError(f"{message}{where} = {values[row]}")
 
 
-def reduced_qubit(state) -> np.ndarray:
-    """2x2 reduced qubit density matrix of a sector or single-photon state, or of a
-    qubit matrix or a (..., 2, 2) stack of them, such as a run's record.
+def reduced_qubit(rho: np.ndarray) -> np.ndarray:
+    """2x2 reduced qubit density matrix from a qubit matrix or a (..., 2, 2) stack
+    of them, such as a run's ``RunRecord.rho``.
 
-    States with a norm deficit (sector truncation, discretization) are
+    Matrices with a norm deficit (sector truncation, discretization) are
     renormalized to unit trace; a deficit above 0.1 is rejected.
     """
-    if isinstance(state, np.ndarray) and state.shape[-2:] == (2, 2):
-        rho = state.astype(complex)
-    elif isinstance(state, SectorState):
-        rho = state.qubit_matrix()
-    elif isinstance(state, SinglePhotonState):
-        rho = np.diag([float(np.sum(np.abs(state.g) ** 2)),
-                       abs(state.c_e) ** 2]).astype(complex)
-    else:
-        raise TypeError(f"cannot reduce a {type(state).__name__}")
+    if not (isinstance(rho, np.ndarray) and rho.shape[-2:] == (2, 2)):
+        raise TypeError(f"cannot reduce a {type(rho).__name__}: want a (..., 2, 2) array")
     trace = rho[..., 0, 0].real + rho[..., 1, 1].real
     # written as "not within", so a nan trace is rejected too
     _reject_rows(~(np.abs(trace - 1.0) <= MAX_NORM_DEFICIT),
                  "state norm deficit too large to interpret: trace", trace)
-    return rho / trace[..., None, None]
+    return rho.astype(complex) / trace[..., None, None]
 
 
-def entanglement_entropy(state):
-    """Von Neumann entropy of the reduced qubit, in bits; an array for a stack."""
-    evals = np.linalg.eigvalsh(reduced_qubit(state))
+def entanglement_entropy(rho: np.ndarray):
+    """Von Neumann entropy, in bits, of a qubit matrix or of each matrix of a
+    (..., 2, 2) stack (an array then): the light-matter entanglement of a pure
+    joint state."""
+    evals = np.linalg.eigvalsh(reduced_qubit(rho))
     _reject_rows(~((evals[..., 0] >= -1e-10) & (evals[..., 1] <= 1 + 1e-10)),
                  "reduced state not a density matrix: eigenvalues", evals)
     evals = np.clip(evals, 0.0, 1.0)
@@ -49,22 +46,13 @@ def entanglement_entropy(state):
     return -(terms[..., 0] + terms[..., 1]) + 0.0
 
 
-def photon_density(state) -> np.ndarray:
-    """Flux density <a_n^dag a_n>/dt per time bin of a single-photon or sector
-    state; integrates (x dt) to the mean emitted photon number.  A dense run
-    records the same moments on its light cone: read ``DenseTrajectory.photons``."""
-    if isinstance(state, SinglePhotonState):
-        return np.abs(state.g) ** 2 / state.grid.dt
-    if isinstance(state, SectorState):
-        out = np.zeros(state.grid.n_steps)
-        for m in range(1, state.m_max + 1):
-            if state.tuples[m].size == 0:
-                continue
-            weight = np.sum(np.abs(state.values[m]) ** 2, axis=0)
-            for col in range(m):
-                np.add.at(out, state.tuples[m][:, col], weight)
-        return out / state.grid.dt
-    raise TypeError(f"cannot compute photon density of a {type(state).__name__}")
+def photon_density(state: SinglePhotonState) -> np.ndarray:
+    """Flux density <a_n^dag a_n>/dt per time bin of a single-photon state; integrates
+    (x dt) to the mean emitted photon number.  Sector and dense runs record their
+    flux: read ``SectorRun.record().flux`` or ``DenseTrajectory.photons``."""
+    if not isinstance(state, SinglePhotonState):
+        raise TypeError(f"cannot compute photon density of a {type(state).__name__}")
+    return np.abs(state.g) ** 2 / state.grid.dt
 
 
 def io_residual(trajectory: DenseTrajectory) -> np.ndarray:
@@ -88,24 +76,15 @@ def io_residual(trajectory: DenseTrajectory) -> np.ndarray:
     return np.abs(field + np.sqrt(params.gamma) * sigma_minus)
 
 
-def state_fidelity(a, b) -> float:
-    """|<a|b>|^2 of two single-photon or two sector states, normalized into [0, 1]."""
-    if type(a) is not type(b):
-        raise TypeError(f"cannot compare {type(a).__name__} with {type(b).__name__}")
-    if isinstance(a, SinglePhotonState):
-        if a.grid != b.grid:
-            raise ValueError("states live on different grids")
-        overlap = np.conj(a.c_e) * b.c_e + np.vdot(a.g, b.g)
-        na, nb = a.norm_squared(), b.norm_squared()
-    elif isinstance(a, SectorState):
-        if a.grid != b.grid or a.step != b.step:
-            raise ValueError("states live on different grids or times")
-        shared = min(a.m_max, b.m_max)
-        overlap = sum(np.vdot(a.values[m], b.values[m]) for m in range(shared + 1))
-        na, nb = a.norm_squared(), b.norm_squared()
-    else:
-        raise TypeError(f"unsupported state type {type(a).__name__}")
-    return float(abs(overlap) ** 2 / (na * nb))
+def state_fidelity(a: SinglePhotonState, b: SinglePhotonState) -> float:
+    """|<a|b>|^2 of two single-photon states on one grid, normalized into [0, 1]."""
+    for state in (a, b):
+        if not isinstance(state, SinglePhotonState):
+            raise TypeError(f"unsupported state type {type(state).__name__}")
+    if a.grid != b.grid:
+        raise ValueError("states live on different grids")
+    overlap = np.conj(a.c_e) * b.c_e + np.vdot(a.g, b.g)
+    return float(abs(overlap) ** 2 / (a.norm_squared() * b.norm_squared()))
 
 
 def dominant_angular_frequency(signal: np.ndarray, dt: float) -> float:

@@ -18,7 +18,7 @@ class TestReducedQubit:
 
     def test_spontaneous_emission_population(self):
         p = SimulationParams(gamma=1.0, dt=1e-3, n_steps=2000)
-        rho = reduced_qubit(analytic.spontaneous_emission_state(1.0, p))
+        rho = reduced_qubit(analytic.spontaneous_emission_record(p).rho[p.grid.index_of(1.0)])
         assert rho[1, 1].real == pytest.approx(math.exp(-1.0), abs=1e-3)
         assert abs(rho[0, 1]) == 0.0
 
@@ -28,7 +28,7 @@ class TestReducedQubit:
         dense = run_dense(p, DenseJointState.product_state("g", 7, 2,
                                                            frame="displaced"),
                           frame="displaced").qubit_matrices[7]
-        sector = run_displaced_sectors(p, 7, "g").state_at(7)
+        sector = run_displaced_sectors(p, 7, "g").state_at(7).qubit_matrix()
         assert np.abs(reduced_qubit(dense) - reduced_qubit(sector)).max() < 1e-10
 
     def test_rejects_deep_deficit(self):
@@ -51,8 +51,8 @@ class TestEntropy:
     def test_half_decayed_is_one_bit(self):
         dt = math.log(2.0) / 800
         p = SimulationParams(gamma=1.0, dt=dt, n_steps=1000)
-        state = analytic.spontaneous_emission_state(800 * dt, p)
-        assert entanglement_entropy(state) == pytest.approx(1.0, abs=5e-3)
+        rho = analytic.spontaneous_emission_record(p).rho[800]
+        assert entanglement_entropy(rho) == pytest.approx(1.0, abs=5e-3)
 
     def test_bounded_by_one_bit(self):
         p = SimulationParams(gamma=1.0, dt=1e-3, n_steps=1500, omega_rabi=5.0)
@@ -109,15 +109,6 @@ class TestPhotonDensity:
         assert flux.sum() * p.dt == pytest.approx(1.0, abs=1e-3)
         tp = np.arange(100) * p.dt
         assert np.allclose(flux[:100], p.gamma * np.exp(-p.gamma * tp), rtol=1e-10)
-
-    def test_strong_drive_completeness(self):
-        # total one-photon weight is exactly the norm minus the vacuum weight
-        p = SimulationParams(gamma=1.0, dt=1e-3, n_steps=800, omega_rabi=40.0)
-        state = analytic.strong_drive_state(0.8, p)
-        flux = photon_density(state)
-        vacuum = state.sector_weights()[0].sum()
-        assert flux.sum() * p.dt == pytest.approx(state.norm_squared() - vacuum,
-                                                  abs=1e-12)
 
     def test_dense_mode_occupation(self):
         p = SimulationParams(gamma=1.0, dt=1e-2, n_steps=6)
@@ -193,26 +184,44 @@ class TestFidelity:
         a, b = (SinglePhotonState(1.0, np.zeros(4), TimeGrid(dt, 4)) for dt in (1e-2, 2e-2))
         with pytest.raises(ValueError, match="states live on different grids"):
             state_fidelity(a, b)
-        run = run_displaced_sectors(SimulationParams(gamma=1.0, dt=1e-2, n_steps=6,
-                                                     omega_rabi=2.0), 2, "g")
-        other = run_displaced_sectors(SimulationParams(gamma=1.0, dt=1e-2, n_steps=8,
-                                                       omega_rabi=2.0), 2, "g")
-        for c, d in [(run.state_at(4), run.state_at(6)), (run.state_at(6), other.state_at(6))]:
-            with pytest.raises(ValueError, match="states live on different grids or times"):
-                state_fidelity(c, d)
-
-    def test_sector_fidelity(self):
-        p = SimulationParams(gamma=1.0, dt=1e-2, n_steps=6, omega_rabi=2.0)
-        a = run_displaced_sectors(p, 6, "g").state_at(6)
-        b = run_displaced_sectors(p, 6, "g").state_at(6)
-        assert state_fidelity(a, b) == pytest.approx(1.0, abs=1e-12)
 
     def test_sector_state_against_closed_form(self):
         # the closed-form assembly has the sector-state layout, so the two compare
         p = SimulationParams(gamma=1.0, dt=1e-2, n_steps=40, omega_rabi=2.0)
-        fid = state_fidelity(run_displaced_sectors(p, 2).state_at(40),
-                             analytic.assemble_coherent(p, 0.4, 2))
+        a = run_displaced_sectors(p, 2).state_at(40)
+        b = analytic.assemble_coherent(p, 0.4, 2)
+        overlap = sum(np.vdot(x, y) for x, y in zip(a.values, b.values))
+        fid = abs(overlap) ** 2 / (a.norm_squared() * b.norm_squared())
         assert fid >= 1 - 1e-4
+
+
+def _single_photon_state():
+    return SinglePhotonState(1.0, np.zeros(4), TimeGrid(1e-2, 4))
+
+
+def _sector_state():
+    return run_displaced_sectors(SimulationParams(gamma=1.0, dt=1e-2, n_steps=4),
+                                 1).state_at(2)
+
+
+def _qutrit_matrix():
+    return np.eye(3, dtype=complex) / 3
+
+
+def _self_fidelity(state):
+    return state_fidelity(state, state)
+
+
+@pytest.mark.parametrize("fn, make", [
+    *[(fn, make) for fn in (reduced_qubit, entanglement_entropy)
+      for make in (_single_photon_state, _sector_state, _qutrit_matrix)],
+    (photon_density, _sector_state),
+    (_self_fidelity, _sector_state),
+], ids=lambda f: f.__name__.strip("_"))
+def test_only_qubit_matrices_or_single_photon_states_accepted(fn, make):
+    # the reduced state and entropy read qubit matrices, such as RunRecord.rho
+    with pytest.raises(TypeError):
+        fn(make())
 
 
 class TestAnalysisHelpers:
