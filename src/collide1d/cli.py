@@ -730,11 +730,15 @@ def main(argv=None) -> int:
 
     if args.command == "presets":
         if args.action == "list":
+            if args.name is not None:
+                print(f"presets list takes no name, got {args.name!r}", file=sys.stderr)
+                return EXIT_INVALID
             for name in PRESETS:
                 print(name)
             return EXIT_OK
         if args.name not in PRESETS:
-            print(f"unknown preset {args.name!r}", file=sys.stderr)
+            print(f"presets show needs a preset name: {', '.join(PRESETS)}"
+                  if args.name is None else f"unknown preset {args.name!r}", file=sys.stderr)
             return EXIT_INVALID
         print(PRESETS[args.name], end="")
         return EXIT_OK

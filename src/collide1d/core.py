@@ -9,6 +9,7 @@ discretization, so discrete-vs-continuum comparisons converge at one rate.
 from __future__ import annotations
 
 import math
+import numbers
 import warnings
 from dataclasses import dataclass, field
 from typing import NamedTuple
@@ -69,7 +70,7 @@ class TimeGrid:
     def __post_init__(self):
         if not (math.isfinite(self.dt) and self.dt > 0):
             raise ValueError(f"dt must be positive and finite, got {self.dt}")
-        if self.n_steps < 1 or int(self.n_steps) != self.n_steps:
+        if not isinstance(self.n_steps, numbers.Integral) or self.n_steps < 1:
             raise ValueError(f"n_steps must be a positive integer, got {self.n_steps}")
 
     @property
@@ -126,9 +127,9 @@ class SimulationParams:
             raise ValueError(f"omega_rabi must be non-negative, got {self.omega_rabi}")
         if self.dt <= 0:
             raise ValueError(f"dt must be positive, got {self.dt}")
-        if self.n_steps < 1 or int(self.n_steps) != self.n_steps:
+        if not isinstance(self.n_steps, numbers.Integral) or self.n_steps < 1:
             raise ValueError(f"n_steps must be a positive integer, got {self.n_steps}")
-        if self.fock_dim < 2 or int(self.fock_dim) != self.fock_dim:
+        if not isinstance(self.fock_dim, numbers.Integral) or self.fock_dim < 2:
             raise ValueError(f"fock_dim must be an integer >= 2, got {self.fock_dim}")
         self._check_validity()
 

@@ -361,6 +361,17 @@ class TestMain:
         shown = capsys.readouterr().out
         assert parse_config(shown).scenario == "spont"
 
+    @pytest.mark.parametrize("argv, message", [
+        (["presets", "show"], "needs a preset name: " + ", ".join(PRESETS)),
+        (["presets", "show", "nope"], "unknown preset 'nope'"),
+        (["presets", "list", "spont"], "takes no name, got 'spont'"),
+    ])
+    def test_presets_refuses_a_missing_or_stray_name(self, capsys, argv, message):
+        assert cli.main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert message in captured.err
+
     def test_run_rejects_bad_config(self, tmp_path, capsys):
         bad = tmp_path / "bad.cfg"
         bad.write_text("scenario = spont\nsolver = analytic\ngamma = -1\n"

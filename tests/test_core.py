@@ -28,7 +28,7 @@ class TestTimeGrid:
                 grid.index_of(t)
 
     @pytest.mark.parametrize("dt,n", [(0.0, 5), (-1.0, 5), (0.1, 0), (math.inf, 5),
-                                      (math.nan, 5)])
+                                      (math.nan, 5), (0.1, 4.0)])
     def test_invalid_construction(self, dt, n):
         with pytest.raises(ValueError):
             TimeGrid(dt=dt, n_steps=n)
@@ -43,7 +43,8 @@ class TestSimulationParams:
         dict(gamma=-1.0), dict(gamma=0.0), dict(omega_q=-1.0),
         dict(omega_rabi=-0.5), dict(dt=0.0), dict(n_steps=0), dict(fock_dim=1),
         dict(gamma=math.nan), dict(dt=math.inf), dict(omega_q=math.inf),
-        dict(delta=math.nan), dict(omega_rabi=math.nan),
+        dict(delta=math.nan), dict(omega_rabi=math.nan), dict(n_steps=4.0),
+        dict(fock_dim=2.0),
     ])
     def test_domain_errors(self, kwargs):
         base = dict(gamma=1.0, dt=1e-3, n_steps=10)
