@@ -2,17 +2,17 @@
 
 Emitted photons are never revisited, so the qubit 2-vector attached to a
 photon tuple depends only on the lag since its last emission: every tuple
-amplitude is a chain of no-emission propagators joined by emission blocks.
-Both tiers supply their own propagator and emission block, and an emission
-consumes its bin (see ``moment_chain``).  ``materialize_tuples`` evaluates that chain for every
-tuple; each m-photon tuple is an (m-1)-photon parent followed by one later
-mode, and children appended in parent order stay lexicographic, at
-O(total amplitudes) cost.  Summing |amplitude|^2 over all tuples with the same
-photon count instead collapses each sector into one 2x2 moment matrix per
-step, and one collision maps the moments of every sector by one constant
-linear map (the Kraus map X -> K X K^dag + E X E^dag, split by photon count).
-``linear_recurrence`` evaluates such a recurrence by log-depth doubling, which gives
-reduced-qubit trajectories in O(N * m_max) time and memory instead of O(N^(m+1)).
+amplitude is a chain of no-emission propagators joined by emission blocks, and
+an emission consumes its bin (see ``moment_chain``).  ``materialize_tuples``
+evaluates that chain for every tuple from a tier's propagator at each lag; each
+m-photon tuple is an (m-1)-photon parent followed by one later mode, and children
+appended in parent order stay lexicographic, at O(total amplitudes) cost.
+Summing |amplitude|^2 over all tuples with the same photon count instead
+collapses each sector into one 2x2 moment matrix per step, and one collision maps
+the moments of every sector by one constant linear map, built from the tier's
+one-step map K and emission block E alone (the Kraus map X -> K X K^dag + E X E^dag,
+split by photon count).  ``linear_recurrence`` evaluates such a recurrence by
+log-depth doubling: reduced-qubit trajectories in O(N * m_max) time and memory.
 """
 
 from __future__ import annotations
@@ -54,44 +54,41 @@ def linear_recurrence(step: np.ndarray, x: np.ndarray) -> None:
         step, b = _square(step), 2 * b
 
 
-def moment_chain(props: np.ndarray, emit: np.ndarray, phi0: np.ndarray, m_max: int,
-                 gamma_dt: float):
+def moment_chain(step: np.ndarray, emit: np.ndarray, phi0: np.ndarray, m_max: int,
+                 n_steps: int, gamma_dt: float):
     """Reduced-qubit, sector-weight and emission trajectories of one tier.
 
-    props is the (N+1, 2, 2) no-emission propagator at integer lag j.  It must
-    be the semigroup props[j] = props[1]^j, because the moments advance by the
-    one-step map props[1].  emit is the (2, 2) per-collision emission block and
-    phi0 the initial qubit state.  The emitting collision is consumed, so after
-    an emission at step n the propagator up to step s is props[s - n - 1]; the
-    closed form, whose continuum lags run from the emission time itself,
-    passes emit = M(dt) @ (-sqrt(gamma dt) sigma_-).
+    step is the tier's (2, 2) one-step no-emission map K, emit its (2, 2) emission
+    block E and phi0 the initial qubit state.  An emission consumes its collision, so
+    after an emission at step n an amplitude advances by K^(s - n - 1) up to step s;
+    the closed form, whose continuum lags run from the emission time itself, passes
+    emit = M(dt) @ (-sqrt(gamma dt) sigma_-).
 
-    Returns (rho, weights, emitted).  rho (N+1, 2, 2) is outer(q, q*) for the
-    vacuum amplitudes q[s] = props[s] @ phi0 plus the moments S_1..S_m_max,
-    where S_m[s][a, b] sums A_a conj(A_b) over the m-photon tuples at step s
-    (trace <= 1 by the weight beyond m_max).  weights (m_max+1, N+1, 2) holds
-    |q|^2 and the diagonals of the S_m.  emitted (N,) is the weight deposited
-    into bin n by the births of sectors 1..m_max, the trace of
-    E S_(m-1)[n] E^dag summed over m: the photon flux times dt for a bare
+    Returns read-only (rho, weights, emitted) for steps 0..N = n_steps.  S_m[s][a, b]
+    sums A_a conj(A_b) over the m-photon tuples at step s (S_0 the vacuum's outer
+    product); rho (N+1, 2, 2) is S_0 + .. + S_m_max (trace <= 1 by the weight beyond
+    m_max), and weights (m_max+1, N+1, 2) holds the diagonals of the S_m.  emitted
+    (N,) is the weight deposited into bin n by the births of sectors 1..m_max, the
+    trace of E S_(m-1)[n] E^dag summed over m: the photon flux times dt for a bare
     emission block.  The closed form's block moves it by O(gamma dt), and
     ``analytic.coherent_qubit_trajectory`` discards it.
 
     One collision multiplies the tracked weight by up to the largest eigenvalue
-    of K^dag K + E^dag E, K = props[1] and E = emit.  Above 1 + MAX_NORM_DEFICIT,
-    if the vacuum ever emits (else no sector is fed), this raises ValueError
-    naming gamma_dt before anything is composed.
+    of K^dag K + E^dag E.  Above 1 + MAX_NORM_DEFICIT, if the vacuum ever emits
+    before step N (else no sector is fed), this raises ValueError naming gamma_dt
+    before anything is composed.  It emits iff E phi0 != 0, or N > 1 and
+    E K phi0 != 0: each K^s phi0 lies in the span of phi0 and K phi0.
     """
-    n_steps = props.shape[0] - 1
-    q = (props.reshape(-1, 2) @ phi0).reshape(-1, 2)
-    gain = np.linalg.eigvalsh(props[1].conj().T @ props[1] + emit.conj().T @ emit)[-1]
-    if not gain <= 1.0 + MAX_NORM_DEFICIT and np.any(q[:-1] @ emit.T):  # nan gain too
+    gain = np.linalg.eigvalsh(step.conj().T @ step + emit.conj().T @ emit)[-1]
+    emits = np.any(emit @ phi0) or n_steps > 1 and np.any(emit @ step @ phi0)
+    if not gain <= 1.0 + MAX_NORM_DEFICIT and emits:  # nan gain too
         raise ValueError(f"one collision multiplies the tracked weight by up to {gain:.4g}, "
                          f"above {1 + MAX_NORM_DEFICIT:g}: emissions outweigh the state "
                          f"(gamma*dt = {gamma_dt:.4g}, bound {VALIDITY_BOUND:g})")
-    # S_m[s+1] = K S_m[s] K^dag + E S_{m-1}[s] E^dag, K = props[1] and E = emit.  Both
-    # maps keep S_m Hermitian: act on its real coordinates, as row vectors.
+    # S_m[s+1] = K S_m[s] K^dag + E S_{m-1}[s] E^dag.  Both maps keep S_m Hermitian:
+    # act on its real coordinates, as row vectors.
     keep, feed = (np.linalg.solve(HERMITIAN, np.kron(a, a.conj()) @ HERMITIAN).real.T.copy()
-                  for a in (props[1], emit))
+                  for a in (step, emit))
     size = m_max + 1
     # x[k, i, m] holds S_m at step k * block + i: block starts by the doubling scan of the
     # one-collision map A, then structured steps.  Blocks of about size / 4 steps measured
@@ -112,19 +109,19 @@ def moment_chain(props: np.ndarray, emit: np.ndarray, phi0: np.ndarray, m_max: i
         np.matmul(x[:, i - 1], keep, out=x[:, i])
         x[:, i, 1:] += x[:, i - 1, :-1] @ feed
     x = x.reshape(-1, size, 4)[:n_steps + 1]
-    # per step, in real coordinates, S_1 + .. + S_m_max and the weight S_0..S_(m_max-1)
-    # emit, tr(E X E^dag) = sum_cd (E^T conj(E))[c, d] X[c, d], by one GEMM
-    reduce = np.zeros((size, 4, 5))
-    reduce[1:, :, :4] = np.eye(4)
-    reduce[:-1, :, 4] = ((emit.T @ emit.conj()).ravel() @ HERMITIAN).real
-    sums = x.reshape(-1, 4 * size) @ reduce.reshape(4 * size, 5)
+    # the diagonals (X00, X11) of each S_m, copied as one complex number into one
+    # contiguous array: the truncation guard's sums over a strided view run 6x slower
     weights = np.empty((size, n_steps + 1, 2))
-    weights[0] = np.abs(q) ** 2
-    # the diagonals (X00, X11) of each S_m, copied as one complex number
-    weights.view(complex)[1:, :, 0] = x.view(complex)[:, 1:, 0].T
-    del x  # read out: freed before rho is built
-    rho = q[:, :, None] * q[:, None, :].conj() + (sums[:, :4] @ HERMITIAN.T).reshape(-1, 2, 2)
-    return rho, weights, sums[:-1, 4].copy()
+    weights.view(complex)[:, :, 0] = x.view(complex)[:, :, 0].T
+    # per step, S_0 + .. + S_m_max as rho's (Re, Im) parts by one GEMM, and the weight that
+    # S_0..S_(m_max-1) emit, tr(E X E^dag) = sum_cd (E^T conj(E))[c, d] X[c, d], by one GEMV
+    moments, rho = x.reshape(-1, 4 * size), np.empty((n_steps + 1, 2, 2), complex)
+    np.matmul(moments, np.tile(HERMITIAN.T.copy().view(float), (size, 1)),
+              out=rho.view(float).reshape(-1, 8))
+    emitted = moments[:-1, :-4] @ np.tile(((emit.T @ emit.conj()).ravel() @ HERMITIAN).real,
+                                          m_max)
+    rho.flags.writeable = weights.flags.writeable = emitted.flags.writeable = False
+    return rho, weights, emitted
 
 
 def materialize_tuples(props: np.ndarray, emit: np.ndarray, phases: np.ndarray,

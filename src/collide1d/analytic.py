@@ -68,9 +68,9 @@ def fm(phi0: str, t: float, times, params: SimulationParams) -> np.ndarray:
     return (-math.sqrt(params.gamma)) ** m * value * np.exp(-1j * params.omega_p * sum(times))
 
 
-def _emission_block(params: SimulationParams) -> np.ndarray:
-    """-sqrt(gamma dt) sigma_- propagated over its own bin by M(dt) (see _conv)."""
-    return f0_matrix(params.dt, params) @ (-math.sqrt(params.gamma * params.dt) * SIGMA_MINUS)
+def _emission_block(one_step: np.ndarray, params: SimulationParams) -> np.ndarray:
+    """-sqrt(gamma dt) sigma_- propagated over its own bin by one_step = M(dt) (see _conv)."""
+    return one_step @ (-math.sqrt(params.gamma * params.dt) * SIGMA_MINUS)
 
 
 #: highest photon sector whose tuples assemble_coherent enumerates (a cost guard)
@@ -91,8 +91,8 @@ def assemble_coherent(params: SimulationParams, t: float, m_max: int, phi0="g") 
     step = grid.index_of(t)
     mats = f0_matrix(np.arange(step + 1) * params.dt, params)  # M(t_j) for lags j
     phases = np.exp(-1j * params.omega_p * params.dt * np.arange(step))
-    tuples, values = _conv.materialize_tuples(mats, _emission_block(params), phases,
-                                              qubit_vector(phi0), step, m_max,
+    emit = _emission_block(f0_matrix(params.dt, params), params)
+    tuples, values = _conv.materialize_tuples(mats, emit, phases, qubit_vector(phi0), step, m_max,
                                               MAX_SECTOR_AMPLITUDES)
     return SectorState(step=step, m_max=m_max, grid=grid, tuples=tuples, values=values)
 
@@ -106,9 +106,9 @@ def coherent_qubit_trajectory(params: SimulationParams, m_max: int, phi0="g") ->
     """
     if m_max < 0:
         raise ValueError("m_max must be >= 0")
-    mats = f0_matrix(params.grid.times(), params)
-    rho, weights, _ = _conv.moment_chain(mats, _emission_block(params), qubit_vector(phi0), m_max,
-                                         params.gamma * params.dt)
+    step = f0_matrix(params.dt, params)
+    rho, weights, _ = _conv.moment_chain(step, _emission_block(step, params), qubit_vector(phi0),
+                                         m_max, params.n_steps, params.gamma * params.dt)
     return RunRecord(params, rho, weights=weights)
 
 

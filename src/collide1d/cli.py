@@ -149,9 +149,11 @@ class ScenarioConfig:
     output: str | None = _key(None)
 
     def __post_init__(self):
+        # a bool equals the number defaults 1.0, 0.0 and 1, yet is none of them
         problems = [f"config: {message}" for _, message in _violations(
             {f.name: getattr(self, f.name) for f in fields(self)
-             if f.default is MISSING or getattr(self, f.name) != f.default})]
+             if f.default is MISSING or getattr(self, f.name) != f.default
+             or isinstance(getattr(self, f.name), bool)})]
         if problems:
             raise ConfigError(problems)
 
@@ -189,7 +191,8 @@ def _violations(values: dict):
         if key not in values:
             continue
         value, kind, low, choices = values[key], meta["kind"], meta["low"], meta["choices"]
-        if not isinstance(value, {float: numbers.Real, int: numbers.Integral}.get(kind, kind)):
+        if isinstance(value, bool) or not isinstance(
+                value, {float: numbers.Real, int: numbers.Integral}.get(kind, kind)):
             yield key, f"{key} expects {_KIND_NAMES[kind]}, got {value!r}"
             continue
         typed[key] = value

@@ -60,6 +60,11 @@ def qubit_vector(phi0) -> np.ndarray:
     return v
 
 
+def _integer(value) -> bool:
+    """An integer and not a bool, which is a numbers.Integral too."""
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
+
+
 @dataclass(frozen=True)
 class TimeGrid:
     """Uniform grid t_n = n*dt for n = 0..n_steps."""
@@ -68,9 +73,9 @@ class TimeGrid:
     n_steps: int
 
     def __post_init__(self):
-        if not (math.isfinite(self.dt) and self.dt > 0):
+        if isinstance(self.dt, bool) or not (math.isfinite(self.dt) and self.dt > 0):
             raise ValueError(f"dt must be positive and finite, got {self.dt}")
-        if not isinstance(self.n_steps, numbers.Integral) or self.n_steps < 1:
+        if not _integer(self.n_steps) or self.n_steps < 1:
             raise ValueError(f"n_steps must be a positive integer, got {self.n_steps}")
 
     @property
@@ -115,6 +120,8 @@ class SimulationParams:
 
     def __post_init__(self):
         for name in ("gamma", "dt", "omega_q", "delta", "omega_rabi"):
+            if isinstance(getattr(self, name), bool):
+                raise ValueError(f"{name} expects a number, got {getattr(self, name)}")
             if not math.isfinite(getattr(self, name)):
                 raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
         if self.gamma <= 0:
@@ -127,9 +134,9 @@ class SimulationParams:
             raise ValueError(f"omega_rabi must be non-negative, got {self.omega_rabi}")
         if self.dt <= 0:
             raise ValueError(f"dt must be positive, got {self.dt}")
-        if not isinstance(self.n_steps, numbers.Integral) or self.n_steps < 1:
+        if not _integer(self.n_steps) or self.n_steps < 1:
             raise ValueError(f"n_steps must be a positive integer, got {self.n_steps}")
-        if not isinstance(self.fock_dim, numbers.Integral) or self.fock_dim < 2:
+        if not _integer(self.fock_dim) or self.fock_dim < 2:
             raise ValueError(f"fock_dim must be an integer >= 2, got {self.fock_dim}")
         self._check_validity()
 

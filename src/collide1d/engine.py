@@ -413,9 +413,9 @@ class SectorRun:
     exactly once, so the collision unitary contributes one no-emission block
     K = <0|U|0> and one emission block E = <1|U|0> per step; the step index
     enters only through the phase e^{-i w_p t_n} attached at emission.  Tuple
-    amplitudes are products of K powers and E blocks, evaluated lazily from a
-    precomputed power table, so norms and reduced states stay cheap at large N
-    while materialization remains available (and memory-guarded) at small N.
+    amplitudes are products of K powers and E blocks, read from a power table
+    built on their first use.  Norms and reduced states need K and E alone, so
+    they stay cheap at large N; materialization stays memory-guarded.
     """
 
     def __init__(self, params: SimulationParams, m_max: int, phi0="g"):
@@ -429,43 +429,46 @@ class SectorRun:
         # index (q, k) = 2q + k
         self.no_jump_block = unit[np.ix_([0, 2], [0, 2])]
         self.emission_block = unit[np.ix_([1, 3], [0, 2])]
-        n = params.n_steps
-        # K^j for j = 0..N, on row-major vec: vec(K X) = (K x 1) vec(X)
-        self.powers = np.broadcast_to(np.eye(2, dtype=complex), (n + 1, 2, 2)).copy()
-        _conv.linear_recurrence(np.kron(self.no_jump_block, np.eye(2)).T,
-                                self.powers.reshape(n + 1, 4))
-        self.emission_phases = grid_exp(-1j * params.omega_p, params.dt, n)
+        self.emission_phases = grid_exp(-1j * params.omega_p, params.dt, params.n_steps)
 
     # -- aggregate trajectories ------------------------------------------------
 
     @cached_property
     def _moments(self):
-        return _conv.moment_chain(self.powers, self.emission_block, self.phi0, self.m_max,
-                                  self.params.gamma * self.params.dt)
+        return _conv.moment_chain(self.no_jump_block, self.emission_block, self.phi0, self.m_max,
+                                  self.params.n_steps, self.params.gamma * self.params.dt)
 
     def qubit_trajectory(self) -> np.ndarray:
-        """(N+1, 2, 2) reduced qubit matrices (trace < 1 by the truncated weight)."""
-        return self._moments[0].copy()
+        """(N+1, 2, 2) read-only reduced qubit matrices (trace < 1 by the truncated weight)."""
+        return self._moments[0]
 
     def truncation_deficit(self) -> float:
         """Weight outside the tracked sectors at the end of the run."""
         return float(1.0 - np.trace(self._moments[0][-1]).real)
 
     def emission_weights(self) -> np.ndarray:
-        """Weight emitted into each time bin, summed over tracked sectors.
+        """Read-only weight emitted into each time bin, summed over tracked sectors.
 
         Within the tracked bookkeeping this equals the mode-marginal photon
         weight at any later time: K and E together preserve the norm of every
         tuple's qubit vector, and children keep their parent's indices.
         """
-        return self._moments[2].copy()
+        return self._moments[2]
 
     def record(self) -> RunRecord:
-        """Qubit trajectory, emitted flux per bin and sector weights of the run."""
+        """Qubit trajectory, emitted flux per bin and sector weights (read-only) of the run."""
         return RunRecord(self.params, self.qubit_trajectory(),
-                         self.emission_weights() / self.params.dt, self._moments[1].copy())
+                         self.emission_weights() / self.params.dt, self._moments[1])
 
     # -- amplitudes --------------------------------------------------------------
+
+    @cached_property
+    def powers(self) -> np.ndarray:
+        """(N+1, 2, 2) no-emission propagators K^j for j = 0..N, built on first use."""
+        powers = np.broadcast_to(np.eye(2, dtype=complex), (self.params.n_steps + 1, 2, 2)).copy()
+        # on row-major vec: vec(K X) = (K x 1) vec(X)
+        _conv.linear_recurrence(np.kron(self.no_jump_block, np.eye(2)).T, powers.reshape(-1, 4))
+        return powers
 
     def amplitude(self, modes, step: int) -> np.ndarray:
         """(2,) amplitudes, eps = g, e, of photons in `modes` after `step` collisions."""

@@ -1,5 +1,6 @@
 import cmath
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -220,6 +221,36 @@ def test_negative_m_max_refused_before_any_compute(solve, monkeypatch):
     p = SimulationParams(gamma=1.0, dt=1e-3, n_steps=10, omega_rabi=1.0)
     with pytest.raises(ValueError, match="m_max must be >= 0"):
         solve(p)
+
+
+def test_chain_evaluates_the_closed_form_over_one_step_only(monkeypatch):
+    # the chain advances by M(dt), which the emission block shares: no M(t) per grid time
+    shapes = []
+    f0_matrix = analytic.f0_matrix
+
+    def recorded(t, params):
+        shapes.append(np.shape(t))
+        return f0_matrix(t, params)
+    monkeypatch.setattr(analytic, "f0_matrix", recorded)
+    coherent_qubit_trajectory(SimulationParams(gamma=1.0, dt=1e-2, n_steps=30, omega_rabi=3.0), 2)
+    assert shapes == [()]
+
+
+@pytest.mark.parametrize("omega_rabi,n_steps,refused", [
+    (1.0, 4, True), (1.0, 1, False), (0.0, 4, False)], ids=["driven", "driven-one-step",
+                                                             "undriven"])
+def test_gain_guard_fires_only_when_the_vacuum_emits(omega_rabi, n_steps, refused):
+    # gamma*dt = 1: one collision could multiply the tracked weight by 1.4.  The closed
+    # form's emission block M(dt) (-sqrt(gamma dt) sigma_-) takes nothing from |g>, so a
+    # driven |g> start emits only from step 1, through E K |g>, and an undriven one never
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", ValidityWarning)
+        p = SimulationParams(gamma=1.0, dt=1.0, n_steps=n_steps, omega_rabi=omega_rabi)
+    if refused:
+        with pytest.raises(ValueError, match="multiplies the tracked weight by up to 1.4"):
+            coherent_qubit_trajectory(p, 2, "g")
+    else:
+        assert not coherent_qubit_trajectory(p, 2, "g").weights[1:].any()
 
 
 class TestStrongDrive:

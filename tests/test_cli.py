@@ -273,6 +273,18 @@ def test_a_config_built_in_code_gets_each_key_of_its_kind(values, message):
     assert built.value.violations == [f"config: {message}"]
 
 
+@pytest.mark.parametrize("key,kind", [(f.name, f.metadata["kind"])
+                                      for f in fields(cli.ScenarioConfig)
+                                      if f.metadata["kind"] in (int, float)])
+def test_a_config_built_in_code_refuses_a_bool_for_a_number(key, kind):
+    # bool is a numbers.Integral, and True equals the default of gamma and
+    # wavepacket_sigma (1.0) and of snapshot_stride (1)
+    with pytest.raises(ConfigError) as built:
+        cli.ScenarioConfig(**{"scenario": "spont", "solver": "analytic", "dt": 0.01,
+                              "n_steps": 5, key: True})
+    assert f"config: {key} expects {cli._KIND_NAMES[kind]}, got True" in built.value.violations
+
+
 def test_readme_config_table_names_each_declared_key_once():
     with open(os.path.join(os.path.dirname(__file__), os.pardir, "README.md"),
               encoding="utf-8") as fh:

@@ -64,6 +64,28 @@ class TestSectorRun:
         rho_mat = run.state_at(8).qubit_matrix()
         assert np.abs(rho_chain - rho_mat).max() < 1e-12
 
+    def test_record_shares_read_only_arrays_and_builds_no_power_table(self):
+        # the moment chain advances by K alone; only the amplitudes read K^j
+        p = SimulationParams(gamma=1.0, dt=1e-2, n_steps=20, omega_rabi=2.0)
+        run = run_displaced_sectors(p, 2, "g")
+        record = run.record()
+        assert "powers" not in vars(run)
+        for cached in (record.rho, record.weights, run.emission_weights()):
+            with pytest.raises(ValueError, match="read-only"):
+                cached[0] = 0.0
+        again = run.record()
+        assert again.rho is record.rho and again.weights is record.weights
+        assert all(np.array_equal(a, b) for a, b in zip(record[1:], again[1:]))
+
+    @pytest.mark.parametrize("use", [lambda run: run.amplitude((3,), 10),
+                                     lambda run: run.state_at(10)],
+                             ids=["amplitude", "state_at"])
+    def test_amplitudes_build_the_power_table_on_first_use(self, use):
+        p = SimulationParams(gamma=1.0, dt=1e-2, n_steps=20, omega_rabi=2.0)
+        run = run_displaced_sectors(p, 2, "g")
+        use(run)
+        assert vars(run)["powers"].shape == (21, 2, 2)
+
     def test_norm_monotone_in_m_max(self):
         p = SimulationParams(gamma=1.0, dt=1e-3, n_steps=500, omega_rabi=20.0)
         norms = [np.trace(run_displaced_sectors(p, m, "g").record().rho[-1]).real

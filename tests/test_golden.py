@@ -4,15 +4,19 @@
 branch; the ``.csv`` and ``.manifest`` beside it were written by
 ``collide1d run tests/golden/<name>.cfg --out tests/golden``.  A config must
 repeat them byte for byte unless it is in ``NUMERIC``; those are compared
-field by field to an absolute ``NUMERIC_TOL``.  The configs outside it cover
-regimes that a valid config selects and no other golden reaches: the moment
-chain at nine sectors, with blocks of structured steps (``*-m8-n200``) and
-as one block (``*-m8-n100``), for both the sector and closed-form solvers,
-and the closed-form single-photon filter restarting its exponent once
-gamma*T/2 > 300 (``single-photon-analytic-restart``).  The ``NUMERIC``
-goldens were written by code that rounds differently: an FFT convolution
-chain for the three whose sector moments now come from the moment chain
-(block starts by a log-depth doubling scan, then structured steps), a
+field by field to an absolute ``NUMERIC_TOL``.  Beside one config per
+branch, configs cover regimes that a valid config selects and no other
+golden reaches: the moment chain at nine sectors, with blocks of structured
+steps (``*-m8-n200``) and as one block (``*-m8-n100``), for both the sector
+and closed-form solvers, and the closed-form single-photon filter restarting
+its exponent once gamma*T/2 > 300 (``single-photon-analytic-restart``, the
+one golden outside ``NUMERIC``).  The ``NUMERIC`` goldens were written by
+code that rounds differently: an FFT convolution chain for the three whose
+sector moments now come from the moment chain (block starts by a log-depth
+doubling scan, then structured steps), a chain whose vacuum sector was the
+outer product of the vacuum amplitudes read from an (N+1)-row propagator
+table for the four ``*-m8-*`` (the chain now runs every sector, the
+vacuum's included, from each tier's one-step map alone), a
 sequential collision loop for the two recursion branches, which now use a
 doubling scan, a full-state <sigma_-> contraction over per-step snapshots for
 io-check, whose residual now reads rho_eg from the recorded qubit matrices
@@ -28,8 +32,11 @@ closed-form spont and single-photon branches were written by code that read
 their flux from a rebuilt final state, where it is now the density their norm
 ledger sums; their norm column, like the recursion's, is now the trace of the
 populations, which rounds the ledger once more.  Largest measured differences
-(.csv/.manifest): coherent-analytic 1.4e-15/2.2e-16, coherent-sectors
-1.05e-14/9.1e-15, spont-sectors 5.6e-16/4.4e-16, recursion-exponential
+(.csv/.manifest): coherent-analytic 1.4e-14/4.4e-16, coherent-sectors
+1.9e-14/1.9e-14, coherent-analytic-m8-n100 7.8e-15/7.6e-15,
+coherent-analytic-m8-n200 9.6e-15/8.0e-15, coherent-sectors-m8-n100
+8.9e-16/8.9e-16, coherent-sectors-m8-n200 6.4e-15/6.2e-15, spont-sectors
+5.6e-16/4.4e-16, recursion-exponential
 1.6e-15/5.6e-16, recursion-gaussian 2.4e-15/2.4e-15, io-check 4.4e-16/4.4e-16,
 coherent-dense 6.7e-16/4.4e-16, convergence 5.6e-16/4.4e-16, oracle-compare
 4.4e-16/6.7e-16, spont-dense 3.3e-16/0, spont-analytic 4.4e-16/0,
@@ -46,8 +53,13 @@ SHA-256 digest of today's output per golden file, with the Python and numpy
 versions that wrote it in its header.  A change that moves any byte fails
 ``test_matches_byte_layer``, which names the file and its largest field
 difference from the anchor.  A change meant to move bytes rewrites the layer
-(``PYTHONPATH=src python tests/test_golden.py``) in a commit of its own and
-records every moved file with that difference.  The dense entries were last
+(``PYTHONPATH=src python tests/test_golden.py``, which prints each file whose
+digest changed with that difference) in a commit of its own and records
+every moved file with it.  The moment-chain entries were last rewritten when
+the chain ran from each tier's one-step map: from the layer before,
+.csv/.manifest moved by coherent-analytic 1.4e-14/6.7e-16, coherent-sectors
+9.8e-15/9.8e-15, the four ``*-m8-*`` as from their anchors, and
+spont-sectors.csv by 2.2e-16.  The dense entries were last
 rewritten when ``run_dense``'s last collision became one growth product and one
 Gram like the others: coherent-dense.csv moved by 2.0e-16 and oracle-compare.csv
 by 1.8e-17 from the layer before (5.6e-16 and 4.4e-16 from their anchors).
@@ -80,7 +92,9 @@ from collide1d.cli import _SWEEPS, SCENARIOS, parse_config, run_scenario, sweep
 GOLDEN = os.path.join(os.path.dirname(__file__), "golden")
 NAMES = sorted(f[:-4] for f in os.listdir(GOLDEN) if f.endswith(".cfg"))
 SWEEPS = ("oracle-compare", "io-check", "convergence")
-NUMERIC = ("coherent-analytic", "coherent-dense", "coherent-sectors", "convergence",
+NUMERIC = ("coherent-analytic", "coherent-analytic-m8-n100", "coherent-analytic-m8-n200",
+           "coherent-dense", "coherent-sectors", "coherent-sectors-m8-n100",
+           "coherent-sectors-m8-n200", "convergence",
            "io-check", "oracle-compare", "spont-analytic", "spont-dense", "spont-sectors",
            "single-photon-analytic-exponential", "single-photon-analytic-gaussian",
            "single-photon-recursion-exponential", "single-photon-recursion-gaussian")
@@ -315,12 +329,21 @@ def test_closed_form_single_photon_filters_the_packet_twice(tmp_path, monkeypatc
 
 
 def write_byte_layer(out_dir):
-    """Rewrite the byte layer from the golden configs' output under this tree."""
+    """Rewrite the byte layer from the golden configs' output under this tree, and
+    print each file whose digest changed with its largest field difference from
+    its anchor."""
     lines = ["# sha256 of `collide1d run tests/golden/<name>.cfg`, one line per golden file",
              f"# python {platform.python_version()}", f"# numpy {np.__version__}"]
+    _, old = read_byte_layer()
     for name in NAMES:
         for ext, output in run_golden(name, os.path.join(out_dir, name)).items():
-            lines.append(f"{hashlib.sha256(output).hexdigest()}  {name}{ext}")
+            digest = hashlib.sha256(output).hexdigest()
+            lines.append(f"{digest}  {name}{ext}")
+            if digest != old.get(name + ext):
+                worst = largest_field_difference(output.decode(), read_golden(name, ext).decode(),
+                                                 SEPARATOR[ext])
+                print(f"{name}{ext}: digest changed; largest field difference from its "
+                      f"anchor {worst:.2e}")
     with open(BYTE_LAYER, "w", encoding="utf-8", newline="\n") as fh:
         fh.write("\n".join(lines) + "\n")
 

@@ -83,7 +83,8 @@ def tier_chains(params, phi0, m_max, offset):
     if offset:
         run = run_displaced_sectors(params, m_max, phi0)
         props, emit = run.powers, run.emission_block
-        fast = _conv.moment_chain(props, emit, phi0, m_max, params.gamma * params.dt)
+        fast = _conv.moment_chain(run.no_jump_block, emit, phi0, m_max, params.n_steps,
+                                  params.gamma * params.dt)
     else:
         props = f0_matrix(params.grid.times(), params)
         emit = -math.sqrt(params.gamma * params.dt) * SIGMA_MINUS
@@ -141,7 +142,7 @@ def test_wide_chain_peaks_below_twice_its_moments():
     params = SimulationParams(gamma=1.0, omega_rabi=30.0, delta=2.0, omega_q=1.0,
                               dt=2e-3, n_steps=1000)
     run = run_displaced_sectors(params, 0)
-    args = (run.powers, run.emission_block, np.array([0.6, 0.8j]), 522, 2e-3)
+    args = (run.no_jump_block, run.emission_block, np.array([0.6, 0.8j]), 522, 1000, 2e-3)
     tracemalloc.start()
     try:
         _conv.moment_chain(*args)
