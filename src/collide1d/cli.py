@@ -26,7 +26,7 @@ import numpy as np
 
 from . import __version__
 from . import analytic, observables
-from .core import (MAX_NORM_DEFICIT, VALIDITY_BOUND, MemoryGuardError, RunRecord,
+from .core import (BOOL_TYPES, MAX_NORM_DEFICIT, VALIDITY_BOUND, MemoryGuardError, RunRecord,
                    SimulationParams, ValidityWarning, Wavepacket,
                    make_exponential_wavepacket, make_gaussian_wavepacket)
 from .engine import (DISPLACED, LAB, MAX_SECTOR_AMPLITUDES, DenseJointState,
@@ -153,7 +153,7 @@ class ScenarioConfig:
         problems = [f"config: {message}" for _, message in _violations(
             {f.name: getattr(self, f.name) for f in fields(self)
              if f.default is MISSING or getattr(self, f.name) != f.default
-             or isinstance(getattr(self, f.name), bool)})]
+             or isinstance(getattr(self, f.name), BOOL_TYPES)})]
         if problems:
             raise ConfigError(problems)
 
@@ -191,7 +191,7 @@ def _violations(values: dict):
         if key not in values:
             continue
         value, kind, low, choices = values[key], meta["kind"], meta["low"], meta["choices"]
-        if isinstance(value, bool) or not isinstance(
+        if isinstance(value, BOOL_TYPES) or not isinstance(
                 value, {float: numbers.Real, int: numbers.Integral}.get(kind, kind)):
             yield key, f"{key} expects {_KIND_NAMES[kind]}, got {value!r}"
             continue

@@ -60,9 +60,13 @@ def qubit_vector(phi0) -> np.ndarray:
     return v
 
 
+#: Python's and numpy's bool: each equals 1 or 0, and Python's is a numbers.Integral,
+#: so a number check that does not refuse them by name accepts them
+BOOL_TYPES = (bool, np.bool_)
+
+
 def _integer(value) -> bool:
-    """An integer and not a bool, which is a numbers.Integral too."""
-    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
+    return isinstance(value, numbers.Integral) and not isinstance(value, BOOL_TYPES)
 
 
 @dataclass(frozen=True)
@@ -73,7 +77,7 @@ class TimeGrid:
     n_steps: int
 
     def __post_init__(self):
-        if isinstance(self.dt, bool) or not (math.isfinite(self.dt) and self.dt > 0):
+        if isinstance(self.dt, BOOL_TYPES) or not (math.isfinite(self.dt) and self.dt > 0):
             raise ValueError(f"dt must be positive and finite, got {self.dt}")
         if not _integer(self.n_steps) or self.n_steps < 1:
             raise ValueError(f"n_steps must be a positive integer, got {self.n_steps}")
@@ -120,7 +124,7 @@ class SimulationParams:
 
     def __post_init__(self):
         for name in ("gamma", "dt", "omega_q", "delta", "omega_rabi"):
-            if isinstance(getattr(self, name), bool):
+            if isinstance(getattr(self, name), BOOL_TYPES):
                 raise ValueError(f"{name} expects a number, got {getattr(self, name)}")
             if not math.isfinite(getattr(self, name)):
                 raise ValueError(f"{name} must be finite, got {getattr(self, name)}")

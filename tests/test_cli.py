@@ -276,13 +276,15 @@ def test_a_config_built_in_code_gets_each_key_of_its_kind(values, message):
 @pytest.mark.parametrize("key,kind", [(f.name, f.metadata["kind"])
                                       for f in fields(cli.ScenarioConfig)
                                       if f.metadata["kind"] in (int, float)])
-def test_a_config_built_in_code_refuses_a_bool_for_a_number(key, kind):
+@pytest.mark.parametrize("flag", [True, np.True_], ids=["bool", "numpy-bool"])
+def test_a_config_built_in_code_refuses_a_bool_for_a_number(key, kind, flag):
     # bool is a numbers.Integral, and True equals the default of gamma and
     # wavepacket_sigma (1.0) and of snapshot_stride (1)
     with pytest.raises(ConfigError) as built:
         cli.ScenarioConfig(**{"scenario": "spont", "solver": "analytic", "dt": 0.01,
-                              "n_steps": 5, key: True})
-    assert f"config: {key} expects {cli._KIND_NAMES[kind]}, got True" in built.value.violations
+                              "n_steps": 5, key: flag})
+    assert (f"config: {key} expects {cli._KIND_NAMES[kind]}, got {flag!r}"
+            in built.value.violations)
 
 
 def test_readme_config_table_names_each_declared_key_once():

@@ -73,14 +73,15 @@ class TestSimulationParams:
             SimulationParams(gamma=1.0, dt=1e-3, n_steps=5, omega_q=500.0, delta=150.0)
 
 
+@pytest.mark.parametrize("flag", [True, np.True_], ids=["bool", "numpy-bool"])
 @pytest.mark.parametrize("cls,key", [(cls, f.name) for cls in (TimeGrid, SimulationParams)
                                      for f in fields(cls)])
-def test_bool_refused_where_a_number_is_expected(cls, key):
+def test_bool_refused_where_a_number_is_expected(cls, key, flag):
     # bool is a numbers.Integral, and True == 1 passes every bound
     values = dict(gamma=1.0, dt=1e-3, n_steps=10) if cls is SimulationParams else dict(
         dt=1e-3, n_steps=10)
     with pytest.raises(ValueError, match=f"^{key} .*, got True$"):
-        cls(**{**values, key: True})
+        cls(**{**values, key: flag})
 
 
 class TestRabi:
