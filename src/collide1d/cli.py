@@ -14,21 +14,20 @@ from __future__ import annotations
 
 import argparse
 import functools
-import math
-import numbers
 import os
 import sys
 import warnings
-from dataclasses import KW_ONLY, MISSING, dataclass, field, fields, replace
+from dataclasses import KW_ONLY, MISSING, dataclass, fields, replace
 from typing import Callable, NamedTuple
 
 import numpy as np
 
 from . import __version__
 from . import analytic, observables
-from .core import (BOOL_TYPES, MAX_NORM_DEFICIT, VALIDITY_BOUND, MemoryGuardError, RunRecord,
-                   SimulationParams, ValidityWarning, Wavepacket,
-                   make_exponential_wavepacket, make_gaussian_wavepacket)
+from .core import (BOOL_TYPES, MAX_MAGNITUDE, MAX_NORM_DEFICIT, VALIDITY_BOUND,
+                   MemoryGuardError, RunRecord, SimulationParams, ValidityWarning, Wavepacket,
+                   declare, field_violations, make_exponential_wavepacket,
+                   make_gaussian_wavepacket)
 from .engine import (DISPLACED, LAB, MAX_SECTOR_AMPLITUDES, DenseJointState,
                      check_dense_size, run_dense, run_displaced_sectors,
                      run_single_excitation)
@@ -116,37 +115,30 @@ class ConfigError(ValueError):
         super().__init__("; ".join(self.violations))
 
 
-def _key(default=MISSING, kind=str, low=None, strict=False, choices=()):
-    """A config key: parse type, default (none: the key is required), lower
-    bound (exclusive if strict; float bounds are 0) and allowed values."""
-    return field(default=default,
-                 metadata={"kind": kind, "low": low, "strict": strict, "choices": choices})
-
-
 @dataclass
 class ScenarioConfig:
     """One run, as a config file states it: each field declares its key.  Building
     one refuses the fields that differ from their defaults by `_violations`."""
 
-    scenario: str = _key(choices=tuple(SCENARIOS))
+    scenario: str = declare(choices=tuple(SCENARIOS))
     _: KW_ONLY
-    solver: str | None = _key(None, choices=SOLVERS)
-    gamma: float = _key(1.0, float, low=0, strict=True)
-    omega_q: float = _key(0.0, float, low=0)
-    delta: float = _key(0.0, float)
-    omega_rabi: float = _key(0.0, float, low=0)
-    dt: float = _key(kind=float, low=0, strict=True)
-    n_steps: int = _key(kind=int, low=1)
-    fock_dim: int = _key(2, int, low=2)
-    m_max: int = _key(2, int, low=0)
-    phi0: str | None = _key(None, choices=("g", "e"))
-    wavepacket: str = _key("exponential", choices=("exponential", "gaussian"))
-    wavepacket_gamma: float | None = _key(None, float, low=0, strict=True)
-    wavepacket_sigma: float = _key(1.0, float, low=0, strict=True)
-    wavepacket_t0: float | None = _key(None, float)
-    wavepacket_omega: float | None = _key(None, float)
-    snapshot_stride: int = _key(1, int, low=1)
-    output: str | None = _key(None)
+    solver: str | None = declare(None, choices=SOLVERS)
+    gamma: float = declare(1.0, float, low=0, strict=True)
+    omega_q: float = declare(0.0, float, low=0)
+    delta: float = declare(0.0, float)
+    omega_rabi: float = declare(0.0, float, low=0)
+    dt: float = declare(kind=float, low=0, strict=True)
+    n_steps: int = declare(kind=int, low=1)
+    fock_dim: int = declare(2, int, low=2)
+    m_max: int = declare(2, int, low=0)
+    phi0: str | None = declare(None, choices=("g", "e"))
+    wavepacket: str = declare("exponential", choices=("exponential", "gaussian"))
+    wavepacket_gamma: float | None = declare(None, float, low=0, strict=True)
+    wavepacket_sigma: float = declare(1.0, float, low=0, strict=True)
+    wavepacket_t0: float | None = declare(None, float)
+    wavepacket_omega: float | None = declare(None, float)
+    snapshot_stride: int = declare(1, int, low=1)
+    output: str | None = declare(None)
 
     def __post_init__(self):
         # a bool equals the number defaults 1.0, 0.0 and 1, yet is none of them
@@ -176,40 +168,15 @@ class ScenarioConfig:
         return self.output if self.output else self.scenario
 
 
-_KIND_NAMES = {float: "a number", int: "an integer", str: "text"}
-#: largest magnitude of a float key: the closed forms square rates and widths
-#: (sums of two such squares stay finite), and divide by wavepacket_sigma^2
-_MAX_MAGNITUDE = 1e150
-
-
 def _violations(values: dict):
     """Yield (key or None, message) for every rule that `values`, the keys set, break:
-    each key's own checks first.  Unset keys take their defaults; mistyped ones, none."""
-    floor, typed = 1 / _MAX_MAGNITUDE, {}
-    for declaration in fields(ScenarioConfig):
-        key, meta = declaration.name, declaration.metadata
-        if key not in values:
-            continue
-        value, kind, low, choices = values[key], meta["kind"], meta["low"], meta["choices"]
-        if isinstance(value, BOOL_TYPES) or not isinstance(
-                value, {float: numbers.Real, int: numbers.Integral}.get(kind, kind)):
-            yield key, f"{key} expects {_KIND_NAMES[kind]}, got {value!r}"
-            continue
-        typed[key] = value
-        if kind is float and not math.isfinite(value):
-            yield key, f"{key} must be finite, got {value}"
-        elif kind is float and abs(value) > _MAX_MAGNITUDE:
-            yield key, f"|{key}| must be <= {_MAX_MAGNITUDE:g}, got {value:g}"
-        if low is not None and (value <= low if meta["strict"] else value < low):
-            yield key, (f"{key} must be positive, got {value}" if meta["strict"]
-                        else f"{key} must be non-negative" if kind is float
-                        else f"{key} must be >= {low}")
-        if choices and value not in choices:
-            # a two-way choice names both values; a longer one lists them
-            yield key, (f"{key} must be {choices[0]!r} or {choices[1]!r}" if len(choices) == 2
-                        else f"unknown {key} {value!r} (choose from {', '.join(choices)})")
-        if key == "wavepacket_sigma" and 0 < value < floor:
-            yield key, f"wavepacket_sigma must be >= {floor:g}, got {value:g}"
+    each key's own checks by `field_violations` first, then the `wavepacket_sigma` floor
+    and the rules across keys.  Unset keys take their defaults; mistyped ones, none."""
+    floor = 1 / MAX_MAGNITUDE
+    typed = yield from field_violations(ScenarioConfig, values)
+    sigma = typed.get("wavepacket_sigma", 1.0)
+    if 0 < sigma < floor:
+        yield "wavepacket_sigma", f"wavepacket_sigma must be >= {floor:g}, got {sigma:g}"
     scenario, solver, phi0 = typed.get("scenario"), typed.get("solver"), typed.get("phi0")
     row = SCENARIOS.get(scenario)
     if row is None:  # every rule below is one of the scenario's

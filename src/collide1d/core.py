@@ -11,7 +11,7 @@ from __future__ import annotations
 import math
 import numbers
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import MISSING, dataclass, field, fields
 from typing import NamedTuple
 
 import numpy as np
@@ -64,23 +64,67 @@ def qubit_vector(phi0) -> np.ndarray:
 #: so a number check that does not refuse them by name accepts them
 BOOL_TYPES = (bool, np.bool_)
 
+_KIND_NAMES = {float: "a number", int: "an integer", str: "text"}
+#: largest magnitude of a float field: the closed forms square rates and widths
+#: (sums of two such squares stay finite), and a Gaussian packet's by its width squared
+MAX_MAGNITUDE = 1e150
 
-def _integer(value) -> bool:
-    return isinstance(value, numbers.Integral) and not isinstance(value, BOOL_TYPES)
+
+def declare(default=MISSING, kind=str, low=None, strict=False, choices=()):
+    """A dataclass field with its rules: kind, default (none: the field is required),
+    lower bound (exclusive if strict; float bounds are 0) and allowed values."""
+    return field(default=default,
+                 metadata={"kind": kind, "low": low, "strict": strict, "choices": choices})
+
+
+def field_violations(cls, values: dict):
+    """Yield (name, message) for every declared field of dataclass cls in `values` that
+    breaks its rules, in declaration order; return the values of their field's kind.
+
+    A value not of its kind gets that message only.  A float must be finite and at most
+    MAX_MAGNITUDE in magnitude; then the lower bound and the choices."""
+    typed = {}
+    for declaration in fields(cls):
+        name, meta = declaration.name, declaration.metadata
+        if name not in values:
+            continue
+        value, kind, low, choices = values[name], meta["kind"], meta["low"], meta["choices"]
+        if isinstance(value, BOOL_TYPES) or not isinstance(
+                value, {float: numbers.Real, int: numbers.Integral}.get(kind, kind)):
+            yield name, f"{name} expects {_KIND_NAMES[kind]}, got {value!r}"
+            continue
+        typed[name] = value
+        if kind is float and not math.isfinite(value):
+            yield name, f"{name} must be finite, got {value}"
+        elif kind is float and abs(value) > MAX_MAGNITUDE:
+            yield name, f"|{name}| must be <= {MAX_MAGNITUDE:g}, got {value:g}"
+        if low is not None and (value <= low if meta["strict"] else value < low):
+            yield name, (f"{name} must be positive, got {value}" if meta["strict"]
+                         else f"{name} must be non-negative" if kind is float
+                         else f"{name} must be >= {low}")
+        if choices and value not in choices:
+            # a two-way choice names both values; a longer one lists them
+            yield name, (f"{name} must be {choices[0]!r} or {choices[1]!r}" if len(choices) == 2
+                         else f"unknown {name} {value!r} (choose from {', '.join(choices)})")
+    return typed
+
+
+def _refuse_bad_fields(instance):
+    """Raise one ValueError with every message of field_violations over the instance."""
+    problems = [message for _, message in field_violations(type(instance), vars(instance))]
+    if problems:
+        raise ValueError("; ".join(problems))
 
 
 @dataclass(frozen=True)
 class TimeGrid:
     """Uniform grid t_n = n*dt for n = 0..n_steps."""
 
-    dt: float
-    n_steps: int
+    dt: float = declare(kind=float, low=0, strict=True)
+    n_steps: int = declare(kind=int, low=1)
 
     def __post_init__(self):
-        if isinstance(self.dt, BOOL_TYPES) or not (math.isfinite(self.dt) and self.dt > 0):
-            raise ValueError(f"dt must be positive and finite, got {self.dt}")
-        if not _integer(self.n_steps) or self.n_steps < 1:
-            raise ValueError(f"n_steps must be a positive integer, got {self.n_steps}")
+        _refuse_bad_fields(self)
 
     @property
     def total_time(self) -> float:
@@ -101,47 +145,30 @@ class TimeGrid:
 
 @dataclass(frozen=True)
 class SimulationParams:
-    """Physical and numerical knobs for one run.
+    """Physical and numerical knobs for one run; each field declares its rules.
 
-    gamma      : qubit decay rate into the waveguide (> 0)
-    omega_q    : qubit angular frequency (>= 0)
-    delta      : drive detuning omega_q - omega_p
-    omega_rabi : classical Rabi frequency of the displaced-frame drive (>= 0)
+    gamma      : qubit decay rate into the waveguide
     dt         : collision duration
     n_steps    : number of collisions
-    fock_dim   : per-mode Fock truncation of the dense oracle (>= 2)
+    omega_q    : qubit angular frequency
+    delta      : drive detuning omega_q - omega_p
+    omega_rabi : classical Rabi frequency of the displaced-frame drive
+    fock_dim   : per-mode Fock truncation of the dense oracle
     A rate times dt >= VALIDITY_BOUND issues a ValidityWarning; a caller refuses
     such a run with warnings.simplefilter("error", ValidityWarning).
     """
 
-    gamma: float
-    dt: float
-    n_steps: int
-    omega_q: float = 0.0
-    delta: float = 0.0
-    omega_rabi: float = 0.0
-    fock_dim: int = 2
+    gamma: float = declare(kind=float, low=0, strict=True)
+    dt: float = declare(kind=float, low=0, strict=True)
+    n_steps: int = declare(kind=int, low=1)
+    omega_q: float = declare(0.0, float, low=0)
+    delta: float = declare(0.0, float)
+    # the closed forms take the drive amplitude as real and non-negative
+    omega_rabi: float = declare(0.0, float, low=0)
+    fock_dim: int = declare(2, int, low=2)
 
     def __post_init__(self):
-        for name in ("gamma", "dt", "omega_q", "delta", "omega_rabi"):
-            if isinstance(getattr(self, name), BOOL_TYPES):
-                raise ValueError(f"{name} expects a number, got {getattr(self, name)}")
-            if not math.isfinite(getattr(self, name)):
-                raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
-        if self.gamma <= 0:
-            raise ValueError(f"gamma must be positive, got {self.gamma}")
-        if self.omega_q < 0:
-            raise ValueError(f"omega_q must be non-negative, got {self.omega_q}")
-        if self.omega_rabi < 0:
-            # The drive amplitude is treated as real and non-negative; a complex
-            # or negative amplitude is not covered by the closed forms.
-            raise ValueError(f"omega_rabi must be non-negative, got {self.omega_rabi}")
-        if self.dt <= 0:
-            raise ValueError(f"dt must be positive, got {self.dt}")
-        if not _integer(self.n_steps) or self.n_steps < 1:
-            raise ValueError(f"n_steps must be a positive integer, got {self.n_steps}")
-        if not _integer(self.fock_dim) or self.fock_dim < 2:
-            raise ValueError(f"fock_dim must be an integer >= 2, got {self.fock_dim}")
+        _refuse_bad_fields(self)
         self._check_validity()
 
     def _check_validity(self):

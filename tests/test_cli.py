@@ -11,7 +11,7 @@ import pytest
 
 from collide1d import cli
 from collide1d.cli import (ConfigError, PRESETS, parse_config, run_scenario)
-from collide1d.core import RunRecord, SimulationParams, ValidityWarning
+from collide1d.core import _KIND_NAMES, RunRecord, SimulationParams, ValidityWarning
 from collide1d.engine import run_dense
 
 
@@ -283,7 +283,7 @@ def test_a_config_built_in_code_refuses_a_bool_for_a_number(key, kind, flag):
     with pytest.raises(ConfigError) as built:
         cli.ScenarioConfig(**{"scenario": "spont", "solver": "analytic", "dt": 0.01,
                               "n_steps": 5, key: flag})
-    assert (f"config: {key} expects {cli._KIND_NAMES[kind]}, got {flag!r}"
+    assert (f"config: {key} expects {_KIND_NAMES[kind]}, got {flag!r}"
             in built.value.violations)
 
 

@@ -22,12 +22,12 @@ import pytest
 pytest.importorskip("hypothesis")
 from hypothesis import assume, example, given, settings, strategies as st  # noqa: E402
 
-from collide1d import cli  # noqa: E402
+from collide1d import cli, core  # noqa: E402
 from collide1d.cli import SCENARIOS, ConfigError, ScenarioConfig, parse_config  # noqa: E402
 
 KEYS = {f.name: f for f in fields(ScenarioConfig)}
 REQUIRED = {key for key, f in KEYS.items() if f.default is MISSING}
-BIG = cli._MAX_MAGNITUDE
+BIG = core.MAX_MAGNITUDE
 #: free text: no space at either end, no '#', nothing str.splitlines breaks at
 WORDS = st.text(st.characters(min_codepoint=33, max_codepoint=126, exclude_characters="#"),
                 min_size=1, max_size=12)
