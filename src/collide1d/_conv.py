@@ -21,8 +21,11 @@ import math
 
 import numpy as np
 
-from .core import MAX_NORM_DEFICIT, VALIDITY_BOUND, MemoryGuardError
+from .core import DENSE_SIZE_BITS, MAX_NORM_DEFICIT, VALIDITY_BOUND, MemoryGuardError
 
+
+#: most real moments of one chain: 256 MiB, the size of the largest dense state
+MAX_CHAIN_MOMENTS = 1 << (DENSE_SIZE_BITS + 1)
 
 #: vec(X) = HERMITIAN @ (X00, X11, Re X01, Im X01) for a Hermitian 2x2 X, row-major vec
 HERMITIAN = np.array([[1, 0, 0, 0], [0, 0, 1, 1j], [0, 0, 1, -1j], [0, 1, 0, 0]])
@@ -64,6 +67,9 @@ def moment_chain(step: np.ndarray, emit: np.ndarray, phi0: np.ndarray, m_max: in
     the closed form, whose continuum lags run from the emission time itself, passes
     emit = M(dt) @ (-sqrt(gamma dt) sigma_-).
 
+    A chain of more than MAX_CHAIN_MOMENTS real moments (N+1)(m_max+1)4 raises
+    MemoryGuardError before anything is composed or allocated.
+
     Returns read-only (rho, weights, emitted) for steps 0..N = n_steps.  S_m[s][a, b]
     sums A_a conj(A_b) over the m-photon tuples at step s (S_0 the vacuum's outer
     product); rho (N+1, 2, 2) is S_0 + .. + S_m_max (trace <= 1 by the weight beyond
@@ -79,6 +85,11 @@ def moment_chain(step: np.ndarray, emit: np.ndarray, phi0: np.ndarray, m_max: in
     before anything is composed.  It emits iff E phi0 != 0, or N > 1 and
     E K phi0 != 0: each K^s phi0 lies in the span of phi0 and K phi0.
     """
+    moments = (n_steps + 1) * (m_max + 1) * 4
+    if moments > MAX_CHAIN_MOMENTS:
+        raise MemoryGuardError(f"the moment chain of {n_steps} steps and {m_max + 1} sectors "
+                               f"holds {moments} real moments, above the guard "
+                               f"({MAX_CHAIN_MOMENTS}); lower m_max or n_steps")
     gain = np.linalg.eigvalsh(step.conj().T @ step + emit.conj().T @ emit)[-1]
     emits = np.any(emit @ phi0) or n_steps > 1 and np.any(emit @ step @ phi0)
     if not gain <= 1.0 + MAX_NORM_DEFICIT and emits:  # nan gain too

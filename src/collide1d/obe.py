@@ -21,6 +21,11 @@ from .engine import PROJ_E, SIGMA_MINUS, SIGMA_PLUS, SIGMA_X, SIGMA_Y, SIGMA_Z
 _PAULIS = (SIGMA_X, SIGMA_Y, SIGMA_Z)
 
 
+def _bloch(rho) -> np.ndarray:
+    """The Bloch vector (tr(sigma_x rho), tr(sigma_y rho), tr(sigma_z rho))."""
+    return np.array([np.trace(p @ rho).real for p in _PAULIS])
+
+
 def bloch_generator(params: SimulationParams):
     """Affine generator (A, b) with ds/dt = A s + b, built from the master equation."""
     H = params.delta * PROJ_E - 0.5 * params.omega_rabi * SIGMA_Y
@@ -32,14 +37,8 @@ def bloch_generator(params: SimulationParams):
                 - 0.5 * (PROJ_E @ rho + rho @ PROJ_E))
         return -1j * comm + gamma * damp
 
-    def project(rho):
-        return np.array([np.trace(p @ rho).real for p in _PAULIS])
-
-    base = project(rho_dot(0.5 * np.eye(2, dtype=complex)))
-    cols = []
-    for p in _PAULIS:
-        cols.append(project(rho_dot(0.5 * p)) )
-    return np.column_stack(cols), base
+    base = _bloch(rho_dot(0.5 * np.eye(2, dtype=complex)))
+    return np.column_stack([_bloch(rho_dot(0.5 * p)) for p in _PAULIS]), base
 
 
 def rk_step_limit(params: SimulationParams) -> float:
@@ -70,8 +69,7 @@ def _rk4_step_matrix(A: np.ndarray, b: np.ndarray, h: float) -> np.ndarray:
 
 def _initial_bloch(phi0) -> np.ndarray:
     v = qubit_vector(phi0)
-    rho = np.outer(v, v.conj())
-    return np.array([np.trace(p @ rho).real for p in _PAULIS])
+    return _bloch(np.outer(v, v.conj()))
 
 
 def obe_integrate(params: SimulationParams, t_final: float, phi0="g") -> RunRecord:

@@ -597,6 +597,17 @@ class TestMain:
         assert not out.exists()
         assert warnings.filters == filters
 
+    def test_moment_chain_above_its_memory_guard_exits_2_and_writes_nothing(self, tmp_path,
+                                                                            capsys):
+        cfg = tmp_path / "chain.cfg"
+        cfg.write_text("scenario = coherent\nsolver = sectors\ndt = 1e-6\n"
+                       "n_steps = 1000000\nm_max = 1000000\n")
+        out = tmp_path / "out"
+        assert cli.main(["run", str(cfg), "--out", str(out)]) == 2
+        assert capsys.readouterr().err.startswith(
+            "invalid run: the moment chain of 1000000 steps and 1000001 sectors holds")
+        assert not out.exists()
+
     @pytest.mark.parametrize("text,flags", [
         # 6, 12 and 24 modes at fixed final time: 24 exceed the dense memory guard
         ("scenario = convergence\ndt = 0.01\nn_steps = 6\n", []),

@@ -9,6 +9,7 @@ from hypothesis import example, given, strategies as st
 
 from collide1d import (SimulationParams, TimeGrid, ValidityWarning, Wavepacket, complex_rabi,
                        make_exponential_wavepacket, make_gaussian_wavepacket)
+from collide1d.cli import ScenarioConfig
 from collide1d.core import _normalized, grid_exp, qubit_vector
 
 
@@ -83,6 +84,28 @@ def test_bool_refused_where_a_number_is_expected(cls, key, flag):
         dt=1e-3, n_steps=10)
     with pytest.raises(ValueError, match=f"^{key} .*, got {re.escape(repr(flag))}$"):
         cls(**{**values, key: flag})
+
+
+@pytest.mark.parametrize("cls,values,message", [
+    (SimulationParams, dict(gamma="1"), "gamma expects a number, got '1'"),
+    (SimulationParams, dict(omega_rabi=None), "omega_rabi expects a number, got None"),
+    # accepted unchecked, it overflowed only inside the closed forms
+    (SimulationParams, dict(omega_rabi=1.0, delta=1e300),
+     "|delta| must be <= 1e+150, got 1e+300"),
+    (TimeGrid, dict(dt="0.1"), "dt expects a number, got '0.1'"),
+], ids=["text-gamma", "no-omega_rabi", "huge-delta", "text-dt"])
+def test_a_field_is_refused_by_name_as_a_config_key_is(cls, values, message):
+    base = dict(dt=0.01, n_steps=5) | (dict(gamma=1.0) if cls is SimulationParams else {})
+    with pytest.raises(ValueError) as err:
+        cls(**{**base, **values})
+    assert str(err.value) == message
+
+
+@pytest.mark.parametrize("cls", [TimeGrid, SimulationParams])
+def test_each_field_declares_the_rules_of_its_config_key(cls):
+    keys = {f.name: dict(f.metadata) for f in fields(ScenarioConfig)}
+    assert {f.name: dict(f.metadata) for f in fields(cls)} == {
+        f.name: keys[f.name] for f in fields(cls)}
 
 
 class TestRabi:

@@ -24,7 +24,8 @@ import pytest
 pytest.importorskip("hypothesis")
 from hypothesis import given, strategies as st  # noqa: E402
 
-from collide1d import SimulationParams, _conv, run_displaced_sectors  # noqa: E402
+from collide1d import (MemoryGuardError, SimulationParams, _conv,  # noqa: E402
+                       run_displaced_sectors)
 from collide1d.analytic import coherent_qubit_trajectory, f0_matrix  # noqa: E402
 from collide1d.engine import SIGMA_MINUS  # noqa: E402
 from test_materializer_properties import drives  # noqa: E402
@@ -150,6 +151,15 @@ def test_wide_chain_peaks_below_twice_its_moments():
     finally:
         tracemalloc.stop()
     assert peak <= 2 * (1000 + 1) * (522 + 1) * 4 * 8
+
+
+def test_chain_above_its_memory_guard_is_refused_before_it_allocates():
+    # 2^20 steps at 2^20 + 1 sectors: 2^42 real moments, 32 TiB, which no machine holds
+    run = run_displaced_sectors(SimulationParams(gamma=1.0, dt=1e-6, n_steps=1), 0)
+    with pytest.raises(MemoryGuardError, match="^the moment chain of 1048576 steps and "
+                                               "1048577 sectors holds"):
+        _conv.moment_chain(run.no_jump_block, run.emission_block, np.array([1.0, 0j]),
+                           1 << 20, 1 << 20, 1e-6)
 
 
 #: 0, 1, and each side of the powers of two where the scan starts a new level
