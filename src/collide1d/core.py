@@ -66,7 +66,7 @@ BOOL_TYPES = (bool, np.bool_)
 
 _KIND_NAMES = {float: "a number", int: "an integer", str: "text"}
 #: largest magnitude of a float field: the closed forms square rates and widths
-#: (sums of two such squares stay finite), and a Gaussian packet's by its width squared
+#: (sums of two such squares stay finite) and divide by a Gaussian width squared
 MAX_MAGNITUDE = 1e150
 
 

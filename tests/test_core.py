@@ -89,7 +89,7 @@ def test_bool_refused_where_a_number_is_expected(cls, key, flag):
 @pytest.mark.parametrize("cls,values,message", [
     (SimulationParams, dict(gamma="1"), "gamma expects a number, got '1'"),
     (SimulationParams, dict(omega_rabi=None), "omega_rabi expects a number, got None"),
-    # accepted unchecked, it overflowed only inside the closed forms
+    # finite, yet the closed forms square it past the largest double
     (SimulationParams, dict(omega_rabi=1.0, delta=1e300),
      "|delta| must be <= 1e+150, got 1e+300"),
     (TimeGrid, dict(dt="0.1"), "dt expects a number, got '0.1'"),
